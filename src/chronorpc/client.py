@@ -345,8 +345,8 @@ class Client:
         with self._lock:
             now = self._driver.now()
             if isinstance(msg, RpcReply):
-                call = self._pending.get(msg.message_id)
-                if call is None or call.reply is not None:
+                call = self._pending.pop(msg.message_id, None)
+                if call is None:
                     self.unmatched_messages += 1
                     return
                 call.reply = msg

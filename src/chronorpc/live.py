@@ -21,6 +21,7 @@ from itertools import count
 from .client import Client
 from .protocol import MAX_FRAME_BYTES, SchedulingRangeConfig
 from .server import ExecutionModel, Server
+from .sim import Timer
 
 __all__ = [
     "ThreadScheduler",
@@ -30,19 +31,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-
-class _ThreadTimer:
-    __slots__ = ("when", "callback", "args", "cancelled")
-
-    def __init__(self, when: int, callback, args: tuple):
-        self.when = when
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
 
 
 class ThreadScheduler:
@@ -56,7 +44,7 @@ class ThreadScheduler:
     def __init__(self, lock=None):
         self._lock = lock
         self._cond = threading.Condition()
-        self._heap: list[tuple[int, int, _ThreadTimer]] = []
+        self._heap: list[tuple[int, int, Timer]] = []
         self._seq = count()
         self._closed = False
         self._thread = threading.Thread(
@@ -67,8 +55,8 @@ class ThreadScheduler:
     def now(self) -> int:
         return time.time_ns()
 
-    def call_at(self, when: int, callback, *args) -> _ThreadTimer:
-        timer = _ThreadTimer(when, callback, args)
+    def call_at(self, when: int, callback, *args) -> Timer:
+        timer = Timer(when, callback, args)
         with self._cond:
             if self._closed:
                 raise RuntimeError("scheduler is closed")
@@ -76,7 +64,7 @@ class ThreadScheduler:
             self._cond.notify_all()
         return timer
 
-    def call_later(self, delay: int, callback, *args) -> _ThreadTimer:
+    def call_later(self, delay: int, callback, *args) -> Timer:
         return self.call_at(self.now() + max(0, delay), callback, *args)
 
     def _run(self) -> None:
@@ -127,7 +115,7 @@ class LiveDriver:
     def now(self) -> int:
         return time.time_ns()
 
-    def call_at(self, when: int, callback, *args) -> _ThreadTimer:
+    def call_at(self, when: int, callback, *args) -> Timer:
         def fire():
             callback(*args)
             self.wake()
@@ -245,6 +233,7 @@ class LiveServer:
                 conn, _ = self._listener.accept()
             except OSError:
                 return
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._conn = conn
 
             def deliver(frame: bytes) -> None:
@@ -300,6 +289,7 @@ class LiveClient:
         range_config: SchedulingRangeConfig | None = None,
     ):
         sock = socket.create_connection(address)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._socks.append(sock)
         session = self.core.connect(server_id, sock.sendall, range_config=range_config)
 

@@ -105,13 +105,13 @@ class EteSample:
 
 
 class SampleWindow:
-    """Fixed-capacity window of samples ordered by sequence index."""
+    """Fixed-capacity window of sample offsets ordered by sequence index."""
 
     def __init__(self, capacity: int = DEFAULT_WINDOW):
         if capacity < 1:
             raise ValueError("window capacity must be >= 1")
         self.capacity = capacity
-        self._samples: deque[EteSample] = deque(maxlen=capacity)
+        self._values: deque[float] = deque(maxlen=capacity)
         self._last_index: int | None = None
 
     def push(self, sample: EteSample) -> None:
@@ -119,21 +119,18 @@ class SampleWindow:
             raise OutOfOrderSample(
                 f"sequence index {sample.sequence_index} after {self._last_index}"
             )
-        self._samples.append(sample)
+        self._values.append(float(sample.ete))
         self._last_index = sample.sequence_index
 
     def values(self) -> list[float]:
-        return [float(s.ete) for s in self._samples]
+        return list(self._values)
 
     @property
     def last_index(self) -> int | None:
         return self._last_index
 
     def __len__(self) -> int:
-        return len(self._samples)
-
-    def __iter__(self):
-        return iter(self._samples)
+        return len(self._values)
 
 
 def average(values: Sequence[float]) -> float:
@@ -306,7 +303,7 @@ class PredictorState:
 
     Cold-start ladder: with no samples every algorithm predicts 0 (baseline);
     the Kalman choice additionally falls back to the window average until the
-    filter has two samples.
+    filter has two samples. Only the Kalman choice owns a filter.
     """
 
     def __init__(self, algorithm: str = "average", window: int = DEFAULT_WINDOW):
@@ -314,20 +311,17 @@ class PredictorState:
             raise ValueError(f"unknown algorithm: {algorithm!r}")
         self.algorithm = algorithm
         self.window = SampleWindow(window)
-        self.kalman = KalmanFilter1D(window)
+        self.kalman = KalmanFilter1D(window) if algorithm == "kalman" else None
         self._pushed = 0
 
     @property
     def sample_count(self) -> int:
         return self._pushed
 
-    @property
-    def next_sequence_index(self) -> int:
-        return self._pushed
-
     def push(self, sample: EteSample) -> None:
         self.window.push(sample)
-        self.kalman.observe(float(sample.ete))
+        if self.kalman is not None:
+            self.kalman.observe(float(sample.ete))
         self._pushed += 1
 
     def push_times(self, scheduled_time: int, execution_time: int) -> EteSample:
@@ -345,9 +339,9 @@ class PredictorState:
         return len(self.window) >= 1
 
     def predict(self) -> Prediction:
-        values = self.window.values()
         if self.algorithm == "baseline":
             return Prediction(0, 0.0, "baseline")
+        values = self.window.values()
         if not values:
             return Prediction(0, 0.0, "baseline", fallback=True)
         if self.algorithm == "average":

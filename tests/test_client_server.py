@@ -204,6 +204,19 @@ class TestNotifications:
         client.on_frame(encode(RpcReply.make_ok("m42")))
         assert client.unmatched_messages == 1
 
+    def test_resolved_call_leaves_pending(self):
+        loop, client, server, _ = one_server()
+        call = client.submit("s1", Operation("noop"), client.now() + SECONDS)
+        assert call.message_id in client._pending
+        client.wait([call], client.now() + 2 * SECONDS)
+        assert call.reply is not None
+        assert call.message_id not in client._pending
+        # a second reply finds no call: counted, and the first one stands
+        first = call.reply
+        client.on_frame(encode(RpcReply.make_ok(call.message_id)))
+        assert client.unmatched_messages == 1
+        assert call.reply is first
+
     def test_garbage_frame_is_counted(self):
         loop, client, server, _ = one_server()
         client.on_frame(b"{{{\n")

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import io
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +221,28 @@ class TestRunScenario:
             assert samples[i].ete == 200 * MILLIS
         for i in set(range(40)) - set(spikes):
             assert samples[i].ete == 20 * MILLIS
+
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+# sha256 of csv_text() + summary_text() for each shipped scenario at its own
+# seed. Any change to predictions, scheduling or formatting moves a digest.
+GOLDEN_DIGESTS = {
+    "burst.txt": "bb42ecfc15ff119f0ec7ea0fbf8862d035c669a81e7df14d8a93db6dd25b384d",
+    "constant.txt": "8ac8626fae9f961101ddddeea8707c4c010128f57ee4c17f6583ca71230dfd66",
+    "gaussian.txt": "8f5d9e31c0b1b0a4fb2a1083d1e6287f9dee08a8616b86dbe0c2dcf273300149",
+    "spikes.txt": "49a8e48a504cae3aeb0b38f4213e52676a1b8c7307d4fbed25903570630defbd",
+    "two-servers.txt": "a70fbc286c52722fa8d75a53c7f2bd3cde9c88df52b77dd0261f2a140887c37d",
+}
+
+
+def test_shipped_scenarios_match_golden_digests():
+    shipped = sorted(p.name for p in SCENARIO_DIR.glob("*.txt"))
+    assert shipped == sorted(GOLDEN_DIGESTS)
+    for name, digest in GOLDEN_DIGESTS.items():
+        result = run_scenario(load_scenario(SCENARIO_DIR / name))
+        text = result.csv_text() + result.summary_text()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, name
 
 
 class TestExperiments:

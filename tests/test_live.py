@@ -5,6 +5,7 @@ assertions are deliberately loose; the precise behavior is pinned by the
 virtual-time suites.
 """
 
+import socket
 import time
 
 from chronorpc.client import CancelResult
@@ -56,6 +57,14 @@ def test_immediate_value_round_trip():
         out = core.schedule_raw("live1", Operation("get-value", {"key": "k"}))
         assert out.ok
         assert out.params == {"value": "v"}
+
+
+def test_both_ends_disable_nagle():
+    with LiveServer("live1") as server, LiveClient() as client:
+        client.connect("live1", server.address)
+        client.core.schedule_raw("live1", Operation("noop"))
+        for sock in (client._socks[0], server._conn):
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
 
 def test_thread_scheduler_ordering():

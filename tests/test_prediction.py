@@ -284,6 +284,14 @@ class TestPredictorState:
         assert state.predict().algorithm == "kalman"
         assert not state.predict().fallback
 
+    def test_only_kalman_owns_a_filter(self):
+        states = {algo: PredictorState(algo, 8) for algo in ALGORITHMS}
+        for state in states.values():
+            for s in make_samples([10, 20, 30]):
+                state.push(s)
+        assert [a for a, st in states.items() if st.kalman is not None] == ["kalman"]
+        assert states["kalman"].kalman.count == 3
+
     def test_baseline_always_zero(self):
         state = PredictorState("baseline", 8)
         for s in make_samples([10, 20, 30]):
