@@ -286,10 +286,6 @@ class Client:
     def driver(self):
         return self._driver
 
-    @property
-    def lock(self) -> threading.RLock:
-        return self._lock
-
     def now(self) -> int:
         return self._driver.now()
 
@@ -309,10 +305,6 @@ class Client:
             return self._sessions[server_id]
         except KeyError:
             raise ValueError(f"not connected to {server_id!r}") from None
-
-    @property
-    def server_ids(self) -> list[str]:
-        return list(self._sessions)
 
     # -- predictors -------------------------------------------------------
 
@@ -455,17 +447,23 @@ class Client:
         server refused the time as out of range; every other error reply is
         returned as a non-ok outcome for the caller to inspect.
         """
+        reply = self._reply_or_timeout(call)
+        if not reply.ok and reply.error_code == ERR_SCHEDULE_OUT_OF_RANGE:
+            raise ScheduleRejected(reply.error_detail)
+        return call.outcome()
+
+    def _reply_or_timeout(self, call: PendingCall) -> RpcReply:
+        """The call's reply; without one the call times out and leaves _pending.
+
+        A reply that arrives after the timeout then counts as unmatched.
+        """
+        with self._lock:
+            if call.error is None and call.reply is None:
+                call.error = ReplyTimeout(call.message_id, self._driver.now())
+                self._pending.pop(call.message_id, None)
         if call.error is not None:
             raise call.error
-        if call.reply is None:
-            call.error = ReplyTimeout(call.message_id, self._driver.now())
-            raise call.error
-        if (
-            not call.reply.ok
-            and call.reply.error_code == ERR_SCHEDULE_OUT_OF_RANGE
-        ):
-            raise ScheduleRejected(call.reply.error_detail)
-        return call.outcome()
+        return call.reply
 
     def resolve_soft(self, call: PendingCall) -> ScheduleOutcome | ClientError:
         try:
@@ -543,12 +541,7 @@ class Client:
         self.wait(
             [call], call.sent_at + (self.reply_timeout if timeout is None else timeout)
         )
-        if call.error is not None:
-            raise call.error
-        if call.reply is None:
-            call.error = ReplyTimeout(call.message_id, self._driver.now())
-            raise call.error
-        reply = call.reply
+        reply = self._reply_or_timeout(call)
         if reply.ok:
             return CancelResult.CANCELLED
         if reply.error_code == ERR_ALREADY_EXECUTED:

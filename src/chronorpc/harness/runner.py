@@ -230,8 +230,7 @@ def _build_reports(result: ScenarioResult) -> None:
 
 
 def _spiked_indices(server: Server, outcomes: list[ScheduleOutcome]) -> list[int]:
-    spiked = {d.message_id for d in server.draws if d.spiked}
-    return [i for i, o in enumerate(outcomes) if o.message_id in spiked]
+    return [i for i, o in enumerate(outcomes) if server.ops[o.message_id].spiked]
 
 
 def check_world(world: World) -> None:
@@ -241,7 +240,7 @@ def check_world(world: World) -> None:
         leaked = server.rejected_ids & executed
         if leaked:
             raise CheckFailed(f"{sid}: rejected rpcs reached the log: {sorted(leaked)}")
-        ends = [entry.t_end for entry in server.log]
+        ends = [op.t_end for op in server.log]
         if ends != sorted(ends):
             raise CheckFailed(f"{sid}: execution log is not ordered by completion")
         for mid, op in server.ops.items():

@@ -110,10 +110,6 @@ class Scenario:
     def server_id(self, index: int) -> str:
         return f"s{index + 1}"
 
-    @property
-    def server_ids(self) -> list[str]:
-        return [self.server_id(i) for i in range(len(self.servers))]
-
 
 _DURATION_SUFFIXES = (("ns", 1), ("us", MICROS), ("ms", MILLIS), ("s", SECONDS))
 

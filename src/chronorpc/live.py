@@ -1,9 +1,9 @@
 """Wall-clock operation over TCP.
 
 The protocol, server core and client core are all transport-agnostic; this
-module supplies the real-world glue: a worker-thread scheduler driven by
-time.time_ns(), a client driver whose waits block on a condition variable,
-and newline-framed TCP plumbing on both sides.
+module supplies the real-world glue: sim.EventLoop's timer heap run against
+time.time_ns() by one worker thread, a client driver whose waits block on a
+condition variable, and newline-framed TCP plumbing on both sides.
 
 Timing here is at the mercy of the host scheduler, so expect millisecond
 jitter; the virtual-time harness is the place for exact assertions.
@@ -11,17 +11,15 @@ jitter; the virtual-time harness is the place for exact assertions.
 
 from __future__ import annotations
 
-import heapq
 import logging
 import socket
 import threading
 import time
-from itertools import count
 
 from .client import Client
 from .protocol import MAX_FRAME_BYTES, SchedulingRangeConfig
 from .server import ExecutionModel, Server
-from .sim import Timer
+from .sim import EventLoop, Timer
 
 __all__ = [
     "ThreadScheduler",
@@ -33,19 +31,20 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-class ThreadScheduler:
-    """Runs callbacks at wall-clock nanosecond instants on one worker thread.
+class ThreadScheduler(EventLoop):
+    """An EventLoop whose clock is time.time_ns(), run by one worker thread.
 
-    Callbacks execute while holding `lock` (when given), which is how the
-    live server serialises timer fire against frames arriving from the
+    The worker runs the loop up to the current instant, then sleeps until
+    the heap head falls due or a new timer takes its place. Callbacks run
+    while holding `lock` (a private one when none is given), which is how
+    the live server serialises timer fire against frames arriving from the
     socket reader.
     """
 
     def __init__(self, lock=None):
-        self._lock = lock
-        self._cond = threading.Condition()
-        self._heap: list[tuple[int, int, Timer]] = []
-        self._seq = count()
+        super().__init__(time.time_ns())
+        self._lock = lock if lock is not None else threading.RLock()
+        self._timer_cond = threading.Condition(self._lock)
         self._closed = False
         self._thread = threading.Thread(
             target=self._run, name="chronorpc-timer", daemon=True
@@ -56,88 +55,68 @@ class ThreadScheduler:
         return time.time_ns()
 
     def call_at(self, when: int, callback, *args) -> Timer:
-        timer = Timer(when, callback, args)
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise RuntimeError("scheduler is closed")
-            heapq.heappush(self._heap, (when, next(self._seq), timer))
-            self._cond.notify_all()
+            timer = super().call_at(when, callback, *args)
+            if self._heap[0][2] is timer:
+                self._timer_cond.notify()
         return timer
 
-    def call_later(self, delay: int, callback, *args) -> Timer:
-        return self.call_at(self.now() + max(0, delay), callback, *args)
-
     def _run(self) -> None:
-        while True:
-            with self._cond:
-                while not self._closed:
-                    if not self._heap:
-                        self._cond.wait()
-                        continue
-                    when = self._heap[0][0]
-                    remaining = when - time.time_ns()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining / 1e9)
-                if self._closed:
-                    return
-                _, _, timer = heapq.heappop(self._heap)
-            if timer.cancelled:
-                continue
-            try:
-                if self._lock is not None:
-                    with self._lock:
-                        timer.callback(*timer.args)
-                else:
-                    timer.callback(*timer.args)
-            except Exception:
-                log.exception("timer callback failed")
+        with self._lock:
+            while not self._closed:
+                try:
+                    self.run_until(deadline=time.time_ns())
+                except Exception:
+                    log.exception("timer callback failed")
+                    continue
+                timeout = None
+                if self._heap:
+                    timeout = (self._heap[0][0] - time.time_ns()) / 1e9
+                self._timer_cond.wait(timeout)
 
     def close(self) -> None:
-        with self._cond:
+        with self._lock:
             self._closed = True
-            self._cond.notify_all()
+            self._timer_cond.notify()
         self._thread.join(timeout=1.0)
 
 
-class LiveDriver:
+class LiveDriver(ThreadScheduler):
     """Client driver against the wall clock.
 
     wait_until blocks on a condition built over the client's own lock, so
-    predicates always observe a consistent client state; the socket reader
-    calls wake() after every frame it feeds in.
+    predicates always observe a consistent client state. The socket reader
+    calls wake() after every frame it feeds in, and every timer dispatch
+    wakes the waiters too. Waiters sleep on a condition of their own, so
+    wake() never wakes the timer thread.
     """
 
     def __init__(self, lock):
-        self._cond = threading.Condition(lock)
-        self._sched = ThreadScheduler(lock=lock)
+        self._waiters = threading.Condition(lock)
+        super().__init__(lock)
 
-    def now(self) -> int:
-        return time.time_ns()
-
-    def call_at(self, when: int, callback, *args) -> Timer:
-        def fire():
-            callback(*args)
-            self.wake()
-
-        return self._sched.call_at(when, fire)
+    def _dispatch_next(self) -> None:
+        super()._dispatch_next()
+        self._waiters.notify_all()
 
     def wait_until(self, predicate, deadline: int) -> bool:
-        with self._cond:
+        with self._waiters:
             while True:
                 if predicate is not None and predicate():
                     return True
                 remaining = deadline - time.time_ns()
                 if remaining <= 0:
                     return bool(predicate()) if predicate is not None else False
-                self._cond.wait(remaining / 1e9)
+                self._waiters.wait(remaining / 1e9)
 
     def wake(self) -> None:
-        with self._cond:
-            self._cond.notify_all()
+        with self._waiters:
+            self._waiters.notify_all()
 
     def close(self) -> None:
-        self._sched.close()
+        super().close()
         self.wake()
 
 

@@ -58,8 +58,6 @@ __all__ = [
     "OpState",
     "PendingOp",
     "ServerState",
-    "LogEntry",
-    "DrawRecord",
     "Server",
 ]
 
@@ -141,6 +139,7 @@ class PendingOp:
     t_start: int | None = None
     t_end: int | None = None
     timer: object | None = None
+    spiked: bool = False
 
 
 @dataclass
@@ -149,21 +148,6 @@ class ServerState:
 
     running: dict[str, str] = field(default_factory=dict)
     candidate: dict[str, str] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class LogEntry:
-    message_id: str
-    t_start: int
-    t_end: int
-
-
-@dataclass(frozen=True)
-class DrawRecord:
-    message_id: str
-    jitter: int
-    run: int
-    spiked: bool
 
 
 class Server:
@@ -193,8 +177,8 @@ class Server:
         self.toast_time = toast_time
 
         self.state = ServerState()
-        self.log: list[LogEntry] = []
-        self.draws: list[DrawRecord] = []
+        # ops in completion order: the same objects as in `ops`
+        self.log: list[PendingOp] = []
         self.rejected_ids: set[str] = set()
         self.ops: dict[str, PendingOp] = {}
         self.decode_errors = 0
@@ -312,17 +296,15 @@ class Server:
 
     def _begin(self, op: PendingOp) -> None:
         now = self._sched.now()
-        jitter = self.model.draw_jitter(self._rng)
-        t_start = now + jitter
+        t_start = now + self.model.draw_jitter(self._rng)
         gap = None if self._last_start is None else t_start - self._last_start
-        run, spiked = self.model.draw_run(self._rng, gap)
+        run, op.spiked = self.model.draw_run(self._rng, gap)
         run += self._extra_time(op.operation)
         op.state = OpState.RUNNING
         op.t_start = t_start
         op.t_end = t_start + run
         self._last_start = t_start
         self._active += 1
-        self.draws.append(DrawRecord(op.message_id, jitter, run, spiked))
         self._sched.call_at(op.t_end, self._complete, op)
 
     def _extra_time(self, operation: Operation) -> int:
@@ -338,7 +320,7 @@ class Server:
 
     def _complete(self, op: PendingOp) -> None:
         params, error_code, detail = self._apply(op.operation)
-        self.log.append(LogEntry(op.message_id, op.t_start, op.t_end))
+        self.log.append(op)
         op.state = OpState.DONE
         if error_code is not None:
             self._reply(RpcReply.make_error(op.message_id, error_code, detail))
@@ -382,7 +364,4 @@ class Server:
     # -- introspection ----------------------------------------------------
 
     def executed_ids(self) -> set[str]:
-        return {entry.message_id for entry in self.log}
-
-    def pending_count(self) -> int:
-        return sum(1 for op in self.ops.values() if op.state is OpState.PENDING)
+        return {op.message_id for op in self.log}

@@ -63,7 +63,7 @@ class EventLoop:
         return timer
 
     def call_later(self, delay: int, callback: Callable, *args) -> Timer:
-        return self.call_at(self._now + int(delay), callback, *args)
+        return self.call_at(self.now() + int(delay), callback, *args)
 
     def _dispatch_next(self) -> None:
         when, _, timer = heapq.heappop(self._heap)
@@ -148,7 +148,3 @@ class Link:
 
     def close(self) -> None:
         self._closed = True
-
-    @property
-    def max_delay(self) -> int:
-        return self.delay + self.jitter

@@ -217,6 +217,21 @@ class TestNotifications:
         assert client.unmatched_messages == 1
         assert call.reply is first
 
+    def test_timed_out_call_leaves_pending(self):
+        loop, client, server, _ = one_server()
+        replies = []
+        server._send = replies.append  # the server's replies never arrive
+        call = client.submit("s1", Operation("noop"), get_time=True)
+        client.wait([call], client.now() + SECONDS)
+        assert replies and call.reply is None
+        with pytest.raises(ReplyTimeout):
+            client.resolve(call)
+        assert call.message_id not in client._pending
+        # the late reply finds no call: counted, and the timeout stands
+        client.on_frame(replies[-1])
+        assert client.unmatched_messages == 1
+        assert call.reply is None
+
     def test_garbage_frame_is_counted(self):
         loop, client, server, _ = one_server()
         client.on_frame(b"{{{\n")

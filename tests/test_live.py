@@ -5,11 +5,21 @@ assertions are deliberately loose; the precise behavior is pinned by the
 virtual-time suites.
 """
 
+import logging
+import random
 import socket
+import sys
+import threading
 import time
 
 from chronorpc.client import CancelResult
-from chronorpc.live import LiveClient, LiveServer, ThreadScheduler, _FrameSplitter
+from chronorpc.live import (
+    LiveClient,
+    LiveDriver,
+    LiveServer,
+    ThreadScheduler,
+    _FrameSplitter,
+)
 from chronorpc.protocol import MILLIS, SECONDS, Operation
 from chronorpc.server import ExecutionModel
 
@@ -80,6 +90,73 @@ def test_thread_scheduler_ordering():
         assert hits == ["a", "b"]
     finally:
         sched.close()
+
+
+def test_thread_scheduler_survives_raising_callback(caplog):
+    def boom():
+        raise ValueError("boom")
+
+    sched = ThreadScheduler()
+    hits = []
+    base = sched.now()
+    try:
+        with caplog.at_level(logging.ERROR, logger="chronorpc.live"):
+            sched.call_at(base + 10 * MILLIS, boom)
+            sched.call_at(base + 30 * MILLIS, hits.append, "after")
+            time.sleep(0.2)
+        assert hits == ["after"]
+        [record] = caplog.records
+        assert record.getMessage() == "timer callback failed"
+        assert record.exc_info[0] is ValueError
+    finally:
+        sched.close()
+
+
+def test_thread_scheduler_concurrent_call_at():
+    """Timers added from more threads than cores all fire, none early."""
+    n_threads, per_thread = 8, 50
+    sched = ThreadScheduler()
+    lateness = []
+    done = threading.Event()
+
+    def fire(due):
+        lateness.append(time.time_ns() - due)
+        if len(lateness) == n_threads * per_thread:
+            done.set()
+
+    def add(seed):
+        rng = random.Random(seed)
+        for _ in range(per_thread):
+            due = sched.now() + rng.randrange(50 * MILLIS)
+            sched.call_at(due, fire, due)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=add, args=(i,)) for i in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=5)
+        assert not any(thread.is_alive() for thread in threads)
+        assert done.wait(timeout=5)
+        assert len(lateness) == n_threads * per_thread
+        assert min(lateness) >= 0
+    finally:
+        sys.setswitchinterval(interval)
+        sched.close()
+
+
+def test_driver_timer_wakes_waiter():
+    driver = LiveDriver(threading.RLock())
+    fired = []
+    try:
+        start = driver.now()
+        driver.call_at(start + 20 * MILLIS, fired.append, True)
+        assert driver.wait_until(lambda: bool(fired), start + 5 * SECONDS)
+        assert driver.now() - start < 1 * SECONDS
+    finally:
+        driver.close()
 
 
 def test_frame_splitter_reassembles():

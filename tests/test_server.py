@@ -109,6 +109,7 @@ class TestScheduledExecution:
         assert note.accepted
         assert notified_at < t_s
         entry = server.log[0]
+        assert entry is server.ops["m1"]
         assert entry.t_start == t_s
         assert wire.reply("m1").execution_time == t_s + 30 * MILLIS
 
@@ -399,10 +400,10 @@ class TestExecutionModel:
             loop.call_at(t_s - 10 * MILLIS, lambda i=i, t_s=t_s: rpc(
                 server, f"m{i}", at=t_s))
         loop.run_until(deadline=1 * SECONDS + (n + 10) * 20 * MILLIS)
-        spiked = [d for d in server.draws if d.spiked]
+        spiked = [op for op in server.ops.values() if op.spiked]
         assert 0.07 * n < len(spiked) < 0.13 * n
-        for d in spiked:
-            assert d.run == 100 * MILLIS
+        for op in spiked:
+            assert op.t_end - op.t_start == 100 * MILLIS
 
     def test_draw_stream_depends_only_on_seed(self):
         runs = []
