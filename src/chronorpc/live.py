@@ -17,7 +17,7 @@ import threading
 import time
 
 from .client import Client
-from .protocol import MAX_FRAME_BYTES, SchedulingRangeConfig
+from .protocol import FrameSplitter, SchedulingRangeConfig
 from .server import ExecutionModel, Server
 from .sim import EventLoop, Timer
 
@@ -120,31 +120,8 @@ class LiveDriver(ThreadScheduler):
         self.wake()
 
 
-class _FrameSplitter:
-    """Accumulates socket bytes and yields complete newline-framed messages."""
-
-    def __init__(self):
-        self._buf = b""
-
-    def feed(self, data: bytes) -> list[bytes]:
-        self._buf += data
-        frames = []
-        while True:
-            cut = self._buf.find(b"\n")
-            if cut < 0:
-                break
-            frames.append(self._buf[: cut + 1])
-            self._buf = self._buf[cut + 1 :]
-        if len(self._buf) > MAX_FRAME_BYTES:
-            # Force the oversized tail through as one bogus frame so the
-            # receiver counts it as a decode error instead of growing forever.
-            frames.append(self._buf)
-            self._buf = b""
-        return frames
-
-
 def _reader(sock: socket.socket, deliver, on_close=None) -> None:
-    splitter = _FrameSplitter()
+    splitter = FrameSplitter()
     try:
         while True:
             data = sock.recv(65536)
@@ -220,8 +197,11 @@ class LiveServer:
                     self.core.on_frame(frame)
 
             _reader(conn, deliver)
-            if self._conn is conn:
-                self._conn = None
+            # Under the lock, so no timer callback is sending on it meanwhile.
+            with self._lock:
+                if self._conn is conn:
+                    self._conn = None
+                conn.close()
 
     def close(self) -> None:
         self._closed = True

@@ -25,6 +25,16 @@ the status is "ok". Reply ``params`` is the return channel for operations
 that produce values (e.g. get-value). A notification acknowledges admission
 of a scheduled rpc before its scheduled time; ``target-id`` names the
 message-id a cancel-schedule rpc wants withdrawn.
+
+Canonical encoding, part of the wire contract: encode() writes the keys in
+the order listed above, optional ones only when present (error-detail only
+when non-empty), with compact separators ("," and ":", no spaces), strings
+escaped to ASCII as json.dumps escapes them by default, integers in plain
+decimal and booleans as true/false. That is byte for byte what
+json.dumps(obj, separators=(",", ":")) writes for the same dict. The
+per-type encoders below reproduce it without building the dict, and
+tests/test_protocol.py holds them to a json.dumps reference. decode()
+accepts any key order and whitespace within a frame.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -51,6 +62,7 @@ __all__ = [
     "Message",
     "encode",
     "decode",
+    "FrameSplitter",
     "StreamDecoder",
     "Verdict",
     "SchedulingRangeConfig",
@@ -173,17 +185,94 @@ class CancelSchedule:
 Message = RpcMessage | RpcReply | ScheduleNotification | CancelSchedule
 
 
-def _check_str(value: object, name: str) -> str:
+# Per-type encoders: each writes its frame straight into one string, in the
+# canonical field order, and checks what the wire contract needs on the way.
+_escape = encode_basestring_ascii
+
+
+def _quoted(value: object, name: str) -> str:
     if not isinstance(value, str) or not value:
         raise ValueError(f"{name} must be a non-empty string, got {value!r}")
-    return value
+    return _escape(value)
 
 
-def _check_params(params: dict[str, str], name: str) -> dict[str, str]:
+def _json_params(params: dict[str, str]) -> str:
+    entries = []
     for k, v in params.items():
         if not isinstance(k, str) or not isinstance(v, str):
-            raise ValueError(f"{name} entries must be str -> str, got {k!r}: {v!r}")
-    return params
+            raise ValueError(f"params entries must be str -> str, got {k!r}: {v!r}")
+        entries.append(f"{_escape(k)}:{_escape(v)}")
+    return "{" + ",".join(entries) + "}"
+
+
+def _json_value(value: object) -> str:
+    # error-code and error-detail are written without a type check, as
+    # json.dumps wrote them; only a non-string takes the slow path.
+    if isinstance(value, str):
+        return _escape(value)
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _encode_rpc(msg: RpcMessage) -> str:
+    op = msg.operation
+    frame = (
+        f'{{"type":"rpc","message-id":{_quoted(msg.message_id, "message-id")}'
+        f',"op":{_quoted(op.name, "op")},"params":{_json_params(op.params)}'
+    )
+    if msg.scheduled_time is not None:
+        frame += f',"scheduled-time":{int(msg.scheduled_time)}'
+    if msg.get_time:
+        frame += ',"get-time":true'
+    return frame + "}\n"
+
+
+def _encode_reply(msg: RpcReply) -> str:
+    status = msg.status
+    if status not in ("ok", "error"):
+        raise ValueError(f"bad reply status: {status!r}")
+    if status == "error":
+        if not msg.error_code:
+            raise ValueError("error reply needs an error-code")
+        if msg.execution_time is not None:
+            raise ValueError("error reply cannot carry execution-time")
+    elif msg.error_code is not None:
+        raise ValueError("ok reply cannot carry an error-code")
+    frame = (
+        f'{{"type":"rpc-reply","message-id":{_quoted(msg.message_id, "message-id")}'
+        f',"status":{_escape(status)}'
+    )
+    if msg.error_code is not None:
+        frame += f',"error-code":{_json_value(msg.error_code)}'
+    if msg.error_detail:
+        frame += f',"error-detail":{_json_value(msg.error_detail)}'
+    if msg.execution_time is not None:
+        frame += f',"execution-time":{int(msg.execution_time)}'
+    if msg.params is not None:
+        frame += f',"params":{_json_params(msg.params)}'
+    return frame + "}\n"
+
+
+def _encode_notification(msg: ScheduleNotification) -> str:
+    return (
+        f'{{"type":"notification","message-id":{_quoted(msg.message_id, "message-id")}'
+        f',"accepted":{"true" if msg.accepted else "false"}}}\n'
+    )
+
+
+def _encode_cancel(msg: CancelSchedule) -> str:
+    return (
+        f'{{"type":"cancel-schedule","message-id":{_quoted(msg.message_id, "message-id")}'
+        f',"target-id":{_quoted(msg.target_id, "target-id")}}}\n'
+    )
+
+
+# In isinstance order, for subclasses that miss the exact-type lookup.
+_ENCODERS = {
+    RpcMessage: _encode_rpc,
+    RpcReply: _encode_reply,
+    ScheduleNotification: _encode_notification,
+    CancelSchedule: _encode_cancel,
+}
 
 
 def encode(msg: Message) -> bytes:
@@ -192,97 +281,102 @@ def encode(msg: Message) -> bytes:
     Raises ValueError for structurally invalid messages (empty id, non-string
     params, an error reply carrying execution-time, or a frame over 64 KiB).
     """
-    obj: dict[str, object] = {}
-    if isinstance(msg, RpcMessage):
-        obj["type"] = "rpc"
-        obj["message-id"] = _check_str(msg.message_id, "message-id")
-        obj["op"] = _check_str(msg.operation.name, "op")
-        obj["params"] = _check_params(msg.operation.params, "params")
-        if msg.scheduled_time is not None:
-            obj["scheduled-time"] = int(msg.scheduled_time)
-        if msg.get_time:
-            obj["get-time"] = True
-    elif isinstance(msg, RpcReply):
-        if msg.status not in ("ok", "error"):
-            raise ValueError(f"bad reply status: {msg.status!r}")
-        if msg.status == "error" and not msg.error_code:
-            raise ValueError("error reply needs an error-code")
-        if msg.status == "ok" and msg.error_code is not None:
-            raise ValueError("ok reply cannot carry an error-code")
-        if msg.status == "error" and msg.execution_time is not None:
-            raise ValueError("error reply cannot carry execution-time")
-        obj["type"] = "rpc-reply"
-        obj["message-id"] = _check_str(msg.message_id, "message-id")
-        obj["status"] = msg.status
-        if msg.error_code is not None:
-            obj["error-code"] = msg.error_code
-        if msg.error_detail:
-            obj["error-detail"] = msg.error_detail
-        if msg.execution_time is not None:
-            obj["execution-time"] = int(msg.execution_time)
-        if msg.params is not None:
-            obj["params"] = _check_params(msg.params, "params")
-    elif isinstance(msg, ScheduleNotification):
-        obj["type"] = "notification"
-        obj["message-id"] = _check_str(msg.message_id, "message-id")
-        obj["accepted"] = bool(msg.accepted)
-    elif isinstance(msg, CancelSchedule):
-        obj["type"] = "cancel-schedule"
-        obj["message-id"] = _check_str(msg.message_id, "message-id")
-        obj["target-id"] = _check_str(msg.target_id, "target-id")
-    else:
-        raise ValueError(f"not a protocol message: {msg!r}")
-
-    frame = json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n"
+    encoder = _ENCODERS.get(type(msg))
+    if encoder is None:
+        for cls, encoder in _ENCODERS.items():
+            if isinstance(msg, cls):
+                break
+        else:
+            raise ValueError(f"not a protocol message: {msg!r}")
+    frame = encoder(msg).encode()
     if len(frame) > MAX_FRAME_BYTES:
         raise ValueError(f"frame exceeds {MAX_FRAME_BYTES} bytes")
     return frame
 
 
-def _get_required(obj: dict, key: str) -> object:
+# Per-type decoders over the parsed object. JSON gives exact types, so
+# `type(x) is int` also rejects booleans and `type(x) is str` needs no
+# subclass case.
+def _str_field(obj: dict, key: str) -> str:
+    value = obj.get(key)
+    if type(value) is str and value:
+        return value
     if key not in obj:
         raise MissingField(key)
-    return obj[key]
+    raise MalformedFrame("field must be a non-empty string", key)
 
 
-def _field_str(obj: dict, key: str) -> str:
-    value = _get_required(obj, key)
-    if not isinstance(value, str) or not value:
-        raise MalformedFrame("field must be a non-empty string", key)
-    return value
-
-
-def _field_int_opt(obj: dict, key: str) -> int | None:
-    value = obj.get(key)
-    if value is None:
+def _params_field(obj: dict) -> dict[str, str] | None:
+    params = obj.get("params")
+    if params is None:
         return None
-    # bool is an int subclass; reject it explicitly.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise MalformedFrame("field must be an integer", key)
-    return value
+    if type(params) is not dict:
+        raise MalformedFrame("field must be an object", "params")
+    for value in params.values():  # JSON object keys are always strings
+        if type(value) is not str:
+            raise MalformedFrame("field entries must map strings to strings", "params")
+    return params
 
 
-def _field_bool(obj: dict, key: str, default: bool | None = None) -> bool:
-    if key not in obj:
-        if default is None:
-            raise MissingField(key)
-        return default
-    value = obj[key]
-    if not isinstance(value, bool):
-        raise MalformedFrame("field must be a boolean", key)
-    return value
+def _decode_rpc(obj: dict) -> RpcMessage:
+    message_id = _str_field(obj, "message-id")
+    name = _str_field(obj, "op")
+    params = _params_field(obj)
+    scheduled_time = obj.get("scheduled-time")
+    if scheduled_time is not None and type(scheduled_time) is not int:
+        raise MalformedFrame("field must be an integer", "scheduled-time")
+    get_time = obj.get("get-time", False)
+    if type(get_time) is not bool:
+        raise MalformedFrame("field must be a boolean", "get-time")
+    operation = Operation(name, {} if params is None else params)
+    return RpcMessage(message_id, operation, scheduled_time, get_time)
 
 
-def _field_params(obj: dict, key: str) -> dict[str, str]:
-    value = obj.get(key)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise MalformedFrame("field must be an object", key)
-    for k, v in value.items():
-        if not isinstance(k, str) or not isinstance(v, str):
-            raise MalformedFrame("field entries must map strings to strings", key)
-    return value
+def _decode_reply(obj: dict) -> RpcReply:
+    message_id = _str_field(obj, "message-id")
+    status = _str_field(obj, "status")
+    error_code = None
+    error_detail = ""
+    if status == "error":
+        error_code = _str_field(obj, "error-code")
+        error_detail = obj.get("error-detail", "")
+        if type(error_detail) is not str:
+            raise MalformedFrame("field must be a string", "error-detail")
+    elif status != "ok":
+        raise MalformedFrame("status must be 'ok' or 'error'", "status")
+    execution_time = obj.get("execution-time")
+    if execution_time is not None:
+        if type(execution_time) is not int:
+            raise MalformedFrame("field must be an integer", "execution-time")
+        if error_code is not None:
+            raise MalformedFrame("error reply cannot carry execution-time", "execution-time")
+    return RpcReply(
+        message_id, status, error_code, error_detail, execution_time, _params_field(obj)
+    )
+
+
+def _decode_notification(obj: dict) -> ScheduleNotification:
+    message_id = _str_field(obj, "message-id")
+    accepted = obj.get("accepted")
+    if type(accepted) is not bool:
+        if "accepted" not in obj:
+            raise MissingField("accepted")
+        raise MalformedFrame("field must be a boolean", "accepted")
+    return ScheduleNotification(message_id, accepted)
+
+
+def _decode_cancel(obj: dict) -> CancelSchedule:
+    return CancelSchedule(_str_field(obj, "message-id"), _str_field(obj, "target-id"))
+
+
+_scan_once = json.JSONDecoder().scan_once  # the scanner json.loads runs
+
+_DECODERS = {
+    "rpc": _decode_rpc,
+    "rpc-reply": _decode_reply,
+    "notification": _decode_notification,
+    "cancel-schedule": _decode_cancel,
+}
 
 
 def decode(data: bytes | bytearray | str) -> Message:
@@ -291,92 +385,97 @@ def decode(data: bytes | bytearray | str) -> Message:
     Raises MalformedFrame for framing/syntax/shape problems, UnknownType for
     an unrecognized "type", MissingField when a required field is absent.
     """
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    data = bytes(data)
-    if len(data) > MAX_FRAME_BYTES:
+    if type(data) is not bytes:
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+        elif not isinstance(data, bytearray):
+            data = bytes(data)
+    size = len(data)
+    if size > MAX_FRAME_BYTES:
         raise MalformedFrame(f"frame exceeds {MAX_FRAME_BYTES} bytes")
-    if not data.endswith(b"\n"):
+    if not size or data.find(b"\n") != size - 1:
+        if data.endswith(b"\n"):
+            raise MalformedFrame("more than one frame supplied")
         raise MalformedFrame("frame is not newline-terminated")
-    line = data[:-1]
-    if b"\n" in line:
-        raise MalformedFrame("more than one frame supplied")
     try:
-        obj = json.loads(line.decode("utf-8"))
+        text = data.decode("utf-8")
+        # What json.loads(text) returns, without its wrappers, when the frame
+        # is one JSON value and then the newline. Any other frame (whitespace
+        # around the value, bad syntax) goes to json.loads to accept or reject.
+        try:
+            obj, end = _scan_once(text, 0)
+        except (StopIteration, json.JSONDecodeError):
+            end = -1
+        if end != len(text) - 1:
+            obj = json.loads(text)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedFrame(f"bad frame syntax ({exc})") from exc
-    if not isinstance(obj, dict):
+    if type(obj) is not dict:
         raise MalformedFrame("frame is not a JSON object")
+    type_value = obj.get("type")
+    try:
+        decoder = _DECODERS[type_value]
+    except (KeyError, TypeError):  # TypeError: a list or object is unhashable
+        if "type" not in obj:
+            raise MissingField("type") from None
+        raise UnknownType(type_value) from None
+    return decoder(obj)
 
-    type_value = _get_required(obj, "type")
-    if type_value == "rpc":
-        return RpcMessage(
-            message_id=_field_str(obj, "message-id"),
-            operation=Operation(_field_str(obj, "op"), _field_params(obj, "params")),
-            scheduled_time=_field_int_opt(obj, "scheduled-time"),
-            get_time=_field_bool(obj, "get-time", default=False),
-        )
-    if type_value == "rpc-reply":
-        message_id = _field_str(obj, "message-id")
-        status = _field_str(obj, "status")
-        if status not in ("ok", "error"):
-            raise MalformedFrame("status must be 'ok' or 'error'", "status")
-        error_code: str | None = None
-        error_detail = ""
-        if status == "error":
-            error_code = _field_str(obj, "error-code")
-            detail = obj.get("error-detail", "")
-            if not isinstance(detail, str):
-                raise MalformedFrame("field must be a string", "error-detail")
-            error_detail = detail
-        execution_time = _field_int_opt(obj, "execution-time")
-        if status == "error" and execution_time is not None:
-            raise MalformedFrame("error reply cannot carry execution-time", "execution-time")
-        params = obj.get("params")
-        if params is not None:
-            params = _field_params(obj, "params")
-        return RpcReply(message_id, status, error_code, error_detail, execution_time, params)
-    if type_value == "notification":
-        return ScheduleNotification(
-            message_id=_field_str(obj, "message-id"),
-            accepted=_field_bool(obj, "accepted"),
-        )
-    if type_value == "cancel-schedule":
-        return CancelSchedule(
-            message_id=_field_str(obj, "message-id"),
-            target_id=_field_str(obj, "target-id"),
-        )
-    raise UnknownType(type_value)
+
+class FrameSplitter:
+    """Cuts a byte stream into raw newline-terminated frames, without decoding.
+
+    feed() returns the frames the chunk completes, in order. Each byte is
+    scanned once and copied at most twice, however the stream is chunked. An
+    unterminated tail of MAX_FRAME_BYTES or more can never become a valid
+    frame, so it comes out as one bogus frame for the receiver to reject and
+    count, and the splitter starts afresh.
+    """
+
+    def __init__(self):
+        self._parts: list[bytes] = []
+        self.pending_bytes = 0
+
+    def feed(self, data: bytes) -> list[bytes]:
+        frames = []
+        start = 0
+        cut = data.find(b"\n")
+        while cut >= 0:
+            frame = data[start : cut + 1]
+            if self._parts:
+                frame = b"".join([*self._parts, frame])
+                self._parts = []
+                self.pending_bytes = 0
+            frames.append(frame)
+            start = cut + 1
+            cut = data.find(b"\n", start)
+        if start < len(data):
+            self._parts.append(data[start:])
+            self.pending_bytes += len(data) - start
+            if self.pending_bytes >= MAX_FRAME_BYTES:
+                frames.append(b"".join(self._parts))
+                self._parts = []
+                self.pending_bytes = 0
+        return frames
 
 
 class StreamDecoder:
     """Incremental decoder for a byte stream of newline-delimited frames.
 
     feed() returns the messages completed by the supplied chunk, in order.
-    Raises MalformedFrame as soon as the unterminated tail exceeds the frame
-    size limit.
+    Raises MalformedFrame for a bad frame, including an unterminated tail
+    that reaches the frame size limit.
     """
 
     def __init__(self):
-        self._buf = bytearray()
+        self._splitter = FrameSplitter()
 
     def feed(self, data: bytes) -> list[Message]:
-        self._buf.extend(data)
-        out: list[Message] = []
-        while True:
-            idx = self._buf.find(b"\n")
-            if idx < 0:
-                break
-            frame = bytes(self._buf[: idx + 1])
-            del self._buf[: idx + 1]
-            out.append(decode(frame))
-        if len(self._buf) >= MAX_FRAME_BYTES:
-            raise MalformedFrame(f"unterminated frame exceeds {MAX_FRAME_BYTES} bytes")
-        return out
+        return [decode(frame) for frame in self._splitter.feed(data)]
 
     @property
     def pending_bytes(self) -> int:
-        return len(self._buf)
+        return self._splitter.pending_bytes
 
 
 class Verdict(enum.Enum):

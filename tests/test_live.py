@@ -5,22 +5,27 @@ assertions are deliberately loose; the precise behavior is pinned by the
 virtual-time suites.
 """
 
+import gc
 import logging
 import random
 import socket
 import sys
 import threading
 import time
+import warnings
 
 from chronorpc.client import CancelResult
-from chronorpc.live import (
-    LiveClient,
-    LiveDriver,
-    LiveServer,
-    ThreadScheduler,
-    _FrameSplitter,
+from chronorpc.live import LiveClient, LiveDriver, LiveServer, ThreadScheduler
+from chronorpc.protocol import (
+    MILLIS,
+    SECONDS,
+    FrameSplitter,
+    Operation,
+    RpcMessage,
+    RpcReply,
+    StreamDecoder,
+    encode,
 )
-from chronorpc.protocol import MILLIS, SECONDS, Operation
 from chronorpc.server import ExecutionModel
 
 TOLERANCE = 150 * MILLIS  # generous: CI boxes stall
@@ -160,7 +165,30 @@ def test_driver_timer_wakes_waiter():
 
 
 def test_frame_splitter_reassembles():
-    splitter = _FrameSplitter()
+    splitter = FrameSplitter()
     assert splitter.feed(b'{"a":1}\n{"b"') == [b'{"a":1}\n']
     assert splitter.feed(b":2}\n") == [b'{"b":2}\n']
     assert splitter.feed(b"") == []
+
+
+def test_server_closes_finished_connections():
+    """Each accepted socket is closed once its peer hangs up, not left to GC."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with LiveServer("live1") as server:
+            with LiveClient() as client:
+                client.connect("live1", server.address)
+                assert client.core.schedule_raw("live1", Operation("noop")).ok
+            # A raw second connection: the server must have accepted it, and
+            # so be done with the first one, once it answers.
+            with socket.create_connection(server.address, timeout=5) as raw:
+                raw.sendall(encode(RpcMessage("r1", Operation("noop"))))
+                decoder, replies = StreamDecoder(), []
+                while not replies:
+                    chunk = raw.recv(65536)
+                    assert chunk, "server hung up before replying"
+                    replies = decoder.feed(chunk)
+                assert replies == [RpcReply.make_ok("r1")]
+        gc.collect()
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert leaks == []
