@@ -24,7 +24,6 @@ from .protocol import (
     RpcReply,
     ScheduleNotification,
     SchedulingRangeConfig,
-    StreamDecoder,
     TransportClosed,
     UnknownType,
     Verdict,
@@ -91,7 +90,6 @@ __all__ = [
     "RpcReply",
     "ScheduleNotification",
     "SchedulingRangeConfig",
-    "StreamDecoder",
     "TransportClosed",
     "UnknownType",
     "Verdict",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .prediction import (
     DEFAULT_WINDOW,
@@ -138,47 +138,6 @@ def probe_operation(target_type: str = "noop") -> Operation:
 
 
 @dataclass(frozen=True)
-class ScheduleOutcome:
-    """What came back for one scheduled rpc."""
-
-    server_id: str
-    message_id: str
-    operation: str
-    scheduled_time: int | None
-    sent_at: int
-    status: str
-    error_code: str | None = None
-    execution_time: int | None = None
-    params: Mapping[str, str] | None = None
-    prediction: Prediction | None = None
-    desired_completion: int | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-    @property
-    def ete(self) -> int | None:
-        if self.execution_time is None or self.scheduled_time is None:
-            return None
-        return self.execution_time - self.scheduled_time
-
-    @property
-    def prediction_error(self) -> int | None:
-        """Absolute gap between the predicted and the measured offset."""
-        ete = self.ete
-        if ete is None or self.prediction is None:
-            return None
-        return abs(self.prediction.value - ete)
-
-    @property
-    def completion_error(self) -> int | None:
-        if self.execution_time is None or self.desired_completion is None:
-            return None
-        return self.execution_time - self.desired_completion
-
-
-@dataclass(frozen=True)
 class SnapshotEntry:
     value: str
     execution_time: int | None
@@ -199,9 +158,13 @@ class CommitOutcome:
         return self.status == "committed"
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingCall:
-    """In-flight rpc bookkeeping, resolved by on_message()."""
+    """One rpc's client-side record, resolved by on_message().
+
+    Once answered, the call is also the rpc's outcome: the properties below
+    read the reply it holds.
+    """
 
     server_id: str
     message_id: str
@@ -227,22 +190,51 @@ class PendingCall:
         """A notification or any reply has arrived."""
         return self.notification is not None or self.resolved
 
-    def outcome(self) -> ScheduleOutcome:
-        reply = self.reply
-        assert reply is not None
-        return ScheduleOutcome(
-            server_id=self.server_id,
-            message_id=self.message_id,
-            operation=self.operation.name,
-            scheduled_time=self.scheduled_time,
-            sent_at=self.sent_at,
-            status=reply.status,
-            error_code=reply.error_code,
-            execution_time=reply.execution_time,
-            params=reply.params,
-            prediction=self.prediction,
-            desired_completion=self.desired_completion,
-        )
+    @property
+    def status(self) -> str | None:
+        return None if self.reply is None else self.reply.status
+
+    @property
+    def ok(self) -> bool:
+        return self.reply is not None and self.reply.ok
+
+    @property
+    def error_code(self) -> str | None:
+        return None if self.reply is None else self.reply.error_code
+
+    @property
+    def execution_time(self) -> int | None:
+        return None if self.reply is None else self.reply.execution_time
+
+    @property
+    def params(self) -> dict[str, str] | None:
+        return None if self.reply is None else self.reply.params
+
+    @property
+    def ete(self) -> int | None:
+        execution_time = self.execution_time
+        if execution_time is None or self.scheduled_time is None:
+            return None
+        return execution_time - self.scheduled_time
+
+    @property
+    def prediction_error(self) -> int | None:
+        """Absolute gap between the predicted and the measured offset."""
+        ete = self.ete
+        if ete is None or self.prediction is None:
+            return None
+        return abs(self.prediction.value - ete)
+
+    @property
+    def completion_error(self) -> int | None:
+        execution_time = self.execution_time
+        if execution_time is None or self.desired_completion is None:
+            return None
+        return execution_time - self.desired_completion
+
+
+# The outcome of a scheduled rpc is its resolved call.
+ScheduleOutcome = PendingCall
 
 
 @dataclass
@@ -262,7 +254,6 @@ class Client:
         reply_timeout: int = DEFAULT_REPLY_TIMEOUT,
         rtt_bound: int = DEFAULT_RTT_BOUND,
         dispatch_lead: int = DEFAULT_DISPATCH_LEAD,
-        local_range_check: bool = True,
         lock: threading.RLock | None = None,
     ):
         self._driver = driver
@@ -271,7 +262,6 @@ class Client:
         self.reply_timeout = reply_timeout
         self.rtt_bound = rtt_bound
         self.dispatch_lead = dispatch_lead
-        self.local_range_check = local_range_check
         self._lock = lock if lock is not None else threading.RLock()
         self._sessions: dict[str, Session] = {}
         self._pending: dict[str, PendingCall] = {}
@@ -429,28 +419,33 @@ class Client:
         return call
 
     def wait(self, calls: Iterable[PendingCall], deadline: int) -> bool:
-        calls = list(calls)
-        return self._driver.wait_until(
-            lambda: all(c.resolved for c in calls), deadline
-        )
+        unresolved = list(calls)
 
-    def _reply_deadline(self, call: PendingCall, timeout: int | None) -> int:
+        def done() -> bool:
+            # Each resolved call is popped once, so no event re-scans it.
+            while unresolved and unresolved[-1].resolved:
+                unresolved.pop()
+            return not unresolved
+
+        return self._driver.wait_until(done, deadline)
+
+    def _reply_deadline(self, call: PendingCall) -> int:
         base = call.sent_at
         if call.scheduled_time is not None and call.scheduled_time > base:
             base = call.scheduled_time
-        return base + (self.reply_timeout if timeout is None else timeout)
+        return base + self.reply_timeout
 
-    def resolve(self, call: PendingCall) -> ScheduleOutcome:
-        """Turn a waited-on call into an outcome.
+    def resolve(self, call: PendingCall) -> PendingCall:
+        """Check a waited-on call and return it as its own outcome.
 
         Raises ReplyTimeout when no reply arrived, ScheduleRejected when the
         server refused the time as out of range; every other error reply is
-        returned as a non-ok outcome for the caller to inspect.
+        returned as a non-ok call for the caller to inspect.
         """
         reply = self._reply_or_timeout(call)
         if not reply.ok and reply.error_code == ERR_SCHEDULE_OUT_OF_RANGE:
             raise ScheduleRejected(reply.error_detail)
-        return call.outcome()
+        return call
 
     def _reply_or_timeout(self, call: PendingCall) -> RpcReply:
         """The call's reply; without one the call times out and leaves _pending.
@@ -465,7 +460,7 @@ class Client:
             raise call.error
         return call.reply
 
-    def resolve_soft(self, call: PendingCall) -> ScheduleOutcome | ClientError:
+    def resolve_soft(self, call: PendingCall) -> PendingCall | ClientError:
         try:
             return self.resolve(call)
         except ClientError as exc:
@@ -481,8 +476,7 @@ class Client:
         *,
         get_time: bool = True,
         range_check: bool = False,
-        timeout: int | None = None,
-    ) -> ScheduleOutcome:
+    ) -> PendingCall:
         """Schedule at an explicit time (or immediately) and wait for the reply."""
         call = self.submit(
             server_id,
@@ -491,7 +485,7 @@ class Client:
             get_time=get_time,
             range_check=range_check,
         )
-        self.wait([call], self._reply_deadline(call, timeout))
+        self.wait([call], self._reply_deadline(call))
         return self.resolve(call)
 
     def submit_at_completion(
@@ -511,7 +505,7 @@ class Client:
             get_time=True,
             prediction=prediction,
             desired_completion=desired_completion,
-            range_check=self.local_range_check,
+            range_check=True,
         )
 
     def schedule_at_completion(
@@ -519,9 +513,7 @@ class Client:
         server_id: str,
         operation: Operation,
         desired_completion: int,
-        *,
-        timeout: int | None = None,
-    ) -> ScheduleOutcome:
+    ) -> PendingCall:
         """Schedule so the operation is expected to finish at desired_completion.
 
         Sends scheduled-time = desired - predicted offset with get-time set,
@@ -530,17 +522,13 @@ class Client:
         the server's known acceptable range.
         """
         call = self.submit_at_completion(server_id, operation, desired_completion)
-        self.wait([call], self._reply_deadline(call, timeout))
+        self.wait([call], self._reply_deadline(call))
         return self.resolve(call)
 
-    def cancel(
-        self, server_id: str, target_id: str, *, timeout: int | None = None
-    ) -> CancelResult:
+    def cancel(self, server_id: str, target_id: str) -> CancelResult:
         """Withdraw a previously scheduled rpc by its message id."""
         call = self.submit_cancel(server_id, target_id)
-        self.wait(
-            [call], call.sent_at + (self.reply_timeout if timeout is None else timeout)
-        )
+        self.wait([call], self._reply_deadline(call))
         reply = self._reply_or_timeout(call)
         if reply.ok:
             return CancelResult.CANCELLED
@@ -560,8 +548,7 @@ class Client:
         *,
         align_completion: bool = False,
         get_time: bool = True,
-        timeout: int | None = None,
-    ) -> dict[str, ScheduleOutcome | ClientError]:
+    ) -> dict[str, PendingCall | ClientError]:
         """Schedule the same operation on every server for the same instant.
 
         By default all servers *start* at `at`; with align_completion each
@@ -570,7 +557,7 @@ class Client:
         result map rather than aborting the rest.
         """
         calls: dict[str, PendingCall] = {}
-        results: dict[str, ScheduleOutcome | ClientError] = {}
+        results: dict[str, PendingCall | ClientError] = {}
         for server_id in server_ids:
             try:
                 prediction = None
@@ -586,12 +573,11 @@ class Client:
                     get_time=get_time,
                     prediction=prediction,
                     desired_completion=at if align_completion else None,
-                    range_check=self.local_range_check,
+                    range_check=True,
                 )
             except ClientError as exc:
                 results[server_id] = exc
-        deadline = at + (self.reply_timeout if timeout is None else timeout)
-        self.wait(calls.values(), deadline)
+        self.wait(calls.values(), at + self.reply_timeout)
         for server_id, call in calls.items():
             results[server_id] = self.resolve_soft(call)
         return results
@@ -601,8 +587,6 @@ class Client:
         server_ids: Iterable[str],
         key: str,
         at: int,
-        *,
-        timeout: int | None = None,
     ) -> dict[str, SnapshotEntry | ClientError]:
         """Read the same key on every server at the same scheduled instant."""
         results = self.coordinated_operation(
@@ -610,18 +594,13 @@ class Client:
             Operation("get-value", {"key": key}),
             at,
             get_time=True,
-            timeout=timeout,
         )
         snap: dict[str, SnapshotEntry | ClientError] = {}
         for server_id, item in results.items():
             if isinstance(item, ClientError):
                 snap[server_id] = item
             elif not item.ok:
-                snap[server_id] = RpcFailure(
-                    RpcReply.make_error(
-                        item.message_id, item.error_code or "error"
-                    )
-                )
+                snap[server_id] = RpcFailure(item.reply)
             else:
                 value = (item.params or {}).get("value", "")
                 snap[server_id] = SnapshotEntry(value, item.execution_time)
@@ -631,9 +610,6 @@ class Client:
         self,
         server_ids: Iterable[str],
         commit_time: int,
-        *,
-        margin: int | None = None,
-        timeout: int | None = None,
     ) -> CommitOutcome:
         """All-or-nothing commit scheduled for the same instant everywhere.
 
@@ -643,8 +619,7 @@ class Client:
         confirmed before the commit time (else AbortFailed).
         """
         server_ids = list(server_ids)
-        if margin is None:
-            margin = max(2 * self.rtt_bound, MIN_COMMIT_MARGIN)
+        margin = max(2 * self.rtt_bound, MIN_COMMIT_MARGIN)
         now = self._driver.now()
         if commit_time - now <= self.rtt_bound + margin:
             raise CommitWindowTooShort(
@@ -683,10 +658,7 @@ class Client:
         }
 
         if not rejected and not unacked and not failed:
-            self.wait(
-                calls.values(),
-                commit_time + (self.reply_timeout if timeout is None else timeout),
-            )
+            self.wait(calls.values(), commit_time + self.reply_timeout)
             result.outcomes = {
                 sid: self.resolve_soft(c) for sid, c in calls.items()
             }

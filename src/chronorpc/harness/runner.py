@@ -25,7 +25,7 @@ import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..client import Client, ScheduleOutcome, operation_type, probe_operation
+from ..client import Client, ClientError, PendingCall, operation_type, probe_operation
 from ..prediction import EteSample, Prediction, PredictorState, evaluate_stream
 from ..probing import BurstProbe, run_probe_plan
 from ..protocol import MILLIS, Operation
@@ -147,7 +147,7 @@ class ScenarioResult:
     scenario: Scenario
     world: World
     samples: dict[str, list[EteSample]]
-    outcomes: dict[str, list[ScheduleOutcome]]
+    outcomes: dict[str, list[PendingCall]]
     predictions: dict[str, dict[str, list[Prediction]]]
     reports: dict[str, ServerReport] = field(default_factory=dict)
     spike_indices: dict[str, list[int]] = field(default_factory=dict)
@@ -229,7 +229,7 @@ def _build_reports(result: ScenarioResult) -> None:
         result.reports[sid] = ServerReport(sid, len(samples), mean_ete, stats)
 
 
-def _spiked_indices(server: Server, outcomes: list[ScheduleOutcome]) -> list[int]:
+def _spiked_indices(server: Server, outcomes: list[PendingCall]) -> list[int]:
     return [i for i, o in enumerate(outcomes) if server.ops[o.message_id].spiked]
 
 
@@ -250,30 +250,32 @@ def check_world(world: World) -> None:
         raise CheckFailed("client saw undecodable frames")
 
 
+def _fan_out(
+    world: World, op: Operation, desired: int, what: str
+) -> dict[str, PendingCall]:
+    """One rpc per server, each aligned to complete at `desired`; all ok."""
+    results = world.client.coordinated_operation(
+        world.servers, op, desired, align_completion=True
+    )
+    for sid, call in results.items():
+        if isinstance(call, ClientError):
+            raise CheckFailed(f"{sid}: {what} failed: {call}")
+        if not call.ok:
+            raise CheckFailed(f"{sid}: {what} failed with {call.error_code}")
+    return results
+
+
 def _drive_periodic(world: World) -> tuple[dict, dict]:
     scenario = world.scenario
-    client = world.client
     op = Operation(scenario.op)
-    outcomes: dict[str, list[ScheduleOutcome]] = {sid: [] for sid in world.servers}
+    outcomes: dict[str, list[PendingCall]] = {sid: [] for sid in world.servers}
     samples: dict[str, list[EteSample]] = {sid: [] for sid in world.servers}
     first_deadline = world.loop.now() + scenario.lead
     for k in range(scenario.samples):
         desired = first_deadline + k * scenario.period
-        calls = {
-            sid: client.submit_at_completion(sid, op, desired)
-            for sid in world.servers
-        }
-        client.wait(calls.values(), desired + client.reply_timeout)
-        for sid, call in calls.items():
-            outcome = client.resolve(call)
-            if not outcome.ok:
-                raise CheckFailed(
-                    f"{sid}: sample {k} failed with {outcome.error_code}"
-                )
-            outcomes[sid].append(outcome)
-            samples[sid].append(
-                EteSample.from_times(outcome.scheduled_time, outcome.execution_time, k)
-            )
+        for sid, call in _fan_out(world, op, desired, f"sample {k}").items():
+            outcomes[sid].append(call)
+            samples[sid].append(call.sample)
     return outcomes, samples
 
 
@@ -283,7 +285,7 @@ def _drive_burst(world: World) -> tuple[dict, dict, dict]:
     op = Operation(scenario.op)
     rpc_type = operation_type(op)
     probe_op = probe_operation(rpc_type)
-    outcomes: dict[str, list[ScheduleOutcome]] = {sid: [] for sid in world.servers}
+    outcomes: dict[str, list[PendingCall]] = {sid: [] for sid in world.servers}
     samples: dict[str, list[EteSample]] = {sid: [] for sid in world.servers}
     bursts: dict[str, list[list[EteSample]]] = {sid: [] for sid in world.servers}
     for trial in range(scenario.trials):
@@ -299,23 +301,9 @@ def _drive_burst(world: World) -> tuple[dict, dict, dict]:
                 raise CheckFailed(f"{sid}: trial {trial} burst produced no samples")
             bursts[sid].append(run.samples)
         desired = world.loop.now() + scenario.lead
-        calls = {
-            sid: client.submit_at_completion(sid, op, desired)
-            for sid in world.servers
-        }
-        client.wait(calls.values(), desired + client.reply_timeout)
-        for sid, call in calls.items():
-            outcome = client.resolve(call)
-            if not outcome.ok:
-                raise CheckFailed(
-                    f"{sid}: trial {trial} target failed with {outcome.error_code}"
-                )
-            outcomes[sid].append(outcome)
-            samples[sid].append(
-                EteSample.from_times(
-                    outcome.scheduled_time, outcome.execution_time, trial
-                )
-            )
+        for sid, call in _fan_out(world, op, desired, f"trial {trial} target").items():
+            outcomes[sid].append(call)
+            samples[sid].append(call.sample)
     return outcomes, samples, bursts
 
 

@@ -176,32 +176,38 @@ _SERVER_KEYS = {
 }
 
 
+_MODEL_KEYS = (
+    "base",
+    "sigma",
+    "jitter",
+    "spike_p",
+    "spike_mult",
+    "load_penalty",
+    "load_recovery",
+)
+_RANGE_KEYS = ("sched_max_future", "sched_max_past")
+
+
+def _parse_server_value(name: str, text: str) -> object:
+    """Convert one per-server value and check it on its own.
+
+    A model or range value is checked by building that object with only this
+    field set, so a bad value raises ValueError while its key is known.
+    """
+    value = _SERVER_KEYS[name](text)
+    if name in _MODEL_KEYS:
+        ExecutionModel(**{name: value})
+    elif name in _RANGE_KEYS:
+        SchedulingRangeConfig(**{name: value})
+    return value
+
+
 def _build_server(values: dict[str, object]) -> ServerSpec:
-    model_kwargs = {}
-    for src, dst in (
-        ("base", "base"),
-        ("sigma", "sigma"),
-        ("jitter", "jitter"),
-        ("spike_p", "spike_p"),
-        ("spike_mult", "spike_mult"),
-        ("load_penalty", "load_penalty"),
-        ("load_recovery", "load_recovery"),
-    ):
-        if src in values:
-            model_kwargs[dst] = values[src]
-    range_kwargs = {}
-    if "sched_max_future" in values:
-        range_kwargs["sched_max_future"] = values["sched_max_future"]
-    if "sched_max_past" in values:
-        range_kwargs["sched_max_past"] = values["sched_max_past"]
-    try:
-        model = ExecutionModel(**model_kwargs)
-        range_config = SchedulingRangeConfig(**range_kwargs)
-    except ValueError as exc:
-        raise ScenarioInvalid(next(iter(model_kwargs), "server"), str(exc)) from exc
     return ServerSpec(
-        model=model,
-        range_config=range_config,
+        model=ExecutionModel(**{k: values[k] for k in _MODEL_KEYS if k in values}),
+        range_config=SchedulingRangeConfig(
+            **{k: values[k] for k in _RANGE_KEYS if k in values}
+        ),
         lanes=int(values.get("lanes", 1)),
         toast_time=int(values.get("toast_time", DEFAULT_TOAST_TIME)),
     )
@@ -235,7 +241,7 @@ def parse_scenario_text(text: str) -> Scenario:
             elif key in _SCENARIO_KEYS:
                 scenario_values[key] = _SCENARIO_KEYS[key](value)
             elif key in _SERVER_KEYS:
-                base_server[key] = _SERVER_KEYS[key](value)
+                base_server[key] = _parse_server_value(key, value)
             elif key.startswith("server") and "." in key:
                 prefix, _, sub = key.partition(".")
                 try:
@@ -244,7 +250,7 @@ def parse_scenario_text(text: str) -> Scenario:
                     raise ScenarioInvalid(key, "bad server prefix") from None
                 if sub not in _SERVER_KEYS:
                     raise ScenarioInvalid(key, f"unknown server field {sub!r}")
-                overrides.setdefault(index, {})[sub] = _SERVER_KEYS[sub](value)
+                overrides.setdefault(index, {})[sub] = _parse_server_value(sub, value)
             else:
                 raise ScenarioInvalid(key, "unknown key")
         except ScenarioInvalid:

@@ -79,7 +79,7 @@ class OutOfOrderSample(PredictionError):
     """Sample sequence indices must be strictly increasing."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EteSample:
     """One measured execution offset: completion minus scheduled start."""
 
@@ -280,7 +280,7 @@ class KalmanFilter1D:
         self._count += 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
     """A rounded offset prediction plus which algorithm actually produced it.
 

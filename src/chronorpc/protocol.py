@@ -63,7 +63,6 @@ __all__ = [
     "encode",
     "decode",
     "FrameSplitter",
-    "StreamDecoder",
     "Verdict",
     "SchedulingRangeConfig",
     "validate_schedule",
@@ -143,7 +142,7 @@ class RpcMessage:
     get_time: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RpcReply:
     message_id: str
     status: str  # "ok" | "error"
@@ -170,7 +169,7 @@ class RpcReply:
         return self.status == "ok"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScheduleNotification:
     message_id: str
     accepted: bool
@@ -457,25 +456,6 @@ class FrameSplitter:
                 self._parts = []
                 self.pending_bytes = 0
         return frames
-
-
-class StreamDecoder:
-    """Incremental decoder for a byte stream of newline-delimited frames.
-
-    feed() returns the messages completed by the supplied chunk, in order.
-    Raises MalformedFrame for a bad frame, including an unterminated tail
-    that reaches the frame size limit.
-    """
-
-    def __init__(self):
-        self._splitter = FrameSplitter()
-
-    def feed(self, data: bytes) -> list[Message]:
-        return [decode(frame) for frame in self._splitter.feed(data)]
-
-    @property
-    def pending_bytes(self) -> int:
-        return self._splitter.pending_bytes
 
 
 class Verdict(enum.Enum):

@@ -8,6 +8,7 @@ from chronorpc.client import (
     Client,
     CommitWindowTooShort,
     ReplyTimeout,
+    RpcFailure,
     ScheduleOutcome,
     ScheduleRejected,
 )
@@ -80,6 +81,19 @@ class TestScheduleRaw:
         assert not exc.value.local
         assert server.log == []
 
+    def test_resolved_call_is_its_own_outcome(self):
+        loop, client, server, _ = one_server(ExecutionModel(base=25 * MILLIS))
+        desired = client.now() + SECONDS
+        call = client.submit_at_completion("s1", Operation("noop"), desired)
+        client.wait([call], desired + client.reply_timeout)
+        assert client.resolve(call) is call
+        assert isinstance(call, ScheduleOutcome)
+        assert call.status == "ok" and call.ok
+        assert call.execution_time == call.reply.execution_time
+        assert call.ete == call.sample.ete == 25 * MILLIS
+        assert call.completion_error == call.execution_time - desired
+        assert call.prediction_error == abs(call.prediction.value - call.ete)
+
     def test_other_error_reply_is_a_plain_outcome(self):
         loop, client, server, _ = one_server()
         out = client.schedule_raw("s1", Operation("does-not-exist"))
@@ -89,14 +103,14 @@ class TestScheduleRaw:
     def test_reply_timeout(self):
         # server whose replies all vanish in transit
         loop = EventLoop()
-        client = Client(loop)
+        client = Client(loop, reply_timeout=2 * SECONDS)
         server = Server("s1", scheduler=loop, send=lambda frame: None)
         down = Link(loop, server.on_frame, delay=1 * MILLIS,
                     rng=named_rng(1, "down"))
         client.connect("s1", down.send)
         started = client.now()
         with pytest.raises(ReplyTimeout):
-            client.schedule_raw("s1", Operation("noop"), timeout=2 * SECONDS)
+            client.schedule_raw("s1", Operation("noop"))
         assert client.now() == started + 2 * SECONDS
 
 
@@ -307,6 +321,15 @@ class TestSnapshot:
         loop, client, servers, _ = make_world({"s1": {}})
         snap = client.coordinated_snapshot(["s1"], "ghost", client.now() + SECONDS)
         assert isinstance(snap["s1"], Exception)
+
+    def test_failure_keeps_the_servers_reply(self):
+        loop, client, servers, _ = make_world({"s1": {}})
+        snap = client.coordinated_snapshot(["s1"], "ghost", client.now() + SECONDS)
+        failure = snap["s1"]
+        assert isinstance(failure, RpcFailure)
+        assert failure.reply.error_code == "unknown-key"
+        assert failure.reply.error_detail == "ghost"
+        assert failure.reply.message_id in servers["s1"].ops
 
 
 class TestAtomicCommit:

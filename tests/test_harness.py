@@ -107,6 +107,21 @@ class TestScenarioText:
             parse_scenario_text("servers = 2\nserver3.base = 1ms\n")
         assert "server3" in str(exc.value)
 
+    def test_bad_model_value_names_its_own_key(self):
+        with pytest.raises(ScenarioInvalid) as exc:
+            parse_scenario_text("base = 30ms\nsigma = -1\n")
+        assert exc.value.field_name == "sigma"
+
+    def test_bad_range_value_names_its_own_key(self):
+        with pytest.raises(ScenarioInvalid) as exc:
+            parse_scenario_text("base = 30ms\nsched_max_future = 0\n")
+        assert exc.value.field_name == "sched_max_future"
+
+    def test_bad_override_names_its_prefixed_key(self):
+        with pytest.raises(ScenarioInvalid) as exc:
+            parse_scenario_text("servers = 2\nserver2.sched_max_past = -1s\n")
+        assert exc.value.field_name == "server2.sched_max_past"
+
     def test_validation_runs(self):
         with pytest.raises(ScenarioInvalid):
             parse_scenario_text("probe = sideways\n")
@@ -271,7 +286,7 @@ class TestExperiments:
     def test_csv_round_trip(self, tmp_path):
         report, _ = experiment_platforms(seed=3, samples=5, out_dir=tmp_path)
         path = tmp_path / "experiment_platforms.csv"
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == list(report.header)
         assert len(rows) == 1 + len(report.rows)
 
@@ -355,7 +370,7 @@ class TestCli:
             ["replay", "--csv", str(src), "--algo", "average",
              "--window", "8", "--out", str(dst)]
         ) == 0
-        rows = list(csv.reader(dst.open()))
+        rows = list(csv.reader(dst.read_text().splitlines()))
         assert rows[0][:3] == ["sequence", "scheduled_time_ns", "execution_time_ns"]
         assert len(rows) == 4
 

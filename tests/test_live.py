@@ -23,7 +23,7 @@ from chronorpc.protocol import (
     Operation,
     RpcMessage,
     RpcReply,
-    StreamDecoder,
+    decode,
     encode,
 )
 from chronorpc.server import ExecutionModel
@@ -183,11 +183,11 @@ def test_server_closes_finished_connections():
             # so be done with the first one, once it answers.
             with socket.create_connection(server.address, timeout=5) as raw:
                 raw.sendall(encode(RpcMessage("r1", Operation("noop"))))
-                decoder, replies = StreamDecoder(), []
+                splitter, replies = FrameSplitter(), []
                 while not replies:
                     chunk = raw.recv(65536)
                     assert chunk, "server hung up before replying"
-                    replies = decoder.feed(chunk)
+                    replies = [decode(f) for f in splitter.feed(chunk)]
                 assert replies == [RpcReply.make_ok("r1")]
         gc.collect()
     leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]

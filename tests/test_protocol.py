@@ -18,7 +18,6 @@ from chronorpc.protocol import (
     RpcReply,
     ScheduleNotification,
     SchedulingRangeConfig,
-    StreamDecoder,
     UnknownType,
     Verdict,
     decode,
@@ -199,37 +198,41 @@ class TestEncodeValidation:
 
 
 class TestStreamDecoder:
+    """A byte stream decodes as decode() over FrameSplitter's frames."""
+
     def test_concatenation_preserves_order(self):
         rng = random.Random(7)
         msgs = [random_message(rng) for _ in range(50)]
         blob = b"".join(encode(m) for m in msgs)
-        assert StreamDecoder().feed(blob) == msgs
+        assert [decode(f) for f in FrameSplitter().feed(blob)] == msgs
 
     def test_arbitrary_chunking(self):
         rng = random.Random(8)
         msgs = [random_message(rng) for _ in range(20)]
         blob = b"".join(encode(m) for m in msgs)
-        decoder = StreamDecoder()
+        splitter = FrameSplitter()
         got = []
         i = 0
         while i < len(blob):
             step = rng.randint(1, 7)
-            got.extend(decoder.feed(blob[i : i + step]))
+            got.extend(decode(f) for f in splitter.feed(blob[i : i + step]))
             i += step
         assert got == msgs
-        assert decoder.pending_bytes == 0
+        assert splitter.pending_bytes == 0
 
     def test_partial_frame_pends(self):
-        decoder = StreamDecoder()
+        splitter = FrameSplitter()
         frame = encode(CancelSchedule("m1", "m2"))
-        assert decoder.feed(frame[:10]) == []
-        assert decoder.pending_bytes == 10
-        assert decoder.feed(frame[10:]) == [CancelSchedule("m1", "m2")]
+        assert [decode(f) for f in splitter.feed(frame[:10])] == []
+        assert splitter.pending_bytes == 10
+        assert [decode(f) for f in splitter.feed(frame[10:])] == [
+            CancelSchedule("m1", "m2")
+        ]
 
     def test_unterminated_overflow(self):
-        decoder = StreamDecoder()
+        splitter = FrameSplitter()
         with pytest.raises(MalformedFrame):
-            decoder.feed(b"x" * (MAX_FRAME_BYTES + 1))
+            [decode(f) for f in splitter.feed(b"x" * (MAX_FRAME_BYTES + 1))]
 
 
 class TestFrameSplitter:
