@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable
 
 from .prediction import (
@@ -419,13 +420,18 @@ class Client:
         return call
 
     def wait(self, calls: Iterable[PendingCall], deadline: int) -> bool:
-        unresolved = list(calls)
+        return self._wait_all(calls, "resolved", deadline)
+
+    def _wait_all(self, calls: Iterable[PendingCall], state: str, deadline: int) -> bool:
+        """Wait until every call's `state` property holds (it never reverts)."""
+        left = list(calls)
+        reached = attrgetter(state)
 
         def done() -> bool:
-            # Each resolved call is popped once, so no event re-scans it.
-            while unresolved and unresolved[-1].resolved:
-                unresolved.pop()
-            return not unresolved
+            # Each call is popped once it reaches the state, so no event re-scans it.
+            while left and reached(left[-1]):
+                left.pop()
+            return not left
 
         return self._driver.wait_until(done, deadline)
 
@@ -475,16 +481,9 @@ class Client:
         scheduled_time: int | None = None,
         *,
         get_time: bool = True,
-        range_check: bool = False,
     ) -> PendingCall:
         """Schedule at an explicit time (or immediately) and wait for the reply."""
-        call = self.submit(
-            server_id,
-            operation,
-            scheduled_time,
-            get_time=get_time,
-            range_check=range_check,
-        )
+        call = self.submit(server_id, operation, scheduled_time, get_time=get_time)
         self.wait([call], self._reply_deadline(call))
         return self.resolve(call)
 
@@ -547,34 +546,25 @@ class Client:
         at: int,
         *,
         align_completion: bool = False,
-        get_time: bool = True,
     ) -> dict[str, PendingCall | ClientError]:
         """Schedule the same operation on every server for the same instant.
 
         By default all servers *start* at `at`; with align_completion each
-        server's scheduled time is pulled earlier by its own predicted offset
-        so completions line up instead. Per-server failures come back in the
-        result map rather than aborting the rest.
+        call goes through submit_at_completion, so completions line up
+        instead. Per-server failures come back in the result map rather than
+        aborting the rest.
         """
         calls: dict[str, PendingCall] = {}
         results: dict[str, PendingCall | ClientError] = {}
         for server_id in server_ids:
             try:
-                prediction = None
-                scheduled_time = at
                 if align_completion:
-                    state = self.predictor(server_id, operation_type(operation))
-                    prediction = state.predict()
-                    scheduled_time = at - prediction.value
-                calls[server_id] = self.submit(
-                    server_id,
-                    operation,
-                    scheduled_time,
-                    get_time=get_time,
-                    prediction=prediction,
-                    desired_completion=at if align_completion else None,
-                    range_check=True,
-                )
+                    call = self.submit_at_completion(server_id, operation, at)
+                else:
+                    call = self.submit(
+                        server_id, operation, at, get_time=True, range_check=True
+                    )
+                calls[server_id] = call
             except ClientError as exc:
                 results[server_id] = exc
         self.wait(calls.values(), at + self.reply_timeout)
@@ -593,7 +583,6 @@ class Client:
             server_ids,
             Operation("get-value", {"key": key}),
             at,
-            get_time=True,
         )
         snap: dict[str, SnapshotEntry | ClientError] = {}
         for server_id, item in results.items():
@@ -630,20 +619,13 @@ class Client:
         if not server_ids:
             return result
 
-        calls: dict[str, PendingCall] = {}
-        failed: dict[str, ClientError] = {}
-        for server_id in server_ids:
-            try:
-                calls[server_id] = self.submit(
-                    server_id, Operation("commit"), commit_time, get_time=True
-                )
-            except ClientError as exc:
-                failed[server_id] = exc
-
-        decision_deadline = commit_time - margin
-        self._driver.wait_until(
-            lambda: all(c.acknowledged for c in calls.values()), decision_deadline
-        )
+        calls = {
+            server_id: self.submit(
+                server_id, Operation("commit"), commit_time, get_time=True
+            )
+            for server_id in server_ids
+        }
+        self._wait_all(calls.values(), "acknowledged", commit_time - margin)
         rejected = {
             sid
             for sid, c in calls.items()
@@ -657,7 +639,7 @@ class Client:
             if c.notification is not None and c.notification.accepted
         }
 
-        if not rejected and not unacked and not failed:
+        if not rejected and not unacked:
             self.wait(calls.values(), commit_time + self.reply_timeout)
             result.outcomes = {
                 sid: self.resolve_soft(c) for sid, c in calls.items()
@@ -666,8 +648,6 @@ class Client:
 
         # Abort: withdraw everything that has not already been refused.
         reasons = []
-        if failed:
-            reasons.append(f"unreachable: {', '.join(sorted(failed))}")
         if rejected:
             reasons.append(f"rejected: {', '.join(sorted(rejected))}")
         if unacked:
@@ -704,6 +684,4 @@ class Client:
             raise AbortFailed("; ".join(problems))
 
         result.outcomes = {sid: self.resolve_soft(c) for sid, c in calls.items()}
-        for sid, exc in failed.items():
-            result.outcomes[sid] = exc
         return result

@@ -10,10 +10,8 @@ from .scenario import (
 )
 from .runner import (
     CSV_HEADER,
-    AlgorithmStats,
     CheckFailed,
     ScenarioResult,
-    ServerReport,
     World,
     build_world,
     check_world,
@@ -44,10 +42,8 @@ __all__ = [
     "parse_duration",
     "parse_scenario_text",
     "CSV_HEADER",
-    "AlgorithmStats",
     "CheckFailed",
     "ScenarioResult",
-    "ServerReport",
     "World",
     "build_world",
     "check_world",

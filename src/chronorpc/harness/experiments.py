@@ -90,19 +90,10 @@ def experiment_platforms(
         )
         result = run_scenario(scenario)
         results[profile] = result
-        report = result.reports["s1"]
+        mean_ete = f"{result.mean_ete('s1'):.3f}"
         for algo in scenario.algorithms:
-            stats = report.stats[algo]
-            rows.append(
-                (
-                    profile,
-                    algo,
-                    stats.count,
-                    f"{stats.mean_abs_error:.3f}",
-                    stats.max_abs_error,
-                    f"{report.mean_ete:.3f}",
-                )
-            )
+            count, mean, worst = result.error_stats("s1", algo)
+            rows.append((profile, algo, count, f"{mean:.3f}", worst, mean_ete))
     report = ExperimentReport(
         "platforms",
         ("profile", "algorithm", "count", "mean_abs_error_ns", "max_abs_error_ns", "mean_ete_ns"),
@@ -137,11 +128,8 @@ def experiment_probing(
         result = run_scenario(scenario)
         results[scenario.name] = result
         for algo in scenario.algorithms:
-            stats = result.reports["s1"].stats[algo]
-            rows.append(
-                ("periodic", period, 0, algo, stats.count,
-                 f"{stats.mean_abs_error:.3f}", stats.max_abs_error)
-            )
+            count, mean, worst = result.error_stats("s1", algo)
+            rows.append(("periodic", period, 0, algo, count, f"{mean:.3f}", worst))
     for size in burst_sizes:
         scenario = Scenario(
             name=f"probing-burst-{size}",
@@ -155,10 +143,9 @@ def experiment_probing(
         result = run_scenario(scenario)
         results[scenario.name] = result
         for algo in scenario.algorithms:
-            stats = result.reports["s1"].stats[algo]
+            count, mean, worst = result.error_stats("s1", algo)
             rows.append(
-                ("burst", scenario.period, size, algo, stats.count,
-                 f"{stats.mean_abs_error:.3f}", stats.max_abs_error)
+                ("burst", scenario.period, size, algo, count, f"{mean:.3f}", worst)
             )
     report = ExperimentReport(
         "probing",
@@ -219,15 +206,8 @@ def experiment_stress(
             mean = sum(picked) / len(picked) if picked else 0.0
             worst = max(picked) if picked else 0
             rows.append((algo, region, len(picked), f"{mean:.3f}", worst))
-        rows.append(
-            (
-                algo,
-                "overall",
-                len(errors),
-                f"{sum(errors) / len(errors):.3f}" if errors else "0.000",
-                max(errors) if errors else 0,
-            )
-        )
+        count, mean, worst = result.error_stats("s1", algo)
+        rows.append((algo, "overall", count, f"{mean:.3f}", worst))
     report = ExperimentReport(
         "stress",
         ("algorithm", "region", "count", "mean_abs_error_ns", "max_abs_error_ns"),

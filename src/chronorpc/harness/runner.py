@@ -37,8 +37,6 @@ __all__ = [
     "CheckFailed",
     "World",
     "build_world",
-    "AlgorithmStats",
-    "ServerReport",
     "ScenarioResult",
     "run_scenario",
     "check_world",
@@ -125,47 +123,62 @@ def build_world(scenario: Scenario, seed: int | None = None) -> World:
     return World(loop, client, servers, scenario)
 
 
-@dataclass(frozen=True)
-class AlgorithmStats:
-    algorithm: str
-    count: int
-    mean_abs_error: float
-    max_abs_error: int
-    errors: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ServerReport:
-    server_id: str
-    sample_count: int
-    mean_ete: float
-    stats: dict[str, AlgorithmStats]
-
-
 @dataclass
 class ScenarioResult:
+    """One run: each server's measured calls in sample order, the offline
+    predictions over them and, in burst mode, each trial's probe samples."""
+
     scenario: Scenario
     world: World
-    samples: dict[str, list[EteSample]]
     outcomes: dict[str, list[PendingCall]]
     predictions: dict[str, dict[str, list[Prediction]]]
-    reports: dict[str, ServerReport] = field(default_factory=dict)
-    spike_indices: dict[str, list[int]] = field(default_factory=dict)
     bursts: dict[str, list[list[EteSample]]] = field(default_factory=dict)
+
+    @property
+    def samples(self) -> dict[str, list[EteSample]]:
+        return {
+            sid: [call.sample for call in calls] for sid, calls in self.outcomes.items()
+        }
+
+    @property
+    def spike_indices(self) -> dict[str, list[int]]:
+        """Per server, the sample indices whose execution the server spiked."""
+        return {
+            sid: [
+                i
+                for i, call in enumerate(calls)
+                if self.world.servers[sid].ops[call.message_id].spiked
+            ]
+            for sid, calls in self.outcomes.items()
+        }
 
     def errors(self, server_id: str, algorithm: str) -> list[int]:
         preds = self.predictions[server_id][algorithm]
         return [
-            abs(p.value - s.ete)
-            for p, s in zip(preds, self.samples[server_id])
+            abs(p.value - call.sample.ete)
+            for p, call in zip(preds, self.outcomes[server_id])
         ]
+
+    def error_stats(self, server_id: str, algorithm: str) -> tuple[int, float, int]:
+        """Count, mean and max of errors(); all zero when there are none."""
+        errors = self.errors(server_id, algorithm)
+        if not errors:
+            return 0, 0.0, 0
+        return len(errors), sum(errors) / len(errors), max(errors)
+
+    def mean_ete(self, server_id: str) -> float:
+        calls = self.outcomes[server_id]
+        if not calls:
+            return 0.0
+        return sum(call.sample.ete for call in calls) / len(calls)
 
     def csv_text(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for sid in self.samples:
-            for i, sample in enumerate(self.samples[sid]):
+        for sid, calls in self.outcomes.items():
+            for i, call in enumerate(calls):
+                sample = call.sample
                 for algo in self.scenario.algorithms:
                     pred = self.predictions[sid][algo][i]
                     writer.writerow(
@@ -189,14 +202,11 @@ class ScenarioResult:
             f"period_ns {s.period} window {s.window} driving {s.algorithm}",
             "# server algorithm count mean_abs_error_ns max_abs_error_ns",
         ]
-        for sid, report in self.reports.items():
+        for sid, calls in self.outcomes.items():
             for algo in s.algorithms:
-                stats = report.stats[algo]
-                lines.append(
-                    f"{sid} {algo} {stats.count} "
-                    f"{stats.mean_abs_error:.3f} {stats.max_abs_error}"
-                )
-            lines.append(f"{sid} mean-ete {report.sample_count} {report.mean_ete:.3f} -")
+                count, mean, worst = self.error_stats(sid, algo)
+                lines.append(f"{sid} {algo} {count} {mean:.3f} {worst}")
+            lines.append(f"{sid} mean-ete {len(calls)} {self.mean_ete(sid):.3f} -")
         return "\n".join(lines) + "\n"
 
     def write_outputs(self, out_dir: str | Path) -> tuple[Path, Path]:
@@ -207,30 +217,6 @@ class ScenarioResult:
         samples_path.write_text(self.csv_text(), encoding="utf-8")
         summary_path.write_text(self.summary_text(), encoding="utf-8")
         return samples_path, summary_path
-
-
-def _stats_for(algorithm: str, preds: list[Prediction], samples: list[EteSample]) -> AlgorithmStats:
-    errors = tuple(abs(p.value - s.ete) for p, s in zip(preds, samples))
-    if errors:
-        mean = sum(errors) / len(errors)
-        worst = max(errors)
-    else:
-        mean, worst = 0.0, 0
-    return AlgorithmStats(algorithm, len(errors), mean, worst, errors)
-
-
-def _build_reports(result: ScenarioResult) -> None:
-    for sid, samples in result.samples.items():
-        stats = {
-            algo: _stats_for(algo, result.predictions[sid][algo], samples)
-            for algo in result.scenario.algorithms
-        }
-        mean_ete = sum(s.ete for s in samples) / len(samples) if samples else 0.0
-        result.reports[sid] = ServerReport(sid, len(samples), mean_ete, stats)
-
-
-def _spiked_indices(server: Server, outcomes: list[PendingCall]) -> list[int]:
-    return [i for i, o in enumerate(outcomes) if server.ops[o.message_id].spiked]
 
 
 def check_world(world: World) -> None:
@@ -265,28 +251,25 @@ def _fan_out(
     return results
 
 
-def _drive_periodic(world: World) -> tuple[dict, dict]:
+def _drive_periodic(world: World) -> dict[str, list[PendingCall]]:
     scenario = world.scenario
     op = Operation(scenario.op)
     outcomes: dict[str, list[PendingCall]] = {sid: [] for sid in world.servers}
-    samples: dict[str, list[EteSample]] = {sid: [] for sid in world.servers}
     first_deadline = world.loop.now() + scenario.lead
     for k in range(scenario.samples):
         desired = first_deadline + k * scenario.period
         for sid, call in _fan_out(world, op, desired, f"sample {k}").items():
             outcomes[sid].append(call)
-            samples[sid].append(call.sample)
-    return outcomes, samples
+    return outcomes
 
 
-def _drive_burst(world: World) -> tuple[dict, dict, dict]:
+def _drive_burst(world: World) -> tuple[dict, dict]:
     scenario = world.scenario
     client = world.client
     op = Operation(scenario.op)
     rpc_type = operation_type(op)
     probe_op = probe_operation(rpc_type)
     outcomes: dict[str, list[PendingCall]] = {sid: [] for sid in world.servers}
-    samples: dict[str, list[EteSample]] = {sid: [] for sid in world.servers}
     bursts: dict[str, list[list[EteSample]]] = {sid: [] for sid in world.servers}
     for trial in range(scenario.trials):
         for sid in world.servers:
@@ -303,8 +286,7 @@ def _drive_burst(world: World) -> tuple[dict, dict, dict]:
         desired = world.loop.now() + scenario.lead
         for sid, call in _fan_out(world, op, desired, f"trial {trial} target").items():
             outcomes[sid].append(call)
-            samples[sid].append(call.sample)
-    return outcomes, samples, bursts
+    return outcomes, bursts
 
 
 def _burst_predictions(
@@ -324,31 +306,25 @@ def _burst_predictions(
 
 def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> ScenarioResult:
     """Execute a scenario start to finish and (optionally) write its outputs."""
-    scenario.validate()
     world = build_world(scenario)
     if scenario.probe == "periodic":
-        outcomes, samples = _drive_periodic(world)
+        outcomes = _drive_periodic(world)
         bursts = {}
-        predictions = {
-            sid: {
-                algo: evaluate_stream(samples[sid], algo, scenario.window)
+        predictions = {}
+        for sid, calls in outcomes.items():
+            samples = [call.sample for call in calls]
+            predictions[sid] = {
+                algo: evaluate_stream(samples, algo, scenario.window)
                 for algo in scenario.algorithms
             }
-            for sid in samples
-        }
     else:
-        outcomes, samples, bursts = _drive_burst(world)
+        outcomes, bursts = _drive_burst(world)
         predictions = {
             sid: _burst_predictions(bursts[sid], scenario.algorithms, scenario.window)
-            for sid in samples
+            for sid in outcomes
         }
 
-    result = ScenarioResult(scenario, world, samples, outcomes, predictions)
-    result.bursts = bursts
-    result.spike_indices = {
-        sid: _spiked_indices(world.servers[sid], outcomes[sid]) for sid in outcomes
-    }
-    _build_reports(result)
+    result = ScenarioResult(scenario, world, outcomes, predictions, bursts)
     check_world(world)
     if out_dir is not None:
         result.write_outputs(out_dir)

@@ -23,6 +23,7 @@ Unknown keys are rejected so typos cannot silently change a run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -134,6 +135,17 @@ def _parse_int(text: str) -> int:
     return int(text.strip(), 0)
 
 
+def _parse_sigma(text: str) -> float:
+    """Nanoseconds as a plain number (exponent notation allowed) or a duration."""
+    try:
+        value = float(text)
+    except ValueError:
+        return float(parse_duration(text))
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return value
+
+
 def _parse_str(text: str) -> str:
     return text.strip()
 
@@ -163,7 +175,7 @@ _SCENARIO_KEYS = {
 # Per-server keys (usable bare for all servers or with a serverN. prefix).
 _SERVER_KEYS = {
     "base": parse_duration,
-    "sigma": lambda t: float(parse_duration(t)) if any(c.isalpha() for c in t) else float(t),
+    "sigma": _parse_sigma,
     "jitter": parse_duration,
     "spike_p": _parse_float,
     "spike_mult": _parse_float,

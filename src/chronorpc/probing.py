@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .client import Client, ClientError, PendingCall, probe_operation
+from .client import Client, PendingCall, probe_operation
 from .prediction import EteSample
 from .protocol import MILLIS, SECONDS, Operation
 
@@ -73,20 +73,16 @@ ProbePlan = PeriodicProbe | BurstProbe
 
 @dataclass
 class ProbeRun:
-    """Result of one executed plan; slots keep schedule order, gaps included."""
+    """Result of one executed plan; calls keep schedule order."""
 
     plan: ProbePlan
     scheduled_times: list[int]
-    calls: list[PendingCall | ClientError]
+    calls: list[PendingCall]
 
     @property
     def samples(self) -> list[EteSample]:
-        """Samples from the slots that produced one (missing slots are gaps)."""
-        out = []
-        for call in self.calls:
-            if isinstance(call, PendingCall) and call.sample is not None:
-                out.append(call.sample)
-        return out
+        """Samples from the calls that produced one (the rest are gaps)."""
+        return [call.sample for call in self.calls if call.sample is not None]
 
     @property
     def sample_count(self) -> int:
@@ -100,15 +96,13 @@ def run_probe_plan(
     *,
     samples: int | None = None,
     operation: Operation | None = None,
-    lead: int | None = None,
-    timeout: int | None = None,
 ) -> ProbeRun:
     """Execute a plan against one server and collect its samples.
 
     `samples` bounds a periodic plan (bursts carry their own count). Probes
-    dispatch `lead` ahead of their scheduled times (client default when not
-    given) so transit delay never pushes them into the past. A probe whose
-    slot is rejected or lost leaves a gap; the remaining slots still run.
+    dispatch the client's `dispatch_lead` ahead of their scheduled times so
+    transit delay never pushes them into the past. A probe that is rejected
+    or lost leaves a gap; the remaining probes still run.
     """
     if isinstance(plan, BurstProbe):
         count = plan.count
@@ -119,32 +113,23 @@ def run_probe_plan(
     if count < 1:
         raise ValueError("probe count must be >= 1")
     op = operation if operation is not None else probe_operation()
-    lead = client.dispatch_lead if lead is None else lead
+    lead = client.dispatch_lead
 
     driver = client.driver
     start = driver.now() + lead
     times = [start + k * plan.period for k in range(count)]
-    slots: list[PendingCall | ClientError | None] = [None] * count
+    calls: list[PendingCall] = []
 
-    def dispatch(k: int) -> None:
-        try:
-            slots[k] = client.submit(server_id, op, times[k], get_time=True)
-        except ClientError as exc:
-            slots[k] = exc
+    def dispatch(scheduled_time: int) -> None:
+        calls.append(client.submit(server_id, op, scheduled_time, get_time=True))
 
-    for k, t in enumerate(times):
-        driver.call_at(t - lead, dispatch, k)
+    for t in times:
+        driver.call_at(t - lead, dispatch, t)
 
-    deadline = times[-1] + (client.reply_timeout if timeout is None else timeout)
-    driver.wait_until(
-        lambda: all(s is not None and (isinstance(s, ClientError) or s.resolved) for s in slots),
-        deadline,
-    )
-    resolved: list[PendingCall | ClientError] = []
-    for slot in slots:
-        assert slot is not None
-        resolved.append(slot)
-    return ProbeRun(plan, times, resolved)
+    deadline = times[-1] + client.reply_timeout
+    driver.wait_until(lambda: len(calls) == count, deadline)
+    client.wait(calls, deadline)
+    return ProbeRun(plan, times, calls)
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,10 @@ class TestScenarioText:
 
             servers = 3
             base = 10ms
+            sigma = 2.5e6
             server2.base = 30ms
+            server2.sigma = 1e6
+            server3.sigma = 1.5ms
             server3.spike_p = 0.25
             """
         )
@@ -79,6 +82,7 @@ class TestScenarioText:
             10 * MILLIS, 30 * MILLIS, 10 * MILLIS
         ]
         assert s.servers[2].model.spike_p == 0.25
+        assert [spec.model.sigma for spec in s.servers] == [2.5e6, 1e6, 1.5e6]
 
     def test_duration_derives_sample_count(self):
         s = parse_scenario_text("period = 2s\nduration = 10s\n")
@@ -108,9 +112,10 @@ class TestScenarioText:
         assert "server3" in str(exc.value)
 
     def test_bad_model_value_names_its_own_key(self):
-        with pytest.raises(ScenarioInvalid) as exc:
-            parse_scenario_text("base = 30ms\nsigma = -1\n")
-        assert exc.value.field_name == "sigma"
+        for bad in ("-1", "-2e6", "nan", "inf"):
+            with pytest.raises(ScenarioInvalid) as exc:
+                parse_scenario_text(f"base = 30ms\nsigma = {bad}\n")
+            assert exc.value.field_name == "sigma"
 
     def test_bad_range_value_names_its_own_key(self):
         with pytest.raises(ScenarioInvalid) as exc:
@@ -209,10 +214,9 @@ class TestRunScenario:
         assert rows[0] == CSV_HEADER
         assert len(rows) == 1 + 4 * len(result.scenario.algorithms)
         for row in rows[1:]:
-            assert all(int(cell) >= 0 or True for cell in row[3:])
             int(row[0])  # every numeric column holds integers
-            for cell in row[3:]:
-                int(cell)
+            _, _, ete, prediction, abs_error = (int(cell) for cell in row[3:])
+            assert abs_error == abs(prediction - ete)
 
     def test_write_outputs(self, tmp_path):
         result = run_scenario(small_scenario(samples=3), out_dir=tmp_path)
@@ -258,6 +262,39 @@ def test_shipped_scenarios_match_golden_digests():
         result = run_scenario(load_scenario(SCENARIO_DIR / name))
         text = result.csv_text() + result.summary_text()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, name
+
+
+# sha256 of each experiment's csv_text() and of each demo's printed lines at
+# small sizes. Any change to how the experiments read their statistics, or
+# to what a coordinator reports, moves a digest.
+EXPERIMENT_DIGESTS = {
+    "platforms": "3603f1fe00d51e69419fca24ff2eef70eea0e4c329ea094ec6da99c80b08891d",
+    "probing": "99c95f1feec7f14c12ec3a7174886a82be033817b4d726b97fdd73d733616885",
+    "stress": "8c471de9b13b8284210fa93af7a6e6c3705b94e911033ec239631d3a14fa608d",
+}
+DEMO_DIGESTS = {
+    "commit": "167647f51cf81fb95d883d7ad3a47b72c18a6899e780682e9759b35d08cd328f",
+    "commit-abort": "40fda789e6d0c5f67da74d375d0ef708480d978e542c770f3bef9da11088a836",
+    "coordinated": "4394e3fd0c6c73e7f991832c6be4bdd4450e9ef88d77f16a13cadc32fc2788b8",
+    "snapshot": "8b3b5beb8df80f0246d29fcd1d11d96f511b550f61cce59fb9076d6c58aaa723",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_experiments_and_demos_match_golden_digests():
+    reports = {
+        "platforms": experiment_platforms(seed=1, samples=60)[0],
+        "probing": experiment_probing(seed=1, samples=40, trials=20)[0],
+        "stress": experiment_stress(seed=1, samples=300)[0],
+    }
+    for name, digest in EXPERIMENT_DIGESTS.items():
+        assert _sha256(reports[name].csv_text()) == digest, name
+    assert sorted(DEMOS) == sorted(DEMO_DIGESTS)
+    for name, digest in DEMO_DIGESTS.items():
+        assert _sha256("\n".join(DEMOS[name](seed=2)) + "\n") == digest, name
 
 
 class TestExperiments:

@@ -86,10 +86,9 @@ class TestRunProbePlan:
         lost = b'"message-id":"m2"'
         loop, client, server = make_pair(
             reply_filter=lambda f: lost in f and b'"type":"rpc-reply"' in f,
+            reply_timeout=1 * SECONDS,
         )
-        run = run_probe_plan(
-            client, "s1", BurstProbe(4, 500 * MILLIS), timeout=1 * SECONDS
-        )
+        run = run_probe_plan(client, "s1", BurstProbe(4, 500 * MILLIS))
         assert run.sample_count == 3
         assert run.calls[1].sample is None  # the gap keeps its slot
         assert [c.sample is not None for c in run.calls] == [
