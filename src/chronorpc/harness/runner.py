@@ -20,8 +20,6 @@ byte-identical files.
 
 from __future__ import annotations
 
-import io
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -173,27 +171,22 @@ class ScenarioResult:
         return sum(call.sample.ete for call in calls) / len(calls)
 
     def csv_text(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
+        # Rows are written directly, as csv.writer would write them: server
+        # ids are s<N>, algorithm names come from ALGORITHMS (Scenario.validate
+        # checks them) and every other field is an int, so no field ever
+        # needs quoting.
+        rows = [",".join(CSV_HEADER) + "\n"]
         for sid, calls in self.outcomes.items():
+            predictions = self.predictions[sid]
             for i, call in enumerate(calls):
                 sample = call.sample
+                ete = sample.ete
+                head = f"{i},{sid},"
+                tail = f",{sample.scheduled_time},{sample.execution_time},{ete},"
                 for algo in self.scenario.algorithms:
-                    pred = self.predictions[sid][algo][i]
-                    writer.writerow(
-                        [
-                            i,
-                            sid,
-                            algo,
-                            sample.scheduled_time,
-                            sample.execution_time,
-                            sample.ete,
-                            pred.value,
-                            abs(pred.value - sample.ete),
-                        ]
-                    )
-        return out.getvalue()
+                    value = predictions[algo][i].value
+                    rows.append(f"{head}{algo}{tail}{value},{abs(value - ete)}\n")
+        return "".join(rows)
 
     def summary_text(self) -> str:
         s = self.scenario

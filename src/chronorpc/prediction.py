@@ -19,6 +19,11 @@ Four algorithms are provided:
 
 Arithmetic runs in 64-bit floats on nanosecond values; predictions are
 rounded to whole nanoseconds only at the scheduling boundary.
+
+EteSample and Prediction are built for every sample and every prediction,
+so they are slotted but not frozen (a frozen __init__ pays for
+object.__setattr__ on each field). They are read-only by contract and, being
+mutable, not hashable.
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ class OutOfOrderSample(PredictionError):
     """Sample sequence indices must be strictly increasing."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class EteSample:
     """One measured execution offset: completion minus scheduled start."""
 
@@ -105,13 +110,21 @@ class EteSample:
 
 
 class SampleWindow:
-    """Fixed-capacity window of sample offsets ordered by sequence index."""
+    """Fixed-capacity window of sample offsets ordered by sequence index.
+
+    It keeps the exact integer sum of the offsets it holds, so the mean needs
+    no pass over the window. That sum over n is bit for bit the float mean
+    sum(values()) / n while the absolute offsets held add up to less than
+    2**53 ns (104 days in all, 13 days per offset in a window of 8): below
+    that bound every float partial sum is an exact integer.
+    """
 
     def __init__(self, capacity: int = DEFAULT_WINDOW):
         if capacity < 1:
             raise ValueError("window capacity must be >= 1")
         self.capacity = capacity
-        self._values: deque[float] = deque(maxlen=capacity)
+        self._values: deque[int] = deque(maxlen=capacity)
+        self._total = 0
         self._last_index: int | None = None
 
     def push(self, sample: EteSample) -> None:
@@ -119,11 +132,29 @@ class SampleWindow:
             raise OutOfOrderSample(
                 f"sequence index {sample.sequence_index} after {self._last_index}"
             )
-        self._values.append(float(sample.ete))
+        values = self._values
+        if len(values) == self.capacity:
+            self._total -= values[0]
+        values.append(sample.ete)
+        self._total += sample.ete
         self._last_index = sample.sequence_index
 
     def values(self) -> list[float]:
-        return list(self._values)
+        return [float(v) for v in self._values]
+
+    def average(self) -> float:
+        """average(values()), from the running sum."""
+        if not self._values:
+            raise EmptyWindow("average of zero samples")
+        return self._total / len(self._values)
+
+    def ft_average(self) -> float:
+        """ft_average(values()), from the running sum."""
+        values = self._values
+        n = len(values)
+        if n < 3:
+            return self.average()
+        return (self._total - max(values) - min(values)) / (n - 2)
 
     @property
     def last_index(self) -> int | None:
@@ -158,7 +189,7 @@ def ft_average(values: Sequence[float]) -> float:
 def _population_variance(values: Sequence[float]) -> float:
     # 1/N divisor over exactly the supplied entries.
     mean = sum(values) / len(values)
-    return sum((v - mean) ** 2 for v in values) / len(values)
+    return sum([(v - mean) ** 2 for v in values]) / len(values)
 
 
 def estimate_drift_variance(estimate_history: Sequence[float]) -> float:
@@ -211,9 +242,11 @@ class KalmanFilter1D:
     The filter seeds itself from the first measurement (estimate := x,
     variance := 0) and re-estimates its noise terms before every update:
     drift variance from the last `window` first differences of the estimate
-    (so `window + 1` estimates are retained) and residual variance from the
-    last `window` filtered residuals, both with 1/N divisors over however
-    many entries exist. predict() is valid from the second sample on.
+    and residual variance from the last `window` filtered residuals, both
+    with 1/N divisors over however many entries exist. Each difference is
+    taken once, when its estimate is appended, with the same subtraction
+    estimate_drift_variance() makes. predict() is valid from the second
+    sample on.
     """
 
     def __init__(self, window: int = DEFAULT_WINDOW):
@@ -222,7 +255,7 @@ class KalmanFilter1D:
         self.window = window
         self._estimate = 0.0
         self._variance = 0.0
-        self._estimates: deque[float] = deque(maxlen=window + 1)
+        self._diffs: deque[float] = deque(maxlen=window)
         self._residuals: deque[float] = deque(maxlen=window)
         self._count = 0
 
@@ -243,14 +276,14 @@ class KalmanFilter1D:
         return self._variance
 
     def _drift_variance(self) -> float:
-        if len(self._estimates) < 2:
+        if not self._diffs:
             return 0.0
-        return estimate_drift_variance(list(self._estimates))
+        return _population_variance(self._diffs)
 
     def _residual_variance(self) -> float:
         if len(self._residuals) < 2:
             return 0.0
-        return _population_variance(list(self._residuals))
+        return _population_variance(self._residuals)
 
     def predict(self) -> float:
         """Predicted next offset given everything observed so far."""
@@ -268,19 +301,20 @@ class KalmanFilter1D:
             self._estimate = float(measurement)
             self._variance = 0.0
         else:
+            previous = self._estimate
             self._estimate, self._variance, _ = kalman_step(
-                self._estimate,
+                previous,
                 self._variance,
                 self._drift_variance(),
                 self._residual_variance(),
                 float(measurement),
             )
-        self._estimates.append(self._estimate)
+            self._diffs.append(self._estimate - previous)
         self._residuals.append(float(measurement) - self._estimate)
         self._count += 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Prediction:
     """A rounded offset prediction plus which algorithm actually produced it.
 
@@ -341,18 +375,18 @@ class PredictorState:
     def predict(self) -> Prediction:
         if self.algorithm == "baseline":
             return Prediction(0, 0.0, "baseline")
-        values = self.window.values()
-        if not values:
+        window = self.window
+        if not len(window):
             return Prediction(0, 0.0, "baseline", fallback=True)
         if self.algorithm == "average":
-            raw = average(values)
+            raw = window.average()
             return Prediction(_round_ns(raw), raw, "average")
         if self.algorithm == "ft-average":
-            raw = ft_average(values)
+            raw = window.ft_average()
             return Prediction(_round_ns(raw), raw, "ft-average")
         # kalman
         if not self.kalman.warm:
-            raw = average(values)
+            raw = window.average()
             return Prediction(_round_ns(raw), raw, "average", fallback=True)
         raw = self.kalman.predict()
         return Prediction(_round_ns(raw), raw, "kalman")

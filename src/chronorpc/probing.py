@@ -129,6 +129,11 @@ def run_probe_plan(
     deadline = times[-1] + client.reply_timeout
     driver.wait_until(lambda: len(calls) == count, deadline)
     client.wait(calls, deadline)
+    for call in calls:
+        # An unanswered probe times out here and leaves the client's pending
+        # map, so a reply arriving later counts as unmatched instead of
+        # feeding the predictor.
+        client.resolve_soft(call)
     return ProbeRun(plan, times, calls)
 
 

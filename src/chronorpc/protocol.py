@@ -35,6 +35,13 @@ json.dumps(obj, separators=(",", ":")) writes for the same dict. The
 per-type encoders below reproduce it without building the dict, and
 tests/test_protocol.py holds them to a json.dumps reference. decode()
 accepts any key order and whitespace within a frame.
+
+The message records (Operation and the four message types) are built for
+every frame, so they are slotted but not frozen: a frozen __init__ sets
+each field through object.__setattr__, which costs several times as much.
+They are read-only by contract - nothing assigns to a field after
+construction - and, being mutable, they are not hashable. The rarely built
+SchedulingRangeConfig stays frozen.
 """
 
 from __future__ import annotations
@@ -126,7 +133,7 @@ class TransportClosed(Exception):
     """Send or receive attempted on a closed transport."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Operation:
     """An operation name plus string-valued parameters."""
 
@@ -134,7 +141,7 @@ class Operation:
     params: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RpcMessage:
     message_id: str
     operation: Operation
@@ -142,7 +149,7 @@ class RpcMessage:
     get_time: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RpcReply:
     message_id: str
     status: str  # "ok" | "error"
@@ -169,13 +176,13 @@ class RpcReply:
         return self.status == "ok"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ScheduleNotification:
     message_id: str
     accepted: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CancelSchedule:
     message_id: str
     target_id: str

@@ -184,6 +184,10 @@ class Server:
         self.decode_errors = 0
 
         self._seen_ids: set[str] = set()
+        # Targets cancelled before their rpc arrived. The cancel answered
+        # unknown-message-id, which the requester takes as a confirmed abort,
+        # so the rpc must never run when it does arrive.
+        self._cancelled_unseen: set[str] = set()
         self._ready: deque[PendingOp] = deque()
         self._active = 0
         self._last_start: int | None = None
@@ -215,6 +219,9 @@ class Server:
             self._reply(RpcReply.make_error(msg.message_id, ERR_DUPLICATE_MESSAGE_ID))
             return
         self._seen_ids.add(msg.message_id)
+        if msg.message_id in self._cancelled_unseen:
+            self._reply(RpcReply.make_error(msg.message_id, ERR_CANCELLED))
+            return
         if msg.operation.name not in BUILTIN_OPS:
             self._reply(
                 RpcReply.make_error(
@@ -258,6 +265,8 @@ class Server:
         self._seen_ids.add(msg.message_id)
         target = self.ops.get(msg.target_id)
         if target is None:
+            if msg.target_id not in self._seen_ids:
+                self._cancelled_unseen.add(msg.target_id)
             self._reply(
                 RpcReply.make_error(msg.message_id, ERR_UNKNOWN_MESSAGE_ID, msg.target_id)
             )

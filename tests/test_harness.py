@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import io
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -278,6 +281,23 @@ DEMO_DIGESTS = {
     "coordinated": "4394e3fd0c6c73e7f991832c6be4bdd4450e9ef88d77f16a13cadc32fc2788b8",
     "snapshot": "8b3b5beb8df80f0246d29fcd1d11d96f511b550f61cce59fb9076d6c58aaa723",
 }
+
+
+def test_bench_tracer_installs_on_the_package():
+    # bench/tracing.py wraps package functions by name and fails on any it
+    # cannot find, so renaming one breaks `bench/run.py --trace 1`.
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "bench"), str(root / "src")])
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer())"],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def _sha256(text: str) -> str:

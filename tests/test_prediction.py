@@ -415,3 +415,80 @@ class TestProperties:
             a = [p.raw for p in evaluate_stream(samples, algo, 8)]
             b = [p.raw for p in evaluate_stream(samples, algo, 8)]
             assert a == b
+
+
+@st.composite
+def windowed_streams(draw):
+    """A window size and an int offset stream longer than it, with repeats."""
+    window = draw(st.integers(min_value=1, max_value=16))
+    offsets = st.integers(min_value=-(2**40), max_value=2**40)
+    pool = draw(st.lists(offsets, min_size=1, max_size=4))
+    values = draw(
+        st.lists(
+            st.one_of(st.sampled_from(pool), offsets),
+            min_size=window + 1,
+            max_size=window + 40,
+        )
+    )
+    return window, values
+
+
+def list_kalman_replay(values, window):
+    """Kalman raws replayed on plain lists through the module's functions,
+    with the cold-start fallback PredictorState applies, and the filter's
+    predicted variance before each sample (None while cold)."""
+    raws, predicted_variances = [], []
+    measurements, estimates = [], []
+    estimate = variance = 0.0
+
+    def drift_variance():
+        history = estimates[-(window + 1) :]
+        return estimate_drift_variance(history) if len(history) >= 2 else 0.0
+
+    for i, v in enumerate(values):
+        if i >= 2:
+            raws.append(estimate)
+            predicted_variances.append(variance + drift_variance())
+        else:
+            held = [float(x) for x in values[max(0, i - window) : i]]
+            raws.append(average(held) if held else 0.0)
+            predicted_variances.append(None)
+        x = float(v)
+        if i == 0:
+            estimate, variance = x, 0.0
+        else:
+            paired = (measurements[-window:], estimates[-window:])
+            residual = (
+                estimate_residual_variance(*paired) if len(paired[0]) >= 2 else 0.0
+            )
+            estimate, variance, _ = kalman_step(
+                estimate, variance, drift_variance(), residual, x
+            )
+        measurements.append(x)
+        estimates.append(estimate)
+    return raws, predicted_variances
+
+
+class TestIncrementalWindowMatchesLists:
+    @settings(max_examples=200)
+    @given(stream=windowed_streams())
+    def test_predict_raw_is_bit_identical(self, stream):
+        window, values = stream
+        samples = make_samples(values)
+        kalman_raws, kalman_variances = list_kalman_replay(values, window)
+        expected = {"baseline": [0.0] * len(values), "kalman": kalman_raws}
+        for name, rule in (("average", average), ("ft-average", ft_average)):
+            expected[name] = [0.0] + [
+                rule([float(x) for x in values[max(0, i - window) : i]])
+                for i in range(1, len(values))
+            ]
+        for algo in ALGORITHMS:
+            state = PredictorState(algo, window)
+            for i, sample in enumerate(samples):
+                assert state.predict().raw == expected[algo][i], (algo, i)
+                if state.kalman is not None and state.kalman.warm:
+                    assert state.kalman.predicted_variance() == kalman_variances[i], i
+                state.push(sample)
+                assert state.window.values() == [
+                    float(x) for x in values[max(0, i + 1 - window) : i + 1]
+                ]

@@ -1,6 +1,6 @@
 import pytest
 
-from chronorpc.client import Client, probe_operation
+from chronorpc.client import Client, ReplyTimeout, probe_operation
 from chronorpc.probing import (
     BurstProbe,
     InsufficientData,
@@ -95,6 +95,28 @@ class TestRunProbePlan:
             True, False, True, True
         ]
         # the other slots still ran and fed the predictor
+        assert client.predictor("s1", "noop").sample_count == 3
+
+    def test_lost_probe_times_out_and_a_late_reply_is_unmatched(self):
+        dropped = []
+
+        def drop_m2_reply(frame):
+            if b'"message-id":"m2"' in frame and b'"type":"rpc-reply"' in frame:
+                dropped.append(frame)
+                return True
+            return False
+
+        loop, client, server = make_pair(
+            reply_filter=drop_m2_reply, reply_timeout=1 * SECONDS
+        )
+        run = run_probe_plan(client, "s1", BurstProbe(4, 500 * MILLIS))
+        assert client._pending == {}
+        assert isinstance(run.calls[1].error, ReplyTimeout)
+        assert len(dropped) == 1
+        unmatched = client.unmatched_messages
+        client.on_frame(dropped[0])
+        assert client.unmatched_messages == unmatched + 1
+        assert run.calls[1].reply is None
         assert client.predictor("s1", "noop").sample_count == 3
 
     def test_samples_keep_increasing_sequence(self):

@@ -252,6 +252,27 @@ class TestCancellation:
         server.on_frame(encode(CancelSchedule("c1", "m1")))
         assert wire.reply("c1").error_code == "unknown-message-id"
 
+    def test_rpc_after_its_cancel_is_refused_and_never_runs(self):
+        # The cancel overtook its rpc: it reports the target unknown, which a
+        # committing client takes as a confirmed abort, so the late rpc must
+        # be refused rather than run.
+        loop, server, wire = make_server()
+        server.on_frame(encode(CancelSchedule("c1", "m1")))
+        assert wire.reply("c1").error_code == "unknown-message-id"
+        rpc(server, "m1", op="set-value", params={"key": "k", "value": "v"},
+            at=1 * SECONDS, get_time=True)
+        loop.run_until(deadline=5 * SECONDS)
+        assert wire.reply("m1").error_code == "cancelled"
+        assert wire.notifications("m1") == []
+        assert "m1" not in server.ops
+        assert server.log == []
+        assert server.state.candidate == {}
+        # the id now counts as seen: a second copy is a duplicate
+        rpc(server, "m1", at=2 * SECONDS)
+        assert [r.error_code for r in wire.replies("m1")] == [
+            "cancelled", "duplicate-message-id"
+        ]
+
 
 class TestBuiltins:
     def test_set_value_targets_candidate(self):
