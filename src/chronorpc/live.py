@@ -2,8 +2,13 @@
 
 The protocol, server core and client core are all transport-agnostic; this
 module supplies the real-world glue: sim.EventLoop's timer heap run against
-time.time_ns() by one worker thread, a client driver whose waits block on a
-condition variable, and newline-framed TCP plumbing on both sides.
+time.time_ns(), and newline-framed TCP plumbing on both sides.
+
+LiveDriver.wait_until is the one wall-clock loop. As in the simulator, due
+timers fire on the thread that waits: a client's inside its own waits, a
+server's on the one thread of its ThreadScheduler, which waits until closed.
+Each LiveServer runs that thread and a connection thread; each LiveClient
+runs one socket reader per connected server.
 
 Timing here is at the mercy of the host scheduler, so expect millisecond
 jitter; the virtual-time harness is the place for exact assertions.
@@ -11,6 +16,7 @@ jitter; the virtual-time harness is the place for exact assertions.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import socket
 import threading
@@ -31,93 +37,96 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-class ThreadScheduler(EventLoop):
-    """An EventLoop whose clock is time.time_ns(), run by one worker thread.
+class LiveDriver(EventLoop):
+    """An EventLoop whose clock is time.time_ns(), run by whoever waits.
 
-    The worker runs the loop up to the current instant, then sleeps until
-    the heap head falls due or a new timer takes its place. Callbacks run
-    while holding `lock` (a private one when none is given), which is how
-    the live server serialises timer fire against frames arriving from the
-    socket reader.
+    Timers fire only inside wait_until, on the waiting thread, while it
+    holds `lock` (a private one when none is given); so do predicates. A
+    raising callback is logged and later timers still fire.
     """
 
     def __init__(self, lock=None):
         super().__init__(time.time_ns())
-        self._lock = lock if lock is not None else threading.RLock()
-        self._timer_cond = threading.Condition(self._lock)
+        self._cond = threading.Condition(lock if lock is not None else threading.RLock())
         self._closed = False
-        self._thread = threading.Thread(
-            target=self._run, name="chronorpc-timer", daemon=True
-        )
-        self._thread.start()
 
     def now(self) -> int:
         return time.time_ns()
 
     def call_at(self, when: int, callback, *args) -> Timer:
-        with self._lock:
+        with self._cond:
             if self._closed:
                 raise RuntimeError("scheduler is closed")
             timer = super().call_at(when, callback, *args)
             if self._heap[0][2] is timer:
-                self._timer_cond.notify()
+                self._cond.notify_all()
         return timer
 
-    def _run(self) -> None:
-        with self._lock:
-            while not self._closed:
-                try:
-                    self.run_until(deadline=time.time_ns())
-                except Exception:
-                    log.exception("timer callback failed")
-                    continue
-                timeout = None
-                if self._heap:
-                    timeout = (self._heap[0][0] - time.time_ns()) / 1e9
-                self._timer_cond.wait(timeout)
+    def wait_until(self, predicate, deadline: int | None) -> bool:
+        """Fire due timers until the predicate holds or the deadline passes.
 
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            self._timer_cond.notify()
-        self._thread.join(timeout=1.0)
-
-
-class LiveDriver(ThreadScheduler):
-    """Client driver against the wall clock.
-
-    wait_until blocks on a condition built over the client's own lock, so
-    predicates always observe a consistent client state. The socket reader
-    calls wake() after every frame it feeds in, and every timer dispatch
-    wakes the waiters too. Waiters sleep on a condition of their own, so
-    wake() never wakes the timer thread.
-    """
-
-    def __init__(self, lock):
-        self._waiters = threading.Condition(lock)
-        super().__init__(lock)
-
-    def _dispatch_next(self) -> None:
-        super()._dispatch_next()
-        self._waiters.notify_all()
-
-    def wait_until(self, predicate, deadline: int) -> bool:
-        with self._waiters:
+        Sleeps between timers until wake(), a new heap head or the deadline.
+        The deadline is a wall-clock instant; the time left runs on the
+        monotonic clock, so a stalled or stepped wall clock cannot stretch
+        the wait. None waits for the predicate alone.
+        """
+        end = None if deadline is None else time.monotonic_ns() + deadline - time.time_ns()
+        with self._cond:
             while True:
                 if predicate is not None and predicate():
                     return True
-                remaining = deadline - time.time_ns()
-                if remaining <= 0:
-                    return bool(predicate()) if predicate is not None else False
-                self._waiters.wait(remaining / 1e9)
+                now = time.time_ns()
+                if self._heap and self._heap[0][0] <= now:
+                    try:
+                        self.run_until(deadline=now)
+                    except Exception:
+                        log.exception("timer callback failed")
+                    continue
+                left = None if end is None else end - time.monotonic_ns()
+                if left is not None and left <= 0:
+                    return False
+                if self._heap:
+                    head = self._heap[0][0] - now
+                    left = head if left is None else min(left, head)
+                self._cond.wait(None if left is None else left / 1e9)
 
     def wake(self) -> None:
-        with self._waiters:
-            self._waiters.notify_all()
+        with self._cond:
+            self._cond.notify_all()
+
+    def close(self) -> None:
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+
+
+class ThreadScheduler(LiveDriver):
+    """A LiveDriver with one daemon thread that waits until close().
+
+    That thread fires the live server's timers while no one else waits.
+    """
+
+    def __init__(self, lock=None):
+        super().__init__(lock)
+        self._thread = threading.Thread(
+            target=self.wait_until,
+            args=(lambda: self._closed, None),
+            name="chronorpc-timer",
+            daemon=True,
+        )
+        self._thread.start()
 
     def close(self) -> None:
         super().close()
-        self.wake()
+        self._thread.join(timeout=1.0)
+
+
+def _hang_up(sock: socket.socket) -> None:
+    # shutdown wakes a reader blocked in recv; close alone does not
+    with contextlib.suppress(OSError):
+        sock.shutdown(socket.SHUT_RDWR)
+    with contextlib.suppress(OSError):
+        sock.close()
 
 
 def _reader(sock: socket.socket, deliver, on_close=None) -> None:
@@ -139,7 +148,8 @@ def _reader(sock: socket.socket, deliver, on_close=None) -> None:
 class LiveServer:
     """One protocol server listening on a TCP port.
 
-    Handles one connection at a time; frames and due timers are serialised
+    Handles one connection at a time on its connection thread. Frames from
+    that thread and timers from the ThreadScheduler's thread are serialised
     through a single lock around the sans-io core.
     """
 
@@ -207,20 +217,8 @@ class LiveServer:
         self._closed = True
         conn = self._conn
         if conn is not None:
-            # shutdown wakes a reader blocked in recv; close alone does not
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._listener.close()
+            _hang_up(conn)
+        _hang_up(self._listener)
         self._sched.close()
         self._accept_thread.join(timeout=1.0)
 
@@ -232,7 +230,12 @@ class LiveServer:
 
 
 class LiveClient:
-    """A scheduling client bound to the wall clock, one TCP link per server."""
+    """A scheduling client bound to the wall clock, one TCP link per server.
+
+    Each link's reader thread feeds frames to the core under the client's
+    lock and wakes the waiters. There is no timer thread: a timer set on
+    `driver`, such as a probe plan's dispatch, fires inside a wait.
+    """
 
     def __init__(self, **client_kwargs):
         self._lock = threading.RLock()
@@ -269,14 +272,7 @@ class LiveClient:
 
     def close(self) -> None:
         for sock in self._socks:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
+            _hang_up(sock)
         self.driver.close()
         for thread in self._threads:
             thread.join(timeout=1.0)

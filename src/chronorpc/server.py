@@ -138,7 +138,6 @@ class PendingOp:
     state: OpState = OpState.PENDING
     t_start: int | None = None
     t_end: int | None = None
-    timer: object | None = None
     spiked: bool = False
 
 
@@ -256,7 +255,7 @@ class Server:
             return
         # Accept: queue until due and acknowledge ahead of the scheduled time.
         self._notify(msg.message_id, accepted=True)
-        op.timer = self._sched.call_at(msg.scheduled_time, self._on_due, op)
+        self._sched.call_at(msg.scheduled_time, self._on_due, op)
 
     def _handle_cancel(self, msg: CancelSchedule) -> None:
         if msg.message_id in self._seen_ids:
@@ -272,9 +271,8 @@ class Server:
             )
             return
         if target.state is OpState.PENDING:
+            # Its timer stays on the heap and fires as a no-op in _on_due.
             target.state = OpState.CANCELLED
-            if target.timer is not None:
-                target.timer.cancel()
             self._reply(RpcReply.make_ok(msg.message_id))
             # Resolve the withdrawn rpc for its requester as well.
             self._reply(RpcReply.make_error(msg.target_id, ERR_CANCELLED))

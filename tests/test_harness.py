@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import os
@@ -27,6 +28,7 @@ from chronorpc.harness import (
 )
 from chronorpc.protocol import MICROS, MILLIS, SECONDS
 from chronorpc.server import ExecutionModel
+from chronorpc.sim import Timer
 
 
 class TestParseDuration:
@@ -265,6 +267,19 @@ def test_shipped_scenarios_match_golden_digests():
         result = run_scenario(load_scenario(SCENARIO_DIR / name))
         text = result.csv_text() + result.summary_text()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, name
+
+
+def test_finished_run_retains_no_timers():
+    # The result keeps every server's ops reachable; a fired or cancelled
+    # timer must not stay alive through them.
+    def timers() -> int:
+        gc.collect()
+        return sum(1 for o in gc.get_objects() if isinstance(o, Timer))
+
+    before = timers()
+    result = run_scenario(load_scenario(SCENARIO_DIR / "spikes.txt"))
+    assert result.spike_indices
+    assert timers() == before
 
 
 # sha256 of each experiment's csv_text() and of each demo's printed lines at

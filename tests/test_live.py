@@ -13,7 +13,9 @@ import sys
 import threading
 import time
 import warnings
+from types import SimpleNamespace
 
+from chronorpc import live
 from chronorpc.client import CancelResult
 from chronorpc.live import LiveClient, LiveDriver, LiveServer, ThreadScheduler
 from chronorpc.protocol import (
@@ -162,6 +164,54 @@ def test_driver_timer_wakes_waiter():
         assert driver.now() - start < 1 * SECONDS
     finally:
         driver.close()
+
+
+def test_driver_deadline_runs_on_the_monotonic_clock(monkeypatch):
+    frozen = time.time_ns()
+    monkeypatch.setattr(
+        live, "time", SimpleNamespace(time_ns=lambda: frozen, monotonic_ns=time.monotonic_ns)
+    )
+    driver = LiveDriver(threading.RLock())
+    results = []
+
+    def wait():
+        results.append(driver.wait_until(None, driver.now() + 50 * MILLIS))
+
+    try:
+        waiter = threading.Thread(target=wait, daemon=True)
+        waiter.start()
+        waiter.join(timeout=2)
+        assert not waiter.is_alive()
+        assert results == [False]
+    finally:
+        driver.close()
+
+
+def test_server_and_connected_client_add_three_threads():
+    # server: timer waiter and connection; client: one reader. The client's
+    # timers fire inside its own waits.
+    before = set(threading.enumerate())
+    with LiveServer("live1") as server, LiveClient() as client:
+        client.connect("live1", server.address)
+        assert client.core.schedule_raw("live1", Operation("noop")).ok
+        assert len(set(threading.enumerate()) - before) == 3
+
+
+def test_server_decodes_each_frame_of_one_segment():
+    """A garbage line between two rpcs in one send costs only itself."""
+    noop = Operation("noop")
+    with LiveServer("live1") as server:
+        with socket.create_connection(server.address, timeout=5) as raw:
+            raw.sendall(
+                encode(RpcMessage("r1", noop)) + b"not a frame\n" + encode(RpcMessage("r2", noop))
+            )
+            splitter, replies = FrameSplitter(), []
+            while len(replies) < 2:
+                chunk = raw.recv(65536)
+                assert chunk, "server hung up before replying"
+                replies += [decode(f) for f in splitter.feed(chunk)]
+        assert replies == [RpcReply.make_ok("r1"), RpcReply.make_ok("r2")]
+        assert server.core.decode_errors == 1
 
 
 def test_frame_splitter_reassembles():
