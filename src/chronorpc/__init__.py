@@ -40,9 +40,7 @@ from .prediction import (
     PredictionError,
     PredictorState,
     SampleWindow,
-    average,
     evaluate_stream,
-    ft_average,
     kalman_step,
 )
 from .sim import EventLoop, Link, named_rng
@@ -105,9 +103,7 @@ __all__ = [
     "PredictionError",
     "PredictorState",
     "SampleWindow",
-    "average",
     "evaluate_stream",
-    "ft_average",
     "kalman_step",
     # simulation
     "EventLoop",

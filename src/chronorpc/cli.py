@@ -30,7 +30,7 @@ from .harness import (
     load_scenario,
     run_scenario,
 )
-from .prediction import ALGORITHMS, read_sample_csv, replay_rows
+from .prediction import ALGORITHMS, PredictionError, read_sample_csv, replay_rows
 
 EXPERIMENTS = {
     "I": "platforms",
@@ -40,6 +40,13 @@ EXPERIMENTS = {
     "probing": "probing",
     "stress": "stress",
 }
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_replay = sub.add_parser("replay", help="run predictors offline over a sample csv")
     p_replay.add_argument("--csv", required=True, help="csv with sequence,scheduled_time_ns,execution_time_ns")
     p_replay.add_argument("--algo", default="all", choices=("all",) + ALGORITHMS)
-    p_replay.add_argument("--window", type=int, default=8)
+    p_replay.add_argument("--window", type=_positive_int, default=8)
     p_replay.add_argument("--out", default=None, help="output csv path (default stdout)")
 
     p_demo = sub.add_parser("demo", help="run a coordination walkthrough")
@@ -104,14 +111,14 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    with open(args.csv, newline="", encoding="utf-8") as handle:
-        try:
-            samples = read_sample_csv(handle)
-        except ValueError as exc:
-            print(f"error: {args.csv}: {exc}", file=sys.stderr)
-            return 1
     algorithms = ALGORITHMS if args.algo == "all" else (args.algo,)
-    header, rows = replay_rows(samples, algorithms, args.window)
+    try:
+        with open(args.csv, newline="", encoding="utf-8") as handle:
+            samples = read_sample_csv(handle)
+        header, rows = replay_rows(samples, algorithms, args.window)
+    except (ValueError, PredictionError) as exc:
+        print(f"error: {args.csv}: {exc}", file=sys.stderr)
+        return 1
     if args.out:
         out = open(args.out, "w", newline="", encoding="utf-8")
     else:

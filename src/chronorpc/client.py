@@ -304,12 +304,12 @@ class Client:
         with self._lock:
             state = self._predictors.get(key)
             if state is None:
-                state = PredictorState(self.algorithm, self.window)
+                state = PredictorState((self.algorithm,), self.window)
                 self._predictors[key] = state
             return state
 
     def reset_predictor(self, server_id: str, rpc_type: str = "noop") -> PredictorState:
-        state = PredictorState(self.algorithm, self.window)
+        state = PredictorState((self.algorithm,), self.window)
         with self._lock:
             self._predictors[(server_id, rpc_type)] = state
         return state
@@ -495,7 +495,7 @@ class Client:
     ) -> PendingCall:
         """Send one completion-targeted rpc without waiting for its reply."""
         state = self.predictor(server_id, operation_type(operation))
-        prediction = state.predict()
+        prediction = state.predict(self.algorithm)
         scheduled_time = desired_completion - prediction.value
         return self.submit(
             server_id,

@@ -285,15 +285,13 @@ def _drive_burst(world: World) -> tuple[dict, dict]:
 def _burst_predictions(
     bursts: list[list[EteSample]], algorithms, window: int
 ) -> dict[str, list[Prediction]]:
-    out: dict[str, list[Prediction]] = {}
-    for algo in algorithms:
-        preds = []
-        for burst_samples in bursts:
-            state = PredictorState(algo, window)
-            for sample in burst_samples:
-                state.push(sample)
-            preds.append(state.predict())
-        out[algo] = preds
+    out: dict[str, list[Prediction]] = {algo: [] for algo in algorithms}
+    for burst_samples in bursts:
+        state = PredictorState(algorithms, window)
+        for sample in burst_samples:
+            state.push(sample)
+        for algo, preds in out.items():
+            preds.append(state.predict(algo))
     return out
 
 
@@ -305,10 +303,11 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> Scena
         bursts = {}
         predictions = {}
         for sid, calls in outcomes.items():
-            samples = [call.sample for call in calls]
+            rows = evaluate_stream(
+                [call.sample for call in calls], scenario.algorithms, scenario.window
+            )
             predictions[sid] = {
-                algo: evaluate_stream(samples, algo, scenario.window)
-                for algo in scenario.algorithms
+                algo: [row[algo] for row in rows] for algo in scenario.algorithms
             }
     else:
         outcomes, bursts = _drive_burst(world)

@@ -17,6 +17,9 @@ Four algorithms are provided:
                  history (drift of the filtered estimate, and filtered
                  residuals, respectively)
 
+One PredictorState serves any subset of them over one shared window, so
+evaluate_stream compares rules on exactly the same samples in one pass.
+
 Arithmetic runs in 64-bit floats on nanosecond values; predictions are
 rounded to whole nanoseconds only at the scheduling boundary.
 
@@ -40,14 +43,9 @@ __all__ = [
     "PredictionError",
     "EmptyWindow",
     "NotWarm",
-    "InsufficientHistory",
     "OutOfOrderSample",
     "EteSample",
     "SampleWindow",
-    "average",
-    "ft_average",
-    "estimate_drift_variance",
-    "estimate_residual_variance",
     "kalman_step",
     "KalmanFilter1D",
     "Prediction",
@@ -74,10 +72,6 @@ class EmptyWindow(PredictionError):
 
 class NotWarm(PredictionError):
     """The filter has not yet observed enough samples to predict."""
-
-
-class InsufficientHistory(PredictionError):
-    """A variance estimate was requested over fewer than two history entries."""
 
 
 class OutOfOrderSample(PredictionError):
@@ -143,13 +137,15 @@ class SampleWindow:
         return [float(v) for v in self._values]
 
     def average(self) -> float:
-        """average(values()), from the running sum."""
+        """Plain mean, from the running sum; EmptyWindow on no samples."""
         if not self._values:
             raise EmptyWindow("average of zero samples")
         return self._total / len(self._values)
 
     def ft_average(self) -> float:
-        """ft_average(values()), from the running sum."""
+        """Mean with one max and one min occurrence dropped (duplicated
+        extremes keep their surplus copies), from the running sum; the plain
+        mean below 3 samples."""
         values = self._values
         n = len(values)
         if n < 3:
@@ -164,54 +160,10 @@ class SampleWindow:
         return len(self._values)
 
 
-def average(values: Sequence[float]) -> float:
-    """Plain mean; EmptyWindow on no samples."""
-    if not values:
-        raise EmptyWindow("average of zero samples")
-    return sum(values) / len(values)
-
-
-def ft_average(values: Sequence[float]) -> float:
-    """Mean with one max and one min occurrence dropped.
-
-    Windows shorter than 3 cannot spare the extremes and use the plain mean.
-    Exactly one occurrence of the maximum and one of the minimum are removed,
-    so duplicated extremes still contribute the surplus copies.
-    """
-    if not values:
-        raise EmptyWindow("ft-average of zero samples")
-    if len(values) < 3:
-        return sum(values) / len(values)
-    trimmed = sum(values) - max(values) - min(values)
-    return trimmed / (len(values) - 2)
-
-
 def _population_variance(values: Sequence[float]) -> float:
     # 1/N divisor over exactly the supplied entries.
     mean = sum(values) / len(values)
     return sum([(v - mean) ** 2 for v in values]) / len(values)
-
-
-def estimate_drift_variance(estimate_history: Sequence[float]) -> float:
-    """Process-noise estimate: population variance of the first differences
-    of the filtered estimates. Needs at least 2 history entries."""
-    if len(estimate_history) < 2:
-        raise InsufficientHistory("drift variance needs >= 2 estimates")
-    diffs = [b - a for a, b in zip(estimate_history, estimate_history[1:])]
-    return _population_variance(diffs)
-
-
-def estimate_residual_variance(
-    measurement_history: Sequence[float], estimate_history: Sequence[float]
-) -> float:
-    """Measurement-noise estimate: population variance of the filtered
-    residuals measurement - estimate. Needs at least 2 paired entries."""
-    if len(measurement_history) != len(estimate_history):
-        raise ValueError("histories must be the same length")
-    if len(measurement_history) < 2:
-        raise InsufficientHistory("residual variance needs >= 2 residuals")
-    residuals = [x - s for x, s in zip(measurement_history, estimate_history)]
-    return _population_variance(residuals)
 
 
 def kalman_step(
@@ -244,9 +196,8 @@ class KalmanFilter1D:
     drift variance from the last `window` first differences of the estimate
     and residual variance from the last `window` filtered residuals, both
     with 1/N divisors over however many entries exist. Each difference is
-    taken once, when its estimate is appended, with the same subtraction
-    estimate_drift_variance() makes. predict() is valid from the second
-    sample on.
+    taken once, when its estimate is appended (new minus previous).
+    predict() is valid from the second sample on.
     """
 
     def __init__(self, window: int = DEFAULT_WINDOW):
@@ -333,19 +284,21 @@ def _round_ns(value: float) -> int:
 
 
 class PredictorState:
-    """Per-(server, operation-type) predictor: window + configured algorithm.
+    """Per-(server, operation-type) predictor: one window serving each of the
+    rules it was built with.
 
-    Cold-start ladder: with no samples every algorithm predicts 0 (baseline);
-    the Kalman choice additionally falls back to the window average until the
-    filter has two samples. Only the Kalman choice owns a filter.
+    Cold-start ladder: with no samples every rule predicts 0 (baseline); the
+    Kalman rule additionally falls back to the window average until the
+    filter has two samples. Only a state built with kalman owns a filter.
     """
 
-    def __init__(self, algorithm: str = "average", window: int = DEFAULT_WINDOW):
-        if algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm: {algorithm!r}")
-        self.algorithm = algorithm
+    def __init__(self, algorithms: Sequence[str], window: int = DEFAULT_WINDOW):
+        for name in algorithms:
+            if name not in ALGORITHMS:
+                raise ValueError(f"unknown algorithm: {name!r}")
+        self.algorithms = tuple(algorithms)
         self.window = SampleWindow(window)
-        self.kalman = KalmanFilter1D(window) if algorithm == "kalman" else None
+        self.kalman = KalmanFilter1D(window) if "kalman" in self.algorithms else None
         self._pushed = 0
 
     @property
@@ -363,25 +316,18 @@ class PredictorState:
         self.push(sample)
         return sample
 
-    @property
-    def warm(self) -> bool:
-        """True when predict() no longer needs the cold-start fallback."""
-        if self.algorithm == "baseline":
-            return True
-        if self.algorithm == "kalman":
-            return self.kalman.warm
-        return len(self.window) >= 1
-
-    def predict(self) -> Prediction:
-        if self.algorithm == "baseline":
+    def predict(self, algorithm: str) -> Prediction:
+        if algorithm not in self.algorithms:
+            raise ValueError(f"predictor not built for {algorithm!r}")
+        if algorithm == "baseline":
             return Prediction(0, 0.0, "baseline")
         window = self.window
         if not len(window):
             return Prediction(0, 0.0, "baseline", fallback=True)
-        if self.algorithm == "average":
+        if algorithm == "average":
             raw = window.average()
             return Prediction(_round_ns(raw), raw, "average")
-        if self.algorithm == "ft-average":
+        if algorithm == "ft-average":
             raw = window.ft_average()
             return Prediction(_round_ns(raw), raw, "ft-average")
         # kalman
@@ -393,34 +339,42 @@ class PredictorState:
 
 
 def evaluate_stream(
-    samples: Iterable[EteSample], algorithm: str, window: int = DEFAULT_WINDOW
-) -> list[Prediction]:
-    """Offline pass over a recorded stream: for each sample, the prediction a
-    fresh predictor would have issued just before observing it."""
-    state = PredictorState(algorithm, window)
-    out: list[Prediction] = []
+    samples: Iterable[EteSample],
+    algorithms: Sequence[str],
+    window: int = DEFAULT_WINDOW,
+) -> list[dict[str, Prediction]]:
+    """Offline pass over a recorded stream: for each sample, one row holding
+    each rule's prediction that a fresh predictor would have issued just
+    before observing it."""
+    state = PredictorState(algorithms, window)
+    rows: list[dict[str, Prediction]] = []
     for sample in samples:
-        out.append(state.predict())
+        rows.append({name: state.predict(name) for name in state.algorithms})
         state.push(sample)
-    return out
+    return rows
 
 
 def read_sample_csv(stream: io.TextIOBase | Iterable[str]) -> list[EteSample]:
     """Load a recorded stream from CSV with columns
     sequence,scheduled_time_ns,execution_time_ns (header required)."""
-    reader = csv.DictReader(stream)
+    reader = csv.DictReader(stream, restval="")
     missing = [f for f in REPLAY_INPUT_FIELDS if f not in (reader.fieldnames or [])]
     if missing:
         raise ValueError(f"sample csv missing columns: {', '.join(missing)}")
     samples = []
     for row in reader:
-        samples.append(
-            EteSample.from_times(
+        try:
+            sample = EteSample.from_times(
                 int(row["scheduled_time_ns"]),
                 int(row["execution_time_ns"]),
                 int(row["sequence"]),
             )
-        )
+        except ValueError:
+            raise ValueError(
+                f"line {reader.line_num}: "
+                f"{', '.join(REPLAY_INPUT_FIELDS)} must be integers"
+            ) from None
+        samples.append(sample)
     return samples
 
 
@@ -434,15 +388,12 @@ def replay_rows(
     Returns (header, rows); each row is sequence, scheduled/execution time,
     the measured offset, then per-algorithm prediction and absolute error.
     """
-    for name in algorithms:
-        if name not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm: {name!r}")
+    predictions = evaluate_stream(samples, algorithms, window)
     header = list(REPLAY_INPUT_FIELDS) + ["ete_ns"]
     for name in algorithms:
         header += [f"{name}_prediction_ns", f"{name}_abs_error_ns"]
-    predictions = {name: evaluate_stream(samples, name, window) for name in algorithms}
     rows = []
-    for i, sample in enumerate(samples):
+    for sample, preds in zip(samples, predictions):
         row = [
             sample.sequence_index,
             sample.scheduled_time,
@@ -450,7 +401,7 @@ def replay_rows(
             sample.ete,
         ]
         for name in algorithms:
-            pred = predictions[name][i]
+            pred = preds[name]
             row += [pred.value, abs(pred.value - sample.ete)]
         rows.append(row)
     return header, rows

@@ -172,7 +172,7 @@ def test_02_predictor_reference_oracles(check):
             for i, v in enumerate(trace)
         ]
         for algo in ("average", "ft-average", "kalman"):
-            got = [p.raw for p in evaluate_stream(samples, algo, WINDOW)]
+            got = [row[algo].raw for row in evaluate_stream(samples, (algo,), WINDOW)]
             want = ref_prediction_series([float(v) for v in trace], algo, WINDOW)
             for step, (g, w) in enumerate(zip(got, want)):
                 rel = abs(g - w) / max(1.0, abs(w))

@@ -2,6 +2,7 @@ import csv
 import gc
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -315,6 +316,27 @@ def test_bench_tracer_installs_on_the_package():
     assert done.returncode == 0, done.stderr
 
 
+@pytest.mark.parametrize("workload", ["sim-scenarios", "sim-coordinated"])
+def test_bench_workload_checks_pass_on_the_package(workload):
+    # bench/workloads.py reads the package's results (for example
+    # ScenarioResult.predictions[sid][algo] as a sample-ordered list) and
+    # checks them against its own oracle; a change of shape there reads as
+    # incorrect or as a failed run.
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "0.5", "--trace", "0"],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True, done.stdout
+    assert result["failed"] == 0, done.stdout
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -454,6 +476,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "scheduled_time_ns" in err
+
+    def test_replay_sequence_not_increasing(self, tmp_path, capsys):
+        src = tmp_path / "samples.csv"
+        src.write_text(
+            "sequence,scheduled_time_ns,execution_time_ns\n"
+            "1,1000,31000\n0,2000,32000\n",
+            encoding="utf-8",
+        )
+        assert main(["replay", "--csv", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}:")
+        assert "Traceback" not in err
+
+    def test_replay_short_row(self, tmp_path, capsys):
+        src = tmp_path / "samples.csv"
+        src.write_text(
+            "sequence,scheduled_time_ns,execution_time_ns\n"
+            "0,1000,31000\n1,2000\n",
+            encoding="utf-8",
+        )
+        assert main(["replay", "--csv", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}: line 3:")
+        assert "Traceback" not in err
+
+    def test_replay_window_below_one_rejected(self, tmp_path):
+        src = tmp_path / "samples.csv"
+        src.write_text(
+            "sequence,scheduled_time_ns,execution_time_ns\n0,1000,31000\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", "--csv", str(src), "--window", "0"])
+        assert exc.value.code == 2
 
     def test_demo(self, capsys):
         assert main(["demo", "commit", "--seed", "1"]) == 0

@@ -10,23 +10,25 @@ from chronorpc.prediction import (
     ALGORITHMS,
     EmptyWindow,
     EteSample,
-    InsufficientHistory,
     KalmanFilter1D,
     NotWarm,
     OutOfOrderSample,
     PredictorState,
     SampleWindow,
-    average,
-    estimate_drift_variance,
-    estimate_residual_variance,
     evaluate_stream,
-    ft_average,
     kalman_step,
     read_sample_csv,
     replay_rows,
 )
 from chronorpc.protocol import MILLIS
 
+from _list_rules import (
+    InsufficientHistory,
+    average,
+    estimate_drift_variance,
+    estimate_residual_variance,
+    ft_average,
+)
 from _reference import (
     ref_kalman_trajectory,
     ref_population_variance,
@@ -59,36 +61,45 @@ def rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(b))
 
 
+def window_of(etes) -> SampleWindow:
+    """A window that holds exactly the given offsets."""
+    w = SampleWindow(max(1, len(etes)))
+    for s in make_samples(etes):
+        w.push(s)
+    return w
+
+
 class TestAverage:
     def test_hand_example(self):
-        assert average([1 * MILLIS, 2 * MILLIS, 3 * MILLIS, 10 * MILLIS]) == 4 * MILLIS
+        w = window_of([1 * MILLIS, 2 * MILLIS, 3 * MILLIS, 10 * MILLIS])
+        assert w.average() == 4 * MILLIS
 
     def test_single(self):
-        assert average([7.0]) == 7.0
+        assert window_of([7]).average() == 7.0
 
     def test_empty(self):
         with pytest.raises(EmptyWindow):
-            average([])
+            window_of([]).average()
 
 
 class TestFtAverage:
     def test_drops_extremes(self):
-        got = ft_average([1 * MILLIS, 2 * MILLIS, 3 * MILLIS, 10 * MILLIS])
+        got = window_of([1 * MILLIS, 2 * MILLIS, 3 * MILLIS, 10 * MILLIS]).ft_average()
         assert got == 2.5 * MILLIS
 
     def test_short_window_is_plain_mean(self):
-        assert ft_average([5 * MILLIS, 9 * MILLIS]) == 7 * MILLIS
+        assert window_of([5 * MILLIS, 9 * MILLIS]).ft_average() == 7 * MILLIS
 
     def test_constant_window(self):
-        assert ft_average([4 * MILLIS] * 4) == 4 * MILLIS
+        assert window_of([4 * MILLIS] * 4).ft_average() == 4 * MILLIS
 
     def test_duplicated_max_removed_once(self):
         # one 5 dropped as max, the 1 dropped as min; the other 5 stays
-        assert ft_average([5.0, 5.0, 5.0, 1.0]) == 5.0
+        assert window_of([5, 5, 5, 1]).ft_average() == 5.0
 
     def test_empty(self):
         with pytest.raises(EmptyWindow):
-            ft_average([])
+            window_of([]).ft_average()
 
 
 class TestVarianceEstimates:
@@ -261,31 +272,30 @@ class TestEteSample:
 class TestPredictorState:
     def test_cold_start_is_baseline(self):
         for algo in ALGORITHMS:
-            p = PredictorState(algo, 8).predict()
+            p = PredictorState((algo,), 8).predict(algo)
             assert p.value == 0
             if algo != "baseline":
                 assert p.fallback
                 assert p.algorithm == "baseline"
 
     def test_kalman_falls_back_to_average_with_one_sample(self):
-        state = PredictorState("kalman", 8)
+        state = PredictorState(("kalman",), 8)
         state.push(make_samples([30 * MILLIS])[0])
-        p = state.predict()
+        p = state.predict("kalman")
         assert p.algorithm == "average"
         assert p.fallback
         assert p.value == 30 * MILLIS
 
     def test_warm_flag(self):
-        state = PredictorState("kalman", 8)
-        assert not state.warm
+        state = PredictorState(("kalman",), 8)
+        assert state.predict("kalman").fallback
         for s in make_samples([10, 20]):
             state.push(s)
-        assert state.warm
-        assert state.predict().algorithm == "kalman"
-        assert not state.predict().fallback
+        assert state.predict("kalman").algorithm == "kalman"
+        assert not state.predict("kalman").fallback
 
     def test_only_kalman_owns_a_filter(self):
-        states = {algo: PredictorState(algo, 8) for algo in ALGORITHMS}
+        states = {algo: PredictorState((algo,), 8) for algo in ALGORITHMS}
         for state in states.values():
             for s in make_samples([10, 20, 30]):
                 state.push(s)
@@ -293,27 +303,36 @@ class TestPredictorState:
         assert states["kalman"].kalman.count == 3
 
     def test_baseline_always_zero(self):
-        state = PredictorState("baseline", 8)
+        state = PredictorState(("baseline",), 8)
         for s in make_samples([10, 20, 30]):
             state.push(s)
-        assert state.predict().value == 0
+        assert state.predict("baseline").value == 0
 
     def test_push_times_assigns_sequence(self):
-        state = PredictorState("average", 8)
+        state = PredictorState(("average",), 8)
         s0 = state.push_times(0, 50)
         s1 = state.push_times(1000, 1080)
         assert (s0.sequence_index, s1.sequence_index) == (0, 1)
-        assert state.predict().value == 65
+        assert state.predict("average").value == 65
 
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(ValueError):
-            PredictorState("median", 8)
+            PredictorState(("average", "median"), 8)
+
+    def test_predict_rejects_a_rule_it_was_not_built_with(self):
+        state = PredictorState(("average", "ft-average"), 8)
+        for s in make_samples([10, 20, 30]):
+            state.push(s)
+        for algo in ("kalman", "baseline", "median"):
+            with pytest.raises(ValueError):
+                state.predict(algo)
+        assert state.kalman is None
 
     def test_rounding_to_nearest_ns(self):
-        state = PredictorState("average", 8)
+        state = PredictorState(("average",), 8)
         for s in make_samples([1, 2]):
             state.push(s)
-        p = state.predict()
+        p = state.predict("average")
         assert p.raw == 1.5
         assert p.value == 2  # round-half-even at .5
 
@@ -321,18 +340,19 @@ class TestPredictorState:
 class TestEvaluateStream:
     def test_prediction_precedes_sample(self):
         samples = make_samples([100, 200, 300])
-        preds = evaluate_stream(samples, "average", 8)
-        assert [p.value for p in preds] == [0, 100, 150]
+        rows = evaluate_stream(samples, ("average",), 8)
+        assert [row["average"].value for row in rows] == [0, 100, 150]
 
     def test_all_algorithms_match_reference_series(self):
         trace = make_trace()
         samples = make_samples(trace)
         floats = [float(v) for v in trace]
+        rows = evaluate_stream(samples, ALGORITHMS, 8)
+        assert len(rows) == len(samples)
         for algo in ALGORITHMS:
-            got = evaluate_stream(samples, algo, 8)
             want = ref_prediction_series(floats, algo, 8)
-            for i, (g, w) in enumerate(zip(got, want)):
-                assert rel_err(g.raw, w) <= 1e-9, (algo, i)
+            for i, (row, w) in enumerate(zip(rows, want)):
+                assert rel_err(row[algo].raw, w) <= 1e-9, (algo, i)
 
 
 class TestReplay:
@@ -377,27 +397,26 @@ class TestProperties:
     @settings(max_examples=150)
     @given(values=etes, shift=st.integers(min_value=0, max_value=10**10))
     def test_shift_equivariance(self, values, shift):
-        base = [float(v) for v in values]
-        moved = [float(v + shift) for v in values]
-        assert rel_err(average(moved), average(base) + shift) <= 1e-12
-        assert rel_err(ft_average(moved), ft_average(base) + shift) <= 1e-12
+        base = window_of(values)
+        moved = window_of([v + shift for v in values])
+        assert rel_err(moved.average(), base.average() + shift) <= 1e-12
+        assert rel_err(moved.ft_average(), base.ft_average() + shift) <= 1e-12
 
     @settings(max_examples=150)
     @given(values=st.lists(st.integers(min_value=0, max_value=10**9), min_size=3, max_size=12))
     def test_ft_ignores_the_maximum_value(self, values):
-        base = [float(v) for v in values]
-        raised = list(base)
+        raised = list(values)
         top = max(raised)
         raised[raised.index(top)] = top * 1000 + 1  # unique maximum for sure
-        assert ft_average(raised) == ft_average(base)
+        assert window_of(raised).ft_average() == window_of(values).ft_average()
 
     @settings(max_examples=150)
     @given(values=etes)
     def test_outputs_within_window_bounds(self, values):
-        base = [float(v) for v in values]
-        lo, hi = min(base), max(base)
-        assert lo <= average(base) <= hi
-        assert lo <= ft_average(base) <= hi
+        w = window_of(values)
+        lo, hi = min(values), max(values)
+        assert lo <= w.average() <= hi
+        assert lo <= w.ft_average() <= hi
 
     @settings(max_examples=100)
     @given(values=st.lists(st.integers(min_value=0, max_value=10**11), min_size=2, max_size=20))
@@ -412,8 +431,8 @@ class TestProperties:
     def test_determinism(self, values):
         samples = make_samples(values)
         for algo in ALGORITHMS:
-            a = [p.raw for p in evaluate_stream(samples, algo, 8)]
-            b = [p.raw for p in evaluate_stream(samples, algo, 8)]
+            a = [row[algo].raw for row in evaluate_stream(samples, ALGORITHMS, 8)]
+            b = [row[algo].raw for row in evaluate_stream(samples, ALGORITHMS, 8)]
             assert a == b
 
 
@@ -434,7 +453,7 @@ def windowed_streams(draw):
 
 
 def list_kalman_replay(values, window):
-    """Kalman raws replayed on plain lists through the module's functions,
+    """Kalman raws replayed on plain lists through the list-based rules,
     with the cold-start fallback PredictorState applies, and the filter's
     predicted variance before each sample (None while cold)."""
     raws, predicted_variances = [], []
@@ -482,13 +501,13 @@ class TestIncrementalWindowMatchesLists:
                 rule([float(x) for x in values[max(0, i - window) : i]])
                 for i in range(1, len(values))
             ]
-        for algo in ALGORITHMS:
-            state = PredictorState(algo, window)
-            for i, sample in enumerate(samples):
-                assert state.predict().raw == expected[algo][i], (algo, i)
-                if state.kalman is not None and state.kalman.warm:
-                    assert state.kalman.predicted_variance() == kalman_variances[i], i
-                state.push(sample)
-                assert state.window.values() == [
-                    float(x) for x in values[max(0, i + 1 - window) : i + 1]
-                ]
+        state = PredictorState(ALGORITHMS, window)
+        for i, sample in enumerate(samples):
+            for algo in ALGORITHMS:
+                assert state.predict(algo).raw == expected[algo][i], (algo, i)
+            if state.kalman.warm:
+                assert state.kalman.predicted_variance() == kalman_variances[i], i
+            state.push(sample)
+            assert state.window.values() == [
+                float(x) for x in values[max(0, i + 1 - window) : i + 1]
+            ]
