@@ -25,6 +25,7 @@ from operator import attrgetter
 from typing import Callable, Iterable
 
 from .prediction import (
+    ALGORITHMS,
     DEFAULT_WINDOW,
     EteSample,
     Prediction,
@@ -257,6 +258,8 @@ class Client:
         dispatch_lead: int = DEFAULT_DISPATCH_LEAD,
         lock: threading.RLock | None = None,
     ):
+        if algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm: {algorithm!r}")
         self._driver = driver
         self.algorithm = algorithm
         self.window = window
@@ -339,9 +342,10 @@ class Client:
                     and msg.execution_time is not None
                     and call.scheduled_time is not None
                 ):
-                    state = self.predictor(
-                        call.server_id, operation_type(call.operation)
-                    )
+                    key = (call.server_id, operation_type(call.operation))
+                    state = self._predictors.get(key)
+                    if state is None:
+                        state = self.predictor(*key)
                     call.sample = state.push_times(
                         call.scheduled_time, msg.execution_time
                     )
@@ -388,18 +392,20 @@ class Client:
                         local=True,
                     )
             mid = self._next_mid()
+            # Encoded before it is registered: a message that cannot be sent
+            # leaves no call pending.
+            frame = encode(RpcMessage(mid, operation, scheduled_time, get_time))
             call = PendingCall(
-                server_id=server_id,
-                message_id=mid,
-                operation=operation,
-                scheduled_time=scheduled_time,
-                get_time=get_time,
-                sent_at=now,
-                prediction=prediction,
-                desired_completion=desired_completion,
+                server_id,
+                mid,
+                operation,
+                scheduled_time,
+                get_time,
+                now,
+                prediction,
+                desired_completion,
             )
             self._pending[mid] = call
-            frame = encode(RpcMessage(mid, operation, scheduled_time, get_time))
             session.send(frame)
         return call
 
@@ -407,6 +413,7 @@ class Client:
         session = self.session(server_id)
         with self._lock:
             mid = self._next_mid()
+            frame = encode(CancelSchedule(mid, target_id))
             call = PendingCall(
                 server_id=server_id,
                 message_id=mid,
@@ -416,7 +423,7 @@ class Client:
                 sent_at=self._driver.now(),
             )
             self._pending[mid] = call
-            session.send(encode(CancelSchedule(mid, target_id)))
+            session.send(frame)
         return call
 
     def wait(self, calls: Iterable[PendingCall], deadline: int) -> bool:
@@ -494,7 +501,10 @@ class Client:
         desired_completion: int,
     ) -> PendingCall:
         """Send one completion-targeted rpc without waiting for its reply."""
-        state = self.predictor(server_id, operation_type(operation))
+        key = (server_id, operation_type(operation))
+        state = self._predictors.get(key)
+        if state is None:
+            state = self.predictor(*key)
         prediction = state.predict(self.algorithm)
         scheduled_time = desired_completion - prediction.value
         return self.submit(

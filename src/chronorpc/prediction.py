@@ -231,11 +231,6 @@ class KalmanFilter1D:
             return 0.0
         return _population_variance(self._diffs)
 
-    def _residual_variance(self) -> float:
-        if len(self._residuals) < 2:
-            return 0.0
-        return _population_variance(self._residuals)
-
     def predict(self) -> float:
         """Predicted next offset given everything observed so far."""
         if not self.warm:
@@ -248,20 +243,25 @@ class KalmanFilter1D:
         return self._variance + self._drift_variance()
 
     def observe(self, measurement: float) -> None:
+        measurement = float(measurement)
         if self._count == 0:
-            self._estimate = float(measurement)
+            self._estimate = measurement
             self._variance = 0.0
         else:
+            # The noise terms: drift variance as _drift_variance gives it,
+            # and residual variance once two residuals are held.
+            diffs = self._diffs
+            residuals = self._residuals
             previous = self._estimate
             self._estimate, self._variance, _ = kalman_step(
                 previous,
                 self._variance,
-                self._drift_variance(),
-                self._residual_variance(),
-                float(measurement),
+                _population_variance(diffs) if diffs else 0.0,
+                _population_variance(residuals) if len(residuals) >= 2 else 0.0,
+                measurement,
             )
-            self._diffs.append(self._estimate - previous)
-        self._residuals.append(float(measurement) - self._estimate)
+            diffs.append(self._estimate - previous)
+        self._residuals.append(measurement - self._estimate)
         self._count += 1
 
 
@@ -277,10 +277,6 @@ class Prediction:
     raw: float
     algorithm: str
     fallback: bool = False
-
-
-def _round_ns(value: float) -> int:
-    return int(round(value))
 
 
 class PredictorState:
@@ -312,30 +308,44 @@ class PredictorState:
         self._pushed += 1
 
     def push_times(self, scheduled_time: int, execution_time: int) -> EteSample:
-        sample = EteSample.from_times(scheduled_time, execution_time, self._pushed)
+        sample = EteSample(
+            scheduled_time, execution_time, execution_time - scheduled_time, self._pushed
+        )
         self.push(sample)
         return sample
 
     def predict(self, algorithm: str) -> Prediction:
+        """The rule's prediction, rounded to whole nanoseconds.
+
+        Reads the window's running sum and the filter's estimate in place,
+        the same floats SampleWindow.average/ft_average and
+        KalmanFilter1D.predict return; round() of a float is already an int.
+        """
         if algorithm not in self.algorithms:
             raise ValueError(f"predictor not built for {algorithm!r}")
         if algorithm == "baseline":
             return Prediction(0, 0.0, "baseline")
         window = self.window
-        if not len(window):
-            return Prediction(0, 0.0, "baseline", fallback=True)
+        values = window._values
+        n = len(values)
+        if not n:
+            return Prediction(0, 0.0, "baseline", True)
         if algorithm == "average":
-            raw = window.average()
-            return Prediction(_round_ns(raw), raw, "average")
+            raw = window._total / n
+            return Prediction(round(raw), raw, "average")
         if algorithm == "ft-average":
-            raw = window.ft_average()
-            return Prediction(_round_ns(raw), raw, "ft-average")
+            if n < 3:
+                raw = window._total / n
+            else:
+                raw = (window._total - max(values) - min(values)) / (n - 2)
+            return Prediction(round(raw), raw, "ft-average")
         # kalman
-        if not self.kalman.warm:
-            raw = window.average()
-            return Prediction(_round_ns(raw), raw, "average", fallback=True)
-        raw = self.kalman.predict()
-        return Prediction(_round_ns(raw), raw, "kalman")
+        kalman = self.kalman
+        if kalman._count < 2:
+            raw = window._total / n
+            return Prediction(round(raw), raw, "average", True)
+        raw = kalman._estimate
+        return Prediction(round(raw), raw, "kalman")
 
 
 def evaluate_stream(
@@ -347,10 +357,11 @@ def evaluate_stream(
     each rule's prediction that a fresh predictor would have issued just
     before observing it."""
     state = PredictorState(algorithms, window)
+    predict, push, names = state.predict, state.push, state.algorithms
     rows: list[dict[str, Prediction]] = []
     for sample in samples:
-        rows.append({name: state.predict(name) for name in state.algorithms})
-        state.push(sample)
+        rows.append({name: predict(name) for name in names})
+        push(sample)
     return rows
 
 

@@ -193,6 +193,8 @@ Message = RpcMessage | RpcReply | ScheduleNotification | CancelSchedule
 
 # Per-type encoders: each writes its frame straight into one string, in the
 # canonical field order, and checks what the wire contract needs on the way.
+# An id that is a non-empty exact str is escaped directly; anything else goes
+# through _quoted, which escapes a str subclass and rejects the rest.
 _escape = encode_basestring_ascii
 
 
@@ -203,6 +205,10 @@ def _quoted(value: object, name: str) -> str:
 
 
 def _json_params(params: dict[str, str]) -> str:
+    if not isinstance(params, dict):
+        raise ValueError(f"params must be a dict of str -> str, got {params!r}")
+    if not params:
+        return "{}"
     entries = []
     for k, v in params.items():
         if not isinstance(k, str) or not isinstance(v, str):
@@ -221,9 +227,13 @@ def _json_value(value: object) -> str:
 
 def _encode_rpc(msg: RpcMessage) -> str:
     op = msg.operation
+    mid = msg.message_id
+    mid = _escape(mid) if type(mid) is str and mid else _quoted(mid, "message-id")
+    name = op.name
+    name = _escape(name) if type(name) is str and name else _quoted(name, "op")
     frame = (
-        f'{{"type":"rpc","message-id":{_quoted(msg.message_id, "message-id")}'
-        f',"op":{_quoted(op.name, "op")},"params":{_json_params(op.params)}'
+        f'{{"type":"rpc","message-id":{mid},"op":{name}'
+        f',"params":{_json_params(op.params)}'
     )
     if msg.scheduled_time is not None:
         frame += f',"scheduled-time":{int(msg.scheduled_time)}'
@@ -243,10 +253,9 @@ def _encode_reply(msg: RpcReply) -> str:
             raise ValueError("error reply cannot carry execution-time")
     elif msg.error_code is not None:
         raise ValueError("ok reply cannot carry an error-code")
-    frame = (
-        f'{{"type":"rpc-reply","message-id":{_quoted(msg.message_id, "message-id")}'
-        f',"status":{_escape(status)}'
-    )
+    mid = msg.message_id
+    mid = _escape(mid) if type(mid) is str and mid else _quoted(mid, "message-id")
+    frame = f'{{"type":"rpc-reply","message-id":{mid},"status":{_escape(status)}'
     if msg.error_code is not None:
         frame += f',"error-code":{_json_value(msg.error_code)}'
     if msg.error_detail:
@@ -259,16 +268,24 @@ def _encode_reply(msg: RpcReply) -> str:
 
 
 def _encode_notification(msg: ScheduleNotification) -> str:
+    mid = msg.message_id
+    mid = _escape(mid) if type(mid) is str and mid else _quoted(mid, "message-id")
     return (
-        f'{{"type":"notification","message-id":{_quoted(msg.message_id, "message-id")}'
+        f'{{"type":"notification","message-id":{mid}'
         f',"accepted":{"true" if msg.accepted else "false"}}}\n'
     )
 
 
 def _encode_cancel(msg: CancelSchedule) -> str:
+    mid = msg.message_id
+    mid = _escape(mid) if type(mid) is str and mid else _quoted(mid, "message-id")
+    target = msg.target_id
+    target = (
+        _escape(target) if type(target) is str and target else _quoted(target, "target-id")
+    )
     return (
-        f'{{"type":"cancel-schedule","message-id":{_quoted(msg.message_id, "message-id")}'
-        f',"target-id":{_quoted(msg.target_id, "target-id")}}}\n'
+        f'{{"type":"cancel-schedule","message-id":{mid}'
+        f',"target-id":{target}}}\n'
     )
 
 
@@ -284,8 +301,9 @@ _ENCODERS = {
 def encode(msg: Message) -> bytes:
     """Serialize one message to a newline-terminated frame.
 
-    Raises ValueError for structurally invalid messages (empty id, non-string
-    params, an error reply carrying execution-time, or a frame over 64 KiB).
+    Raises ValueError for structurally invalid messages (empty id, params
+    that are not a dict of strings, an error reply carrying execution-time,
+    or a frame over 64 KiB).
     """
     encoder = _ENCODERS.get(type(msg))
     if encoder is None:
@@ -302,7 +320,9 @@ def encode(msg: Message) -> bytes:
 
 # Per-type decoders over the parsed object. JSON gives exact types, so
 # `type(x) is int` also rejects booleans and `type(x) is str` needs no
-# subclass case.
+# subclass case. Each decoder reads every field once and checks it inline, in
+# the order the fields are listed; on a bad field it calls _str_field or
+# _params_field only to raise their error for it.
 def _str_field(obj: dict, key: str) -> str:
     value = obj.get(key)
     if type(value) is str and value:
@@ -325,30 +345,46 @@ def _params_field(obj: dict) -> dict[str, str] | None:
 
 
 def _decode_rpc(obj: dict) -> RpcMessage:
-    message_id = _str_field(obj, "message-id")
-    name = _str_field(obj, "op")
-    params = _params_field(obj)
+    message_id = obj.get("message-id")
+    if not (type(message_id) is str and message_id):
+        _str_field(obj, "message-id")
+    name = obj.get("op")
+    if not (type(name) is str and name):
+        _str_field(obj, "op")
+    params = obj.get("params")
+    if params is None:
+        params = {}
+    elif type(params) is not dict:
+        _params_field(obj)
+    else:
+        for value in params.values():
+            if type(value) is not str:
+                _params_field(obj)
     scheduled_time = obj.get("scheduled-time")
     if scheduled_time is not None and type(scheduled_time) is not int:
         raise MalformedFrame("field must be an integer", "scheduled-time")
     get_time = obj.get("get-time", False)
     if type(get_time) is not bool:
         raise MalformedFrame("field must be a boolean", "get-time")
-    operation = Operation(name, {} if params is None else params)
-    return RpcMessage(message_id, operation, scheduled_time, get_time)
+    return RpcMessage(message_id, Operation(name, params), scheduled_time, get_time)
 
 
 def _decode_reply(obj: dict) -> RpcReply:
-    message_id = _str_field(obj, "message-id")
-    status = _str_field(obj, "status")
+    message_id = obj.get("message-id")
+    if not (type(message_id) is str and message_id):
+        _str_field(obj, "message-id")
+    status = obj.get("status")
     error_code = None
     error_detail = ""
     if status == "error":
-        error_code = _str_field(obj, "error-code")
+        error_code = obj.get("error-code")
+        if not (type(error_code) is str and error_code):
+            _str_field(obj, "error-code")
         error_detail = obj.get("error-detail", "")
         if type(error_detail) is not str:
             raise MalformedFrame("field must be a string", "error-detail")
     elif status != "ok":
+        _str_field(obj, "status")
         raise MalformedFrame("status must be 'ok' or 'error'", "status")
     execution_time = obj.get("execution-time")
     if execution_time is not None:
@@ -356,13 +392,20 @@ def _decode_reply(obj: dict) -> RpcReply:
             raise MalformedFrame("field must be an integer", "execution-time")
         if error_code is not None:
             raise MalformedFrame("error reply cannot carry execution-time", "execution-time")
-    return RpcReply(
-        message_id, status, error_code, error_detail, execution_time, _params_field(obj)
-    )
+    params = obj.get("params")
+    if params is not None:
+        if type(params) is not dict:
+            _params_field(obj)
+        for value in params.values():
+            if type(value) is not str:
+                _params_field(obj)
+    return RpcReply(message_id, status, error_code, error_detail, execution_time, params)
 
 
 def _decode_notification(obj: dict) -> ScheduleNotification:
-    message_id = _str_field(obj, "message-id")
+    message_id = obj.get("message-id")
+    if not (type(message_id) is str and message_id):
+        _str_field(obj, "message-id")
     accepted = obj.get("accepted")
     if type(accepted) is not bool:
         if "accepted" not in obj:
@@ -372,7 +415,13 @@ def _decode_notification(obj: dict) -> ScheduleNotification:
 
 
 def _decode_cancel(obj: dict) -> CancelSchedule:
-    return CancelSchedule(_str_field(obj, "message-id"), _str_field(obj, "target-id"))
+    message_id = obj.get("message-id")
+    if not (type(message_id) is str and message_id):
+        _str_field(obj, "message-id")
+    target_id = obj.get("target-id")
+    if not (type(target_id) is str and target_id):
+        _str_field(obj, "target-id")
+    return CancelSchedule(message_id, target_id)
 
 
 _scan_once = json.JSONDecoder().scan_once  # the scanner json.loads runs

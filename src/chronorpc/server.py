@@ -129,7 +129,7 @@ class OpState(enum.Enum):
     CANCELLED = "cancelled"
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingOp:
     message_id: str
     operation: Operation
@@ -208,54 +208,48 @@ class Server:
     def _reply(self, reply: RpcReply) -> None:
         self._send(encode(reply))
 
-    def _notify(self, message_id: str, accepted: bool) -> None:
-        self._send(encode(ScheduleNotification(message_id, accepted)))
-
     # -- admission --------------------------------------------------------
 
     def _handle_rpc(self, msg: RpcMessage) -> None:
-        if msg.message_id in self._seen_ids:
-            self._reply(RpcReply.make_error(msg.message_id, ERR_DUPLICATE_MESSAGE_ID))
+        mid = msg.message_id
+        if mid in self._seen_ids:
+            self._reply(RpcReply.make_error(mid, ERR_DUPLICATE_MESSAGE_ID))
             return
-        self._seen_ids.add(msg.message_id)
-        if msg.message_id in self._cancelled_unseen:
-            self._reply(RpcReply.make_error(msg.message_id, ERR_CANCELLED))
+        self._seen_ids.add(mid)
+        if mid in self._cancelled_unseen:
+            self._reply(RpcReply.make_error(mid, ERR_CANCELLED))
             return
-        if msg.operation.name not in BUILTIN_OPS:
-            self._reply(
-                RpcReply.make_error(
-                    msg.message_id, ERR_UNKNOWN_OPERATION, msg.operation.name
-                )
-            )
+        operation = msg.operation
+        if operation.name not in BUILTIN_OPS:
+            self._reply(RpcReply.make_error(mid, ERR_UNKNOWN_OPERATION, operation.name))
             return
 
-        op = PendingOp(msg.message_id, msg.operation, msg.scheduled_time, msg.get_time)
-        if msg.scheduled_time is None:
-            self.ops[op.message_id] = op
+        scheduled_time = msg.scheduled_time
+        op = PendingOp(mid, operation, scheduled_time, msg.get_time)
+        if scheduled_time is None:
+            self.ops[mid] = op
             self._enqueue_ready(op)
             return
 
-        verdict = validate_schedule(
-            msg.scheduled_time, self._sched.now(), self.range_config
-        )
+        verdict = validate_schedule(scheduled_time, self._sched.now(), self.range_config)
         if verdict is Verdict.REJECT:
-            self.rejected_ids.add(msg.message_id)
-            self._notify(msg.message_id, accepted=False)
+            self.rejected_ids.add(mid)
+            self._send(encode(ScheduleNotification(mid, False)))
             self._reply(
                 RpcReply.make_error(
-                    msg.message_id,
+                    mid,
                     ERR_SCHEDULE_OUT_OF_RANGE,
-                    f"scheduled-time {msg.scheduled_time} outside acceptable range",
+                    f"scheduled-time {scheduled_time} outside acceptable range",
                 )
             )
             return
-        self.ops[op.message_id] = op
+        self.ops[mid] = op
         if verdict is Verdict.ACCEPT_RUN_NOW:
             self._enqueue_ready(op)
             return
         # Accept: queue until due and acknowledge ahead of the scheduled time.
-        self._notify(msg.message_id, accepted=True)
-        self._sched.call_at(msg.scheduled_time, self._on_due, op)
+        self._send(encode(ScheduleNotification(mid, True)))
+        self._sched.call_at(scheduled_time, self._on_due, op)
 
     def _handle_cancel(self, msg: CancelSchedule) -> None:
         if msg.message_id in self._seen_ids:
@@ -332,12 +326,9 @@ class Server:
         if error_code is not None:
             self._reply(RpcReply.make_error(op.message_id, error_code, detail))
         else:
-            self._reply(
-                RpcReply.make_ok(
-                    op.message_id,
-                    execution_time=op.t_end if op.get_time else None,
-                    params=params,
-                )
+            execution_time = op.t_end if op.get_time else None
+            self._send(
+                encode(RpcReply(op.message_id, "ok", None, "", execution_time, params))
             )
         self._active -= 1
         self._kick()

@@ -57,19 +57,15 @@ class EventLoop:
 
     def call_at(self, when: int, callback: Callable, *args) -> Timer:
         # A request in the past fires at the current instant; time is monotone.
-        when = max(int(when), self._now)
+        when = int(when)
+        if when < self._now:
+            when = self._now
         timer = Timer(when, callback, args)
         heapq.heappush(self._heap, (when, next(self._seq), timer))
         return timer
 
     def call_later(self, delay: int, callback: Callable, *args) -> Timer:
         return self.call_at(self.now() + int(delay), callback, *args)
-
-    def _dispatch_next(self) -> None:
-        when, _, timer = heapq.heappop(self._heap)
-        self._now = when
-        if not timer.cancelled:
-            timer.callback(*timer.args)
 
     def run_until(
         self,
@@ -81,17 +77,27 @@ class EventLoop:
         Processes events with fire time <= deadline; if the predicate never
         holds, the clock lands on the deadline (when given) and False comes
         back. With no predicate this simply drains events up to the deadline.
+
+        Events are dispatched inline: each reads the heap head once, and a
+        cancelled head is popped and skipped without a call.
         """
-        while True:
-            if predicate is not None and predicate():
-                return True
-            while self._heap and self._heap[0][2].cancelled:
-                heapq.heappop(self._heap)
-            if not self._heap:
+        heap = self._heap
+        heappop = heapq.heappop
+        while predicate is None or not predicate():
+            while heap:
+                when, _, timer = heap[0]
+                if not timer.cancelled:
+                    break
+                heappop(heap)
+            else:
                 break
-            if deadline is not None and self._heap[0][0] > deadline:
+            if deadline is not None and when > deadline:
                 break
-            self._dispatch_next()
+            heappop(heap)
+            self._now = when
+            timer.callback(*timer.args)
+        else:
+            return True
         if deadline is not None and deadline > self._now:
             self._now = deadline
         return predicate() if predicate is not None else False
@@ -136,10 +142,9 @@ class Link:
     def send(self, frame: bytes) -> None:
         if self._closed:
             raise TransportClosed(f"{self.name} is closed")
-        extra = 0
-        if self.jitter:
-            extra = int(self._rng.random() * self.jitter) if self._rng else 0
-        at = self._loop.now() + self.delay + extra
+        at = self._loop.now() + self.delay
+        if self.jitter and self._rng:
+            at += int(self._rng.random() * self.jitter)
         if at < self._last_delivery:
             at = self._last_delivery
         self._last_delivery = at

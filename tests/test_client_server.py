@@ -12,6 +12,7 @@ from chronorpc.client import (
     ScheduleOutcome,
     ScheduleRejected,
 )
+from chronorpc.live import LiveClient
 from chronorpc.protocol import (
     MILLIS,
     SECONDS,
@@ -250,6 +251,26 @@ class TestNotifications:
         loop, client, server, _ = one_server()
         client.on_frame(b"{{{\n")
         assert client.decode_errors == 1
+
+    def test_unencodable_rpc_leaves_no_pending_call(self):
+        loop, client, server, (down, _) = one_server()
+        for params in ({"k": 5}, None):
+            with pytest.raises(ValueError):
+                client.submit("s1", Operation("noop", params), get_time=True)
+        with pytest.raises(ValueError):
+            client.submit_cancel("s1", "")
+        assert client._pending == {}
+        assert down.frames_sent == 0
+        # the client still works, and nothing is left waiting on the failures
+        assert client.schedule_raw("s1", Operation("noop")).ok
+        assert client._pending == {}
+
+
+def test_unknown_algorithm_is_rejected_at_construction():
+    with pytest.raises(ValueError, match="unknown algorithm: 'median'"):
+        Client(EventLoop(), algorithm="median")
+    with pytest.raises(ValueError, match="unknown algorithm: 'median'"):
+        LiveClient(algorithm="median")
 
 
 class TestCoordinatedOperation:

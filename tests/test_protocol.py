@@ -196,6 +196,19 @@ class TestEncodeValidation:
         with pytest.raises(ValueError):
             encode(RpcMessage("m1", Operation("noop", {"k": "v" * MAX_FRAME_BYTES})))
 
+    @pytest.mark.parametrize(
+        "msg",
+        [
+            RpcMessage("m1", Operation("noop", None)),  # type: ignore[arg-type]
+            RpcMessage("m1", Operation("noop", [("k", "v")])),  # type: ignore[arg-type]
+            RpcReply("m1", "ok", params=[]),  # type: ignore[arg-type]
+            RpcReply("m1", "ok", params="value"),  # type: ignore[arg-type]
+        ],
+    )
+    def test_params_that_are_not_a_dict(self, msg):
+        with pytest.raises(ValueError, match="params must be a dict"):
+            encode(msg)
+
 
 class TestStreamDecoder:
     """A byte stream decodes as decode() over FrameSplitter's frames."""
