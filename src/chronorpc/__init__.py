@@ -39,7 +39,6 @@ from .prediction import (
     Prediction,
     PredictionError,
     PredictorState,
-    SampleWindow,
     evaluate_stream,
     kalman_step,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "Prediction",
     "PredictionError",
     "PredictorState",
-    "SampleWindow",
     "evaluate_stream",
     "kalman_step",
     # simulation

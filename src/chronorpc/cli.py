@@ -30,7 +30,13 @@ from .harness import (
     load_scenario,
     run_scenario,
 )
-from .prediction import ALGORITHMS, PredictionError, read_sample_csv, replay_rows
+from .prediction import (
+    ALGORITHMS,
+    DEFAULT_WINDOW,
+    PredictionError,
+    read_sample_csv,
+    replay_rows,
+)
 
 EXPERIMENTS = {
     "I": "platforms",
@@ -71,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_replay = sub.add_parser("replay", help="run predictors offline over a sample csv")
     p_replay.add_argument("--csv", required=True, help="csv with sequence,scheduled_time_ns,execution_time_ns")
     p_replay.add_argument("--algo", default="all", choices=("all",) + ALGORITHMS)
-    p_replay.add_argument("--window", type=_positive_int, default=8)
+    p_replay.add_argument("--window", type=_positive_int, default=DEFAULT_WINDOW)
     p_replay.add_argument("--out", default=None, help="output csv path (default stdout)")
 
     p_demo = sub.add_parser("demo", help="run a coordination walkthrough")
@@ -149,10 +155,7 @@ def main(argv=None) -> int:
         if args.command == "replay":
             return _cmd_replay(args)
         return _cmd_demo(args)
-    except (CheckFailed, DemoFailure, ScenarioInvalid) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (CheckFailed, DemoFailure, ScenarioInvalid, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -405,8 +405,7 @@ class Client:
                 prediction,
                 desired_completion,
             )
-            self._pending[mid] = call
-            session.send(frame)
+            self._send(session, call, frame)
         return call
 
     def submit_cancel(self, server_id: str, target_id: str) -> PendingCall:
@@ -422,9 +421,19 @@ class Client:
                 get_time=False,
                 sent_at=self._driver.now(),
             )
-            self._pending[mid] = call
-            session.send(frame)
+            self._send(session, call, frame)
         return call
+
+    def _send(self, session: Session, call: PendingCall, frame: bytes) -> None:
+        # Registered before the send, so a transport that delivers
+        # synchronously still finds the call; a send that raises leaves
+        # nothing pending.
+        self._pending[call.message_id] = call
+        try:
+            session.send(frame)
+        except BaseException:
+            self._pending.pop(call.message_id, None)
+            raise
 
     def wait(self, calls: Iterable[PendingCall], deadline: int) -> bool:
         return self._wait_all(calls, "resolved", deadline)

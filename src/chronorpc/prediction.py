@@ -17,8 +17,9 @@ Four algorithms are provided:
                  history (drift of the filtered estimate, and filtered
                  residuals, respectively)
 
-One PredictorState serves any subset of them over one shared window, so
-evaluate_stream compares rules on exactly the same samples in one pass.
+One PredictorState holds the window and serves any subset of them from it,
+so evaluate_stream compares rules on exactly the same samples in one pass;
+each rule is computed in PredictorState.predict and nowhere else.
 
 Arithmetic runs in 64-bit floats on nanosecond values; predictions are
 rounded to whole nanoseconds only at the scheduling boundary.
@@ -41,11 +42,8 @@ __all__ = [
     "ALGORITHMS",
     "DEFAULT_WINDOW",
     "PredictionError",
-    "EmptyWindow",
-    "NotWarm",
     "OutOfOrderSample",
     "EteSample",
-    "SampleWindow",
     "kalman_step",
     "KalmanFilter1D",
     "Prediction",
@@ -64,14 +62,6 @@ REPLAY_INPUT_FIELDS = ("sequence", "scheduled_time_ns", "execution_time_ns")
 
 class PredictionError(Exception):
     pass
-
-
-class EmptyWindow(PredictionError):
-    """A windowed statistic was requested over zero samples."""
-
-
-class NotWarm(PredictionError):
-    """The filter has not yet observed enough samples to predict."""
 
 
 class OutOfOrderSample(PredictionError):
@@ -101,63 +91,6 @@ class EteSample:
             execution_time - scheduled_time,
             sequence_index,
         )
-
-
-class SampleWindow:
-    """Fixed-capacity window of sample offsets ordered by sequence index.
-
-    It keeps the exact integer sum of the offsets it holds, so the mean needs
-    no pass over the window. That sum over n is bit for bit the float mean
-    sum(values()) / n while the absolute offsets held add up to less than
-    2**53 ns (104 days in all, 13 days per offset in a window of 8): below
-    that bound every float partial sum is an exact integer.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_WINDOW):
-        if capacity < 1:
-            raise ValueError("window capacity must be >= 1")
-        self.capacity = capacity
-        self._values: deque[int] = deque(maxlen=capacity)
-        self._total = 0
-        self._last_index: int | None = None
-
-    def push(self, sample: EteSample) -> None:
-        if self._last_index is not None and sample.sequence_index <= self._last_index:
-            raise OutOfOrderSample(
-                f"sequence index {sample.sequence_index} after {self._last_index}"
-            )
-        values = self._values
-        if len(values) == self.capacity:
-            self._total -= values[0]
-        values.append(sample.ete)
-        self._total += sample.ete
-        self._last_index = sample.sequence_index
-
-    def values(self) -> list[float]:
-        return [float(v) for v in self._values]
-
-    def average(self) -> float:
-        """Plain mean, from the running sum; EmptyWindow on no samples."""
-        if not self._values:
-            raise EmptyWindow("average of zero samples")
-        return self._total / len(self._values)
-
-    def ft_average(self) -> float:
-        """Mean with one max and one min occurrence dropped (duplicated
-        extremes keep their surplus copies), from the running sum; the plain
-        mean below 3 samples."""
-        values = self._values
-        n = len(values)
-        if n < 3:
-            return self.average()
-        return (self._total - max(values) - min(values)) / (n - 2)
-
-    @property
-    def last_index(self) -> int | None:
-        return self._last_index
-
-    def __len__(self) -> int:
-        return len(self._values)
 
 
 def _population_variance(values: Sequence[float]) -> float:
@@ -197,72 +130,42 @@ class KalmanFilter1D:
     and residual variance from the last `window` filtered residuals, both
     with 1/N divisors over however many entries exist. Each difference is
     taken once, when its estimate is appended (new minus previous).
-    predict() is valid from the second sample on.
+
+    `count`, `estimate` and `variance` are plain attributes, read-only by
+    contract; PredictorState predicts `estimate` once `count` is 2 or more.
     """
 
     def __init__(self, window: int = DEFAULT_WINDOW):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = window
-        self._estimate = 0.0
-        self._variance = 0.0
+        self.count = 0
+        self.estimate = 0.0
+        self.variance = 0.0
         self._diffs: deque[float] = deque(maxlen=window)
         self._residuals: deque[float] = deque(maxlen=window)
-        self._count = 0
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def warm(self) -> bool:
-        return self._count >= 2
-
-    @property
-    def estimate(self) -> float:
-        return self._estimate
-
-    @property
-    def variance(self) -> float:
-        return self._variance
-
-    def _drift_variance(self) -> float:
-        if not self._diffs:
-            return 0.0
-        return _population_variance(self._diffs)
-
-    def predict(self) -> float:
-        """Predicted next offset given everything observed so far."""
-        if not self.warm:
-            raise NotWarm(f"kalman filter has {self._count} samples, needs 2")
-        return self._estimate
-
-    def predicted_variance(self) -> float:
-        if not self.warm:
-            raise NotWarm(f"kalman filter has {self._count} samples, needs 2")
-        return self._variance + self._drift_variance()
 
     def observe(self, measurement: float) -> None:
         measurement = float(measurement)
-        if self._count == 0:
-            self._estimate = measurement
-            self._variance = 0.0
+        if self.count == 0:
+            self.estimate = measurement
+            self.variance = 0.0
         else:
-            # The noise terms: drift variance as _drift_variance gives it,
-            # and residual variance once two residuals are held.
+            # The noise terms: drift variance over the differences held, and
+            # residual variance once two residuals are held.
             diffs = self._diffs
             residuals = self._residuals
-            previous = self._estimate
-            self._estimate, self._variance, _ = kalman_step(
+            previous = self.estimate
+            self.estimate, self.variance, _ = kalman_step(
                 previous,
-                self._variance,
+                self.variance,
                 _population_variance(diffs) if diffs else 0.0,
                 _population_variance(residuals) if len(residuals) >= 2 else 0.0,
                 measurement,
             )
-            diffs.append(self._estimate - previous)
-        self._residuals.append(measurement - self._estimate)
-        self._count += 1
+            diffs.append(self.estimate - previous)
+        self._residuals.append(measurement - self.estimate)
+        self.count += 1
 
 
 @dataclass(slots=True)
@@ -280,8 +183,17 @@ class Prediction:
 
 
 class PredictorState:
-    """Per-(server, operation-type) predictor: one window serving each of the
-    rules it was built with.
+    """Per-(server, operation-type) predictor: one window of offsets serving
+    each of the rules it was built with.
+
+    The window holds the last `window` offsets in sequence order
+    (`offsets`), their exact integer sum (`total`), the last sequence index
+    pushed (`last_index`) and how many samples were ever pushed
+    (`sample_count`); all are read-only by contract. The mean needs no pass
+    over the window: total / n is bit for bit the float mean
+    sum(map(float, offsets)) / n while the absolute offsets held add up to
+    less than 2**53 ns (104 days in all, 13 days per offset in a window of
+    8), since below that bound every float partial sum is an exact integer.
 
     Cold-start ladder: with no samples every rule predicts 0 (baseline); the
     Kalman rule additionally falls back to the window average until the
@@ -292,59 +204,68 @@ class PredictorState:
         for name in algorithms:
             if name not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm: {name!r}")
+        if window < 1:
+            raise ValueError("window must be >= 1")
         self.algorithms = tuple(algorithms)
-        self.window = SampleWindow(window)
+        self.window = window
+        self.offsets: deque[int] = deque(maxlen=window)
+        self.total = 0
+        self.last_index: int | None = None
+        self.sample_count = 0
         self.kalman = KalmanFilter1D(window) if "kalman" in self.algorithms else None
-        self._pushed = 0
-
-    @property
-    def sample_count(self) -> int:
-        return self._pushed
 
     def push(self, sample: EteSample) -> None:
-        self.window.push(sample)
+        index = sample.sequence_index
+        last = self.last_index
+        if last is not None and index <= last:
+            raise OutOfOrderSample(f"sequence index {index} after {last}")
+        ete = sample.ete
+        offsets = self.offsets
+        if len(offsets) == self.window:
+            self.total -= offsets[0]
+        offsets.append(ete)
+        self.total += ete
+        self.last_index = index
         if self.kalman is not None:
-            self.kalman.observe(float(sample.ete))
-        self._pushed += 1
+            self.kalman.observe(ete)
+        self.sample_count += 1
 
     def push_times(self, scheduled_time: int, execution_time: int) -> EteSample:
         sample = EteSample(
-            scheduled_time, execution_time, execution_time - scheduled_time, self._pushed
+            scheduled_time,
+            execution_time,
+            execution_time - scheduled_time,
+            self.sample_count,
         )
         self.push(sample)
         return sample
 
     def predict(self, algorithm: str) -> Prediction:
-        """The rule's prediction, rounded to whole nanoseconds.
-
-        Reads the window's running sum and the filter's estimate in place,
-        the same floats SampleWindow.average/ft_average and
-        KalmanFilter1D.predict return; round() of a float is already an int.
-        """
+        """The rule's prediction, rounded to whole nanoseconds (round() of a
+        float is already an int)."""
         if algorithm not in self.algorithms:
             raise ValueError(f"predictor not built for {algorithm!r}")
         if algorithm == "baseline":
             return Prediction(0, 0.0, "baseline")
-        window = self.window
-        values = window._values
-        n = len(values)
+        offsets = self.offsets
+        n = len(offsets)
         if not n:
             return Prediction(0, 0.0, "baseline", True)
         if algorithm == "average":
-            raw = window._total / n
+            raw = self.total / n
             return Prediction(round(raw), raw, "average")
         if algorithm == "ft-average":
             if n < 3:
-                raw = window._total / n
+                raw = self.total / n
             else:
-                raw = (window._total - max(values) - min(values)) / (n - 2)
+                raw = (self.total - max(offsets) - min(offsets)) / (n - 2)
             return Prediction(round(raw), raw, "ft-average")
         # kalman
         kalman = self.kalman
-        if kalman._count < 2:
-            raw = window._total / n
+        if kalman.count < 2:
+            raw = self.total / n
             return Prediction(round(raw), raw, "average", True)
-        raw = kalman._estimate
+        raw = kalman.estimate
         return Prediction(round(raw), raw, "kalman")
 
 

@@ -1,7 +1,7 @@
 """List-based copies of the windowed rules and the Kalman noise estimators.
 
-The package computes these quantities incrementally (SampleWindow keeps a
-running sum, KalmanFilter1D keeps its differences and residuals in deques).
+The package computes these quantities incrementally (PredictorState keeps
+a running sum, KalmanFilter1D keeps its differences and residuals in deques).
 The functions here recompute them from plain lists with the same operations
 in the same order, so the incremental code must match them bit for bit
 (`==`), where tests/_reference.py is an independent oracle checked to a
@@ -12,7 +12,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from chronorpc.prediction import EmptyWindow, PredictionError
+from chronorpc.prediction import PredictionError
+
+
+class EmptyWindow(PredictionError):
+    """A windowed statistic was requested over zero samples."""
 
 
 class InsufficientHistory(PredictionError):

@@ -19,6 +19,7 @@ from chronorpc.protocol import (
     Operation,
     RpcReply,
     SchedulingRangeConfig,
+    TransportClosed,
     encode,
 )
 from chronorpc.server import ExecutionModel, Server
@@ -121,7 +122,7 @@ class TestFeedback:
         client.schedule_raw("s1", Operation("noop"), client.now() + SECONDS)
         state = client.predictor("s1", "noop")
         assert state.sample_count == 1
-        assert state.window.values() == [25 * MILLIS]
+        assert list(state.offsets) == [25 * MILLIS]
 
     def test_immediate_ops_do_not_feed(self):
         loop, client, server, _ = one_server()
@@ -263,6 +264,15 @@ class TestNotifications:
         assert down.frames_sent == 0
         # the client still works, and nothing is left waiting on the failures
         assert client.schedule_raw("s1", Operation("noop")).ok
+        assert client._pending == {}
+
+    def test_failed_send_leaves_no_pending_call(self):
+        loop, client, server, (down, _) = one_server()
+        down.close()
+        with pytest.raises(TransportClosed):
+            client.submit("s1", Operation("noop"), get_time=True)
+        with pytest.raises(TransportClosed):
+            client.submit_cancel("s1", "m1")
         assert client._pending == {}
 
 

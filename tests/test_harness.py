@@ -452,6 +452,24 @@ class TestCli:
     def test_run_missing_file(self, tmp_path, capsys):
         assert main(["run", "--scenario", str(tmp_path / "nope.txt")]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--scenario", "{dir}"],
+            ["replay", "--csv", "{dir}"],
+            ["replay", "--csv", "{csv}", "--out", "{dir}"],
+        ],
+        ids=["run-scenario", "replay-csv", "replay-out"],
+    )
+    def test_directory_path_is_an_error(self, tmp_path, capsys, argv):
+        src = tmp_path / "samples.csv"
+        src.write_text(
+            "sequence,scheduled_time_ns,execution_time_ns\n0,1000,31000\n",
+            encoding="utf-8",
+        )
+        assert main([a.format(dir=tmp_path, csv=src) for a in argv]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_replay(self, tmp_path, capsys):
         src = tmp_path / "samples.csv"
         src.write_text(

@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 
 from chronorpc.prediction import (
     ALGORITHMS,
-    EmptyWindow,
     EteSample,
     KalmanFilter1D,
-    NotWarm,
     OutOfOrderSample,
     PredictorState,
-    SampleWindow,
     evaluate_stream,
     kalman_step,
     read_sample_csv,
@@ -61,45 +58,49 @@ def rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(b))
 
 
-def window_of(etes) -> SampleWindow:
-    """A window that holds exactly the given offsets."""
-    w = SampleWindow(max(1, len(etes)))
+def window_of(etes) -> PredictorState:
+    """A state for every rule whose window holds exactly the given offsets."""
+    state = PredictorState(ALGORITHMS, max(1, len(etes)))
     for s in make_samples(etes):
-        w.push(s)
-    return w
+        state.push(s)
+    return state
+
+
+def is_cold(p) -> bool:
+    """The baseline fallback a rule gives over an empty window."""
+    return (p.value, p.raw, p.algorithm, p.fallback) == (0, 0.0, "baseline", True)
 
 
 class TestAverage:
     def test_hand_example(self):
         w = window_of([1 * MILLIS, 2 * MILLIS, 3 * MILLIS, 10 * MILLIS])
-        assert w.average() == 4 * MILLIS
+        assert w.predict("average").raw == 4 * MILLIS
 
     def test_single(self):
-        assert window_of([7]).average() == 7.0
+        assert window_of([7]).predict("average").raw == 7.0
 
     def test_empty(self):
-        with pytest.raises(EmptyWindow):
-            window_of([]).average()
+        assert is_cold(window_of([]).predict("average"))
 
 
 class TestFtAverage:
     def test_drops_extremes(self):
-        got = window_of([1 * MILLIS, 2 * MILLIS, 3 * MILLIS, 10 * MILLIS]).ft_average()
-        assert got == 2.5 * MILLIS
+        w = window_of([1 * MILLIS, 2 * MILLIS, 3 * MILLIS, 10 * MILLIS])
+        assert w.predict("ft-average").raw == 2.5 * MILLIS
 
     def test_short_window_is_plain_mean(self):
-        assert window_of([5 * MILLIS, 9 * MILLIS]).ft_average() == 7 * MILLIS
+        w = window_of([5 * MILLIS, 9 * MILLIS])
+        assert w.predict("ft-average").raw == 7 * MILLIS
 
     def test_constant_window(self):
-        assert window_of([4 * MILLIS] * 4).ft_average() == 4 * MILLIS
+        assert window_of([4 * MILLIS] * 4).predict("ft-average").raw == 4 * MILLIS
 
     def test_duplicated_max_removed_once(self):
         # one 5 dropped as max, the 1 dropped as min; the other 5 stays
-        assert window_of([5, 5, 5, 1]).ft_average() == 5.0
+        assert window_of([5, 5, 5, 1]).predict("ft-average").raw == 5.0
 
     def test_empty(self):
-        with pytest.raises(EmptyWindow):
-            window_of([]).ft_average()
+        assert is_cold(window_of([]).predict("ft-average"))
 
 
 class TestVarianceEstimates:
@@ -181,21 +182,21 @@ class TestKalmanStep:
 
 class TestKalmanFilter:
     def test_not_warm_until_two(self):
-        f = KalmanFilter1D(8)
-        with pytest.raises(NotWarm):
-            f.predict()
-        f.observe(20.0 * MILLIS)
-        with pytest.raises(NotWarm):
-            f.predict()
-        f.observe(20.0 * MILLIS)
-        assert f.predict() == 20.0 * MILLIS
+        state = PredictorState(("kalman",), 8)
+        ran = []
+        for s in make_samples([20 * MILLIS] * 2):
+            ran.append(state.predict("kalman").algorithm)
+            state.push(s)
+        p = state.predict("kalman")
+        assert ran + [p.algorithm] == ["baseline", "average", "kalman"]
+        assert p.raw == 20.0 * MILLIS
 
     def test_constant_stream_fixed_point(self):
         f = KalmanFilter1D(8)
         for _ in range(20):
             f.observe(20.0 * MILLIS)
-        assert f.predict() == 20.0 * MILLIS
-        assert f.predicted_variance() == 0.0
+        assert f.estimate == 20.0 * MILLIS
+        assert f.variance == 0.0
 
     def test_trace_matches_reference(self):
         trace = [float(v) for v in make_trace()]
@@ -225,37 +226,44 @@ class TestKalmanFilter:
 
 
 class TestSampleWindow:
+    """The window of offsets a PredictorState holds."""
+
     def test_eviction(self):
-        w = SampleWindow(3)
+        state = PredictorState(("average",), 3)
         for s in make_samples([1, 2, 3, 4]):
-            w.push(s)
-        assert w.values() == [2.0, 3.0, 4.0]
-        assert len(w) == 3
+            state.push(s)
+        assert list(state.offsets) == [2, 3, 4]
+        assert state.total == 9
+        assert state.sample_count == 4
 
     def test_out_of_order(self):
-        w = SampleWindow(3)
+        state = PredictorState(ALGORITHMS, 3)
         samples = make_samples([5, 6])
-        w.push(samples[1])
+        state.push(samples[1])
         with pytest.raises(OutOfOrderSample):
-            w.push(samples[0])
+            state.push(samples[0])
+        # the rejected sample reached neither the window nor the filter
+        assert list(state.offsets) == [6]
+        assert (state.sample_count, state.kalman.count) == (1, 1)
 
     def test_duplicate_index(self):
-        w = SampleWindow(3)
+        state = PredictorState(("average",), 3)
         sample = make_samples([5])[0]
-        w.push(sample)
+        state.push(sample)
         with pytest.raises(OutOfOrderSample):
-            w.push(sample)
+            state.push(sample)
 
     def test_empty_push_one(self):
-        w = SampleWindow(4)
-        assert len(w) == 0
-        w.push(make_samples([9])[0])
-        assert len(w) == 1
-        assert w.last_index == 0
+        state = PredictorState(("average",), 4)
+        assert len(state.offsets) == 0
+        assert state.last_index is None
+        state.push(make_samples([9])[0])
+        assert len(state.offsets) == 1
+        assert state.last_index == 0
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            SampleWindow(0)
+            PredictorState(("average",), 0)
 
 
 class TestEteSample:
@@ -399,8 +407,9 @@ class TestProperties:
     def test_shift_equivariance(self, values, shift):
         base = window_of(values)
         moved = window_of([v + shift for v in values])
-        assert rel_err(moved.average(), base.average() + shift) <= 1e-12
-        assert rel_err(moved.ft_average(), base.ft_average() + shift) <= 1e-12
+        for rule in ("average", "ft-average"):
+            got, want = moved.predict(rule).raw, base.predict(rule).raw + shift
+            assert rel_err(got, want) <= 1e-12, rule
 
     @settings(max_examples=150)
     @given(values=st.lists(st.integers(min_value=0, max_value=10**9), min_size=3, max_size=12))
@@ -408,15 +417,16 @@ class TestProperties:
         raised = list(values)
         top = max(raised)
         raised[raised.index(top)] = top * 1000 + 1  # unique maximum for sure
-        assert window_of(raised).ft_average() == window_of(values).ft_average()
+        got = window_of(raised).predict("ft-average").raw
+        assert got == window_of(values).predict("ft-average").raw
 
     @settings(max_examples=150)
     @given(values=etes)
     def test_outputs_within_window_bounds(self, values):
         w = window_of(values)
         lo, hi = min(values), max(values)
-        assert lo <= w.average() <= hi
-        assert lo <= w.ft_average() <= hi
+        assert lo <= w.predict("average").raw <= hi
+        assert lo <= w.predict("ft-average").raw <= hi
 
     @settings(max_examples=100)
     @given(values=st.lists(st.integers(min_value=0, max_value=10**11), min_size=2, max_size=20))
@@ -424,7 +434,7 @@ class TestProperties:
         f = KalmanFilter1D(8)
         for v in values:
             f.observe(float(v))
-        assert min(values) <= f.predict() <= max(values)
+        assert min(values) <= f.estimate <= max(values)
 
     @settings(max_examples=50)
     @given(values=etes)
@@ -455,8 +465,8 @@ def windowed_streams(draw):
 def list_kalman_replay(values, window):
     """Kalman raws replayed on plain lists through the list-based rules,
     with the cold-start fallback PredictorState applies, and the filter's
-    predicted variance before each sample (None while cold)."""
-    raws, predicted_variances = [], []
+    variance after each sample."""
+    raws, variances = [], []
     measurements, estimates = [], []
     estimate = variance = 0.0
 
@@ -467,11 +477,9 @@ def list_kalman_replay(values, window):
     for i, v in enumerate(values):
         if i >= 2:
             raws.append(estimate)
-            predicted_variances.append(variance + drift_variance())
         else:
             held = [float(x) for x in values[max(0, i - window) : i]]
             raws.append(average(held) if held else 0.0)
-            predicted_variances.append(None)
         x = float(v)
         if i == 0:
             estimate, variance = x, 0.0
@@ -485,7 +493,8 @@ def list_kalman_replay(values, window):
             )
         measurements.append(x)
         estimates.append(estimate)
-    return raws, predicted_variances
+        variances.append(variance)
+    return raws, variances
 
 
 class TestIncrementalWindowMatchesLists:
@@ -505,9 +514,6 @@ class TestIncrementalWindowMatchesLists:
         for i, sample in enumerate(samples):
             for algo in ALGORITHMS:
                 assert state.predict(algo).raw == expected[algo][i], (algo, i)
-            if state.kalman.warm:
-                assert state.kalman.predicted_variance() == kalman_variances[i], i
             state.push(sample)
-            assert state.window.values() == [
-                float(x) for x in values[max(0, i + 1 - window) : i + 1]
-            ]
+            assert state.kalman.variance == kalman_variances[i], i
+            assert list(state.offsets) == values[max(0, i + 1 - window) : i + 1]
