@@ -87,7 +87,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    scenario = load_scenario(args.scenario)
+    try:
+        scenario = load_scenario(args.scenario)
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.scenario}: {exc}", file=sys.stderr)
+        return 1
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     result = run_scenario(scenario, out_dir=args.out)

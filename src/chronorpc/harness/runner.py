@@ -27,7 +27,7 @@ from ..client import Client, ClientError, PendingCall, operation_type, probe_ope
 from ..prediction import EteSample, Prediction, PredictorState, evaluate_stream
 from ..probing import BurstProbe, run_probe_plan
 from ..protocol import MILLIS, Operation
-from ..server import Server
+from ..server import OpState, Server
 from ..sim import EventLoop, Link, named_rng
 from .scenario import Scenario
 
@@ -223,7 +223,7 @@ def check_world(world: World) -> None:
         if ends != sorted(ends):
             raise CheckFailed(f"{sid}: execution log is not ordered by completion")
         for mid, op in server.ops.items():
-            if op.state.value == "cancelled" and mid in executed:
+            if op.state is OpState.CANCELLED and mid in executed:
                 raise CheckFailed(f"{sid}: cancelled op {mid} was executed")
     if world.client.decode_errors:
         raise CheckFailed("client saw undecodable frames")

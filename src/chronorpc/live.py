@@ -25,7 +25,7 @@ import time
 from .client import Client
 from .protocol import FrameSplitter, SchedulingRangeConfig
 from .server import ExecutionModel, Server
-from .sim import EventLoop, Timer
+from .sim import EventLoop
 
 __all__ = [
     "ThreadScheduler",
@@ -53,14 +53,14 @@ class LiveDriver(EventLoop):
     def now(self) -> int:
         return time.time_ns()
 
-    def call_at(self, when: int, callback, *args) -> Timer:
+    def call_at(self, when: int, callback, *args) -> None:
         with self._cond:
             if self._closed:
                 raise RuntimeError("scheduler is closed")
-            timer = super().call_at(when, callback, *args)
-            if self._heap[0][2] is timer:
+            head = self._heap[0] if self._heap else None
+            super().call_at(when, callback, *args)
+            if self._heap[0] is not head:  # the new entry is the head
                 self._cond.notify_all()
-        return timer
 
     def wait_until(self, predicate, deadline: int | None) -> bool:
         """Fire due timers until the predicate holds or the deadline passes.

@@ -33,8 +33,15 @@ escaped to ASCII as json.dumps escapes them by default, integers in plain
 decimal and booleans as true/false. That is byte for byte what
 json.dumps(obj, separators=(",", ":")) writes for the same dict. The
 per-type encoders below reproduce it without building the dict, and
-tests/test_protocol.py holds them to a json.dumps reference. decode()
-accepts any key order and whitespace within a frame.
+tests/test_protocol.py holds them to a json.dumps reference.
+
+decode() reads the canonical frames the cores send straight off their
+bytes: a bytes frame in the canonical layout of an rpc with empty params,
+an ok reply without params, a notification or a cancel-schedule, whose
+strings are printable ASCII without '"' or '\\' and whose integers have at
+most 19 digits. Every other frame goes through JSON, which accepts any key
+order and whitespace within a frame and is the one place errors are
+raised. Either path gives the same message for the same frame.
 
 The message records (Operation and the four message types) are built for
 every frame, so they are slotted but not frozen: a frozen __init__ sets
@@ -48,6 +55,7 @@ from __future__ import annotations
 
 import enum
 import json
+import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -426,6 +434,70 @@ def _decode_cancel(obj: dict) -> CancelSchedule:
 
 _scan_once = json.JSONDecoder().scan_once  # the scanner json.loads runs
 
+# The canonical layouts encode() writes, read without the JSON scanner. A
+# string admits only printable ASCII without '"' or '\', which JSON reads as
+# itself; an integer only up to 19 digits with no leading zero and no "-0",
+# which JSON reads as the same int and int() never refuses. A frame that
+# misses on any byte goes to the JSON path.
+_STR = rb'"([\x20\x21\x23-\x5b\x5d-\x7e]+)"'
+_INT = rb"(0|-?[1-9][0-9]{0,18})"
+
+
+def _canonical_rpc(message_id, op, scheduled_time, get_time):
+    return RpcMessage(
+        message_id.decode(),
+        Operation(op.decode(), {}),
+        None if scheduled_time is None else int(scheduled_time),
+        get_time is not None,
+    )
+
+
+def _canonical_reply(message_id, execution_time):
+    execution_time = None if execution_time is None else int(execution_time)
+    return RpcReply(message_id.decode(), "ok", None, "", execution_time, None)
+
+
+def _canonical_notification(message_id, accepted):
+    return ScheduleNotification(message_id.decode(), accepted == b"true")
+
+
+def _canonical_cancel(message_id, target_id):
+    return CancelSchedule(message_id.decode(), target_id.decode())
+
+
+# Keyed by frame[9:13], the first four bytes of the type after '{"type":"'.
+_CANONICAL = {
+    b'rpc"': (
+        re.compile(
+            rb'\{"type":"rpc","message-id":' + _STR + rb',"op":' + _STR
+            + rb',"params":\{\}(?:,"scheduled-time":' + _INT + rb")?"
+            + rb'(,"get-time":true)?\}\n'
+        ).fullmatch,
+        _canonical_rpc,
+    ),
+    b"rpc-": (
+        re.compile(
+            rb'\{"type":"rpc-reply","message-id":' + _STR
+            + rb',"status":"ok"(?:,"execution-time":' + _INT + rb")?\}\n"
+        ).fullmatch,
+        _canonical_reply,
+    ),
+    b"noti": (
+        re.compile(
+            rb'\{"type":"notification","message-id":' + _STR
+            + rb',"accepted":(true|false)\}\n'
+        ).fullmatch,
+        _canonical_notification,
+    ),
+    b"canc": (
+        re.compile(
+            rb'\{"type":"cancel-schedule","message-id":' + _STR
+            + rb',"target-id":' + _STR + rb"\}\n"
+        ).fullmatch,
+        _canonical_cancel,
+    ),
+}
+
 _DECODERS = {
     "rpc": _decode_rpc,
     "rpc-reply": _decode_reply,
@@ -445,6 +517,12 @@ def decode(data: bytes | bytearray | str) -> Message:
             data = data.encode("utf-8")
         elif not isinstance(data, bytearray):
             data = bytes(data)
+    elif len(data) <= MAX_FRAME_BYTES:
+        canonical = _CANONICAL.get(data[9:13])
+        if canonical is not None:
+            match = canonical[0](data)
+            if match is not None:
+                return canonical[1](*match.groups())
     size = len(data)
     if size > MAX_FRAME_BYTES:
         raise MalformedFrame(f"frame exceeds {MAX_FRAME_BYTES} bytes")
@@ -522,6 +600,13 @@ class Verdict(enum.Enum):
     REJECT = "reject"
 
 
+# Read on every scheduled rpc. On Python 3.11 reading an Enum member off its
+# class costs several times a module global, so each is bound once here.
+_ACCEPT = Verdict.ACCEPT
+_ACCEPT_RUN_NOW = Verdict.ACCEPT_RUN_NOW
+_REJECT = Verdict.REJECT
+
+
 @dataclass(frozen=True)
 class SchedulingRangeConfig:
     """Acceptable scheduling range around the server's current time.
@@ -551,7 +636,7 @@ def validate_schedule(
     """
     offset = scheduled_time - now
     if 0 <= offset <= config.sched_max_future:
-        return Verdict.ACCEPT
+        return _ACCEPT
     if -config.sched_max_past <= offset < 0:
-        return Verdict.ACCEPT_RUN_NOW
-    return Verdict.REJECT
+        return _ACCEPT_RUN_NOW
+    return _REJECT

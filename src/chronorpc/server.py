@@ -129,6 +129,16 @@ class OpState(enum.Enum):
     CANCELLED = "cancelled"
 
 
+# Read on every rpc. On Python 3.11 reading an Enum member off its class
+# costs several times a module global, so each is bound once here.
+_PENDING = OpState.PENDING
+_RUNNING = OpState.RUNNING
+_DONE = OpState.DONE
+_CANCELLED = OpState.CANCELLED
+_REJECT = Verdict.REJECT
+_ACCEPT_RUN_NOW = Verdict.ACCEPT_RUN_NOW
+
+
 @dataclass(slots=True)
 class PendingOp:
     message_id: str
@@ -232,7 +242,7 @@ class Server:
             return
 
         verdict = validate_schedule(scheduled_time, self._sched.now(), self.range_config)
-        if verdict is Verdict.REJECT:
+        if verdict is _REJECT:
             self.rejected_ids.add(mid)
             self._send(encode(ScheduleNotification(mid, False)))
             self._reply(
@@ -244,7 +254,7 @@ class Server:
             )
             return
         self.ops[mid] = op
-        if verdict is Verdict.ACCEPT_RUN_NOW:
+        if verdict is _ACCEPT_RUN_NOW:
             self._enqueue_ready(op)
             return
         # Accept: queue until due and acknowledge ahead of the scheduled time.
@@ -264,14 +274,14 @@ class Server:
                 RpcReply.make_error(msg.message_id, ERR_UNKNOWN_MESSAGE_ID, msg.target_id)
             )
             return
-        if target.state is OpState.PENDING:
-            # Its timer stays on the heap and fires as a no-op in _on_due.
-            target.state = OpState.CANCELLED
+        if target.state is _PENDING:
+            # Its heap entry stays and fires as a no-op in _on_due.
+            target.state = _CANCELLED
             self._reply(RpcReply.make_ok(msg.message_id))
             # Resolve the withdrawn rpc for its requester as well.
             self._reply(RpcReply.make_error(msg.target_id, ERR_CANCELLED))
             return
-        if target.state is OpState.CANCELLED:
+        if target.state is _CANCELLED:
             self._reply(RpcReply.make_ok(msg.message_id))
             return
         self._reply(
@@ -281,7 +291,7 @@ class Server:
     # -- executor ---------------------------------------------------------
 
     def _on_due(self, op: PendingOp) -> None:
-        if op.state is OpState.PENDING:
+        if op.state is _PENDING:
             self._enqueue_ready(op)
 
     def _enqueue_ready(self, op: PendingOp) -> None:
@@ -291,7 +301,7 @@ class Server:
     def _kick(self) -> None:
         while self._active < self.lanes and self._ready:
             op = self._ready.popleft()
-            if op.state is not OpState.PENDING:
+            if op.state is not _PENDING:
                 continue
             self._begin(op)
 
@@ -301,7 +311,7 @@ class Server:
         gap = None if self._last_start is None else t_start - self._last_start
         run, op.spiked = self.model.draw_run(self._rng, gap)
         run += self._extra_time(op.operation)
-        op.state = OpState.RUNNING
+        op.state = _RUNNING
         op.t_start = t_start
         op.t_end = t_start + run
         self._last_start = t_start
@@ -322,7 +332,7 @@ class Server:
     def _complete(self, op: PendingOp) -> None:
         params, error_code, detail = self._apply(op.operation)
         self.log.append(op)
-        op.state = OpState.DONE
+        op.state = _DONE
         if error_code is not None:
             self._reply(RpcReply.make_error(op.message_id, error_code, detail))
         else:

@@ -2,9 +2,11 @@
 
 Everything in the simulated world shares one EventLoop. Events fire exactly
 at their scheduled nanosecond instants; ties break by insertion order; the
-clock never moves backward. All randomness derives from a root seed through
-named substreams so adding one more actor never perturbs the draws of the
-existing ones.
+clock never moves backward. A scheduled callback cannot be withdrawn: it
+always fires, and a caller that changes its mind (the server cancelling a
+pending op) makes the callback a no-op instead. All randomness derives from
+a root seed through named substreams so adding one more actor never perturbs
+the draws of the existing ones.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable
 
 from .protocol import TransportClosed
 
-__all__ = ["Timer", "EventLoop", "Link", "named_rng"]
+__all__ = ["EventLoop", "Link", "named_rng"]
 
 
 def named_rng(seed: int, *names: object) -> random.Random:
@@ -29,43 +31,27 @@ def named_rng(seed: int, *names: object) -> random.Random:
     return random.Random(label)
 
 
-class Timer:
-    """Handle for a scheduled callback; cancel() is idempotent."""
-
-    __slots__ = ("when", "callback", "args", "cancelled")
-
-    def __init__(self, when: int, callback: Callable, args: tuple):
-        self.when = when
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
 class EventLoop:
     """Virtual-time event loop ordered by (fire time, insertion order)."""
 
     def __init__(self, start: int = 0):
         self._now = start
-        self._heap: list[tuple[int, int, Timer]] = []
+        # (fire time, insertion number, callback, args)
+        self._heap: list[tuple[int, int, Callable, tuple]] = []
         self._seq = itertools.count()
 
     def now(self) -> int:
         return self._now
 
-    def call_at(self, when: int, callback: Callable, *args) -> Timer:
+    def call_at(self, when: int, callback: Callable, *args) -> None:
         # A request in the past fires at the current instant; time is monotone.
         when = int(when)
         if when < self._now:
             when = self._now
-        timer = Timer(when, callback, args)
-        heapq.heappush(self._heap, (when, next(self._seq), timer))
-        return timer
+        heapq.heappush(self._heap, (when, next(self._seq), callback, args))
 
-    def call_later(self, delay: int, callback: Callable, *args) -> Timer:
-        return self.call_at(self.now() + int(delay), callback, *args)
+    def call_later(self, delay: int, callback: Callable, *args) -> None:
+        self.call_at(self.now() + int(delay), callback, *args)
 
     def run_until(
         self,
@@ -78,24 +64,19 @@ class EventLoop:
         holds, the clock lands on the deadline (when given) and False comes
         back. With no predicate this simply drains events up to the deadline.
 
-        Events are dispatched inline: each reads the heap head once, and a
-        cancelled head is popped and skipped without a call.
+        Events are dispatched inline, each reading the heap head once.
         """
         heap = self._heap
         heappop = heapq.heappop
         while predicate is None or not predicate():
-            while heap:
-                when, _, timer = heap[0]
-                if not timer.cancelled:
-                    break
-                heappop(heap)
-            else:
+            if not heap:
                 break
+            when, _, callback, args = heap[0]
             if deadline is not None and when > deadline:
                 break
             heappop(heap)
             self._now = when
-            timer.callback(*timer.args)
+            callback(*args)
         else:
             return True
         if deadline is not None and deadline > self._now:
@@ -106,7 +87,7 @@ class EventLoop:
     wait_until = run_until
 
     def pending(self) -> int:
-        return sum(1 for _, _, t in self._heap if not t.cancelled)
+        return len(self._heap)
 
 
 class Link:

@@ -27,9 +27,9 @@ from chronorpc.harness import (
     run_scenario,
     spike_window_split,
 )
+from chronorpc import protocol
 from chronorpc.protocol import MICROS, MILLIS, SECONDS
 from chronorpc.server import ExecutionModel
-from chronorpc.sim import Timer
 
 
 class TestParseDuration:
@@ -270,17 +270,38 @@ def test_shipped_scenarios_match_golden_digests():
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, name
 
 
-def test_finished_run_retains_no_timers():
-    # The result keeps every server's ops reachable; a fired or cancelled
-    # timer must not stay alive through them.
-    def timers() -> int:
-        gc.collect()
-        return sum(1 for o in gc.get_objects() if isinstance(o, Timer))
+def test_shipped_scenarios_decode_without_the_json_scanner(monkeypatch):
+    # Every frame layout the cores send in the shipped scenarios is
+    # canonical, so decode() reads each one without the JSON scanner.
+    scanned = []
+    scan = protocol._scan_once
 
-    before = timers()
+    def recording_scan(text, index):
+        scanned.append(text)
+        return scan(text, index)
+
+    monkeypatch.setattr(protocol, "_scan_once", recording_scan)
+    for path in sorted(SCENARIO_DIR.glob("*.txt")):
+        scenario = load_scenario(path)
+        result = run_scenario(replace(scenario, samples=scenario.window, trials=2))
+        assert all(server.log for server in result.world.servers.values())
+    assert scanned == []
+    # A frame with spaces is not canonical, and the patch sees it scanned.
+    protocol.decode(b'{"type": "notification", "message-id": "m1", "accepted": true}\n')
+    assert len(scanned) == 1
+
+
+def test_finished_run_retains_no_timers():
+    # The result keeps every server's ops reachable through `ops` and `log`;
+    # nothing else, such as a fired event-loop entry, may hold a finished op.
     result = run_scenario(load_scenario(SCENARIO_DIR / "spikes.txt"))
     assert result.spike_indices
-    assert timers() == before
+    gc.collect()
+    for server in result.world.servers.values():
+        assert server.log
+        holders = sorted([id(server.ops), id(server.log)])
+        for op in server.log:
+            assert sorted(map(id, gc.get_referrers(op))) == holders
 
 
 # sha256 of each experiment's csv_text() and of each demo's printed lines at
@@ -451,6 +472,12 @@ class TestCli:
 
     def test_run_missing_file(self, tmp_path, capsys):
         assert main(["run", "--scenario", str(tmp_path / "nope.txt")]) == 1
+
+    def test_run_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "scn.txt"
+        path.write_bytes("samples = 5\n".encode("utf-16"))  # starts ff fe
+        assert main(["run", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     @pytest.mark.parametrize(
         "argv",

@@ -91,8 +91,6 @@ def test_thread_scheduler_ordering():
     try:
         sched.call_at(base + 60 * MILLIS, hits.append, "b")
         sched.call_at(base + 20 * MILLIS, hits.append, "a")
-        timer = sched.call_at(base + 40 * MILLIS, hits.append, "x")
-        timer.cancel()
         time.sleep(0.2)
         assert hits == ["a", "b"]
     finally:

@@ -400,6 +400,13 @@ def _outcome(fn, arg):
         )
 
 
+# One canonical frame of each layout decode() reads without the JSON scanner.
+_RPC = b'{"type":"rpc","message-id":"m1","op":"noop","params":{},"scheduled-time":5,"get-time":true}\n'
+_REPLY = b'{"type":"rpc-reply","message-id":"m1","status":"ok","execution-time":7}\n'
+_NOTIFY = b'{"type":"notification","message-id":"m1","accepted":true}\n'
+_CANCEL = b'{"type":"cancel-schedule","message-id":"m2","target-id":"m1"}\n'
+
+
 class TestReferenceEquivalence:
     """The per-type codec against the plain dict + json.dumps reference."""
 
@@ -413,6 +420,18 @@ class TestReferenceEquivalence:
 
     @settings(max_examples=300)
     @given(frame=_mutated_frames(), as_bytearray=st.booleans())
+    # Near misses of the canonical layouts, which only the JSON path reads.
+    @example(frame=_NOTIFY.replace(b'"m1"', b'"m\\u0031"'), as_bytearray=False)
+    @example(frame=_NOTIFY.replace(b'"m1"', '"m\u00e9"'.encode()), as_bytearray=False)
+    @example(frame=_RPC.replace(b"true", b"false"), as_bytearray=False)
+    @example(frame=_RPC.replace(b":5,", b":01,"), as_bytearray=False)
+    @example(frame=_REPLY.replace(b":7}", b":-0}"), as_bytearray=False)
+    @example(frame=_RPC.replace(b":5,", b":12345678901234567890,"), as_bytearray=False)
+    @example(frame=_REPLY.replace(b":7}", b":" + b"1" * 5000 + b"}"), as_bytearray=False)
+    @example(frame=_RPC.replace(b"{}", b"{ }"), as_bytearray=False)
+    @example(frame=_NOTIFY[:-1] + b" \n", as_bytearray=False)
+    @example(frame=_CANCEL.replace(b'"m1"', b'"' + b"m" * MAX_FRAME_BYTES + b'"'), as_bytearray=False)
+    @example(frame=_CANCEL, as_bytearray=True)
     def test_decode_matches_reference(self, frame, as_bytearray):
         data = bytearray(frame) if as_bytearray else frame
         assert _outcome(decode, data) == _outcome(ref_decode, data)

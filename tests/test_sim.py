@@ -38,15 +38,6 @@ class TestEventLoop:
         loop.run_until(deadline=700)
         assert stamps == [500, 700]
 
-    def test_cancellation(self):
-        loop = EventLoop()
-        fired = []
-        timer = loop.call_at(10, fired.append, "x")
-        timer.cancel()
-        timer.cancel()  # idempotent
-        loop.run_until(deadline=50)
-        assert fired == []
-
     def test_callbacks_can_schedule_callbacks(self):
         loop = EventLoop()
         seen = []
