@@ -239,7 +239,8 @@ class PendingCall:
         return execution_time - self.desired_completion
 
 
-# The outcome of a scheduled rpc is its resolved call.
+# The outcome of a scheduled rpc is its resolved call. Kept for
+# bench/workloads.py, the last caller of this name; new code uses PendingCall.
 ScheduleOutcome = PendingCall
 
 
@@ -315,11 +316,12 @@ class Client:
                 self._predictors[key] = state
             return state
 
-    def reset_predictor(self, server_id: str, rpc_type: str = "noop") -> PredictorState:
-        state = PredictorState((self.algorithm,), self.window)
+    def reset_predictor(self, server_id: str, rpc_type: str, state: PredictorState) -> None:
+        """Install `state`, which may serve more rules than the driving one."""
+        if self.algorithm not in state.algorithms:
+            raise ValueError(f"predictor not built for {self.algorithm!r}")
         with self._lock:
             self._predictors[(server_id, rpc_type)] = state
-        return state
 
     # -- inbound ----------------------------------------------------------
 

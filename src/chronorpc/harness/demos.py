@@ -7,7 +7,7 @@ lines it wants printed. The cli exposes them under `chronorpc demo`.
 
 from __future__ import annotations
 
-from ..client import ClientError, ScheduleOutcome
+from ..client import ClientError, PendingCall
 from ..protocol import MILLIS, SECONDS, Operation, SchedulingRangeConfig
 from ..server import ExecutionModel
 from .scenario import Scenario, ServerSpec
@@ -52,7 +52,7 @@ def demo_coordinated(seed: int = 0) -> list[str]:
     for sid in world.server_ids:
         outcome = results[sid]
         _require(
-            isinstance(outcome, ScheduleOutcome) and outcome.ok,
+            isinstance(outcome, PendingCall) and outcome.ok,
             f"{sid}: coordinated operation failed: {outcome!r}",
         )
         log = world.servers[sid].log
@@ -133,7 +133,7 @@ def demo_commit(seed: int = 0) -> list[str]:
     for sid in world.server_ids:
         per_server = outcome.outcomes[sid]
         _require(
-            isinstance(per_server, ScheduleOutcome) and per_server.ok,
+            isinstance(per_server, PendingCall) and per_server.ok,
             f"{sid}: commit rpc failed: {per_server!r}",
         )
         entry = next(

@@ -1,16 +1,17 @@
 """Deterministic scenario execution under virtual time.
 
 run_scenario() builds a world (one client, the scenario's servers, delayed
-in-order links, everything seeded through named substreams), drives the
-closed scheduling loop to collect the measurement stream, then evaluates
-every configured algorithm offline over that identical stream - so
-algorithms are compared on exactly the same data regardless of which one
-drove the loop.
+in-order links, everything seeded through named substreams) and drives the
+closed scheduling loop. The client's predictor for each (server, op-type)
+serves every configured algorithm, and each measured rpc records every
+algorithm's prediction just before it is sent. So algorithms are scored on
+the same samples, whichever one drove the loop, and on what the client knew
+when it sent each rpc: a pipelined scenario would score what was achievable.
 
 Periodic scenarios schedule one completion-targeted operation per server at
 the probe cadence; each reply is one sample. Burst scenarios repeat
-(probe burst, then one completion-targeted operation) per trial and measure
-the prediction error on the target operation.
+(probe burst, then one completion-targeted operation) per trial, from a
+fresh predictor each time, and score the target operation.
 
 Outputs: a per-sample CSV with schema
 sample_index,server_id,algorithm,t_s_ns,t_e_ns,ete_ns,prediction_ns,abs_error_ns
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..client import Client, ClientError, PendingCall, operation_type, probe_operation
+# evaluate_stream is not called here, but bench/tracing.py wraps it here too.
 from ..prediction import EteSample, Prediction, PredictorState, evaluate_stream
 from ..probing import BurstProbe, run_probe_plan
 from ..protocol import MILLIS, Operation
@@ -123,8 +125,8 @@ def build_world(scenario: Scenario, seed: int | None = None) -> World:
 
 @dataclass
 class ScenarioResult:
-    """One run: each server's measured calls in sample order, the offline
-    predictions over them and, in burst mode, each trial's probe samples."""
+    """One run: per server, the measured calls in sample order, each rule's
+    predictions as they were sent and, in burst mode, each trial's probes."""
 
     scenario: Scenario
     world: World
@@ -229,94 +231,83 @@ def check_world(world: World) -> None:
         raise CheckFailed("client saw undecodable frames")
 
 
-def _fan_out(
-    world: World, op: Operation, desired: int, what: str
-) -> dict[str, PendingCall]:
-    """One rpc per server, each aligned to complete at `desired`; all ok."""
-    results = world.client.coordinated_operation(
-        world.servers, op, desired, align_completion=True
+def _install_predictors(world: World, rpc_type: str) -> None:
+    """A fresh predictor per server, serving the driving and every scored rule."""
+    s = world.scenario
+    rules = tuple(dict.fromkeys((s.algorithm, *s.algorithms)))
+    for sid in world.servers:
+        world.client.reset_predictor(sid, rpc_type, PredictorState(rules, s.window))
+
+
+def _fan_out(result: ScenarioResult, op: Operation, desired: int, what: str) -> None:
+    """One rpc per server, each aligned to complete at `desired`; all ok.
+
+    Every rule's prediction is recorded first; no event runs before the
+    sends, so each is what the client knew when its rpc went out.
+    """
+    client = result.world.client
+    rpc_type = operation_type(op)
+    for sid, per_rule in result.predictions.items():
+        state = client.predictor(sid, rpc_type)
+        for algo, preds in per_rule.items():
+            preds.append(state.predict(algo))
+    calls = client.coordinated_operation(
+        result.world.servers, op, desired, align_completion=True
     )
-    for sid, call in results.items():
+    for sid, call in calls.items():
         if isinstance(call, ClientError):
             raise CheckFailed(f"{sid}: {what} failed: {call}")
         if not call.ok:
             raise CheckFailed(f"{sid}: {what} failed with {call.error_code}")
-    return results
+        result.outcomes[sid].append(call)
 
 
-def _drive_periodic(world: World) -> dict[str, list[PendingCall]]:
-    scenario = world.scenario
+def _drive_periodic(result: ScenarioResult) -> None:
+    world, scenario = result.world, result.scenario
     op = Operation(scenario.op)
-    outcomes: dict[str, list[PendingCall]] = {sid: [] for sid in world.servers}
+    _install_predictors(world, operation_type(op))
     first_deadline = world.loop.now() + scenario.lead
     for k in range(scenario.samples):
-        desired = first_deadline + k * scenario.period
-        for sid, call in _fan_out(world, op, desired, f"sample {k}").items():
-            outcomes[sid].append(call)
-    return outcomes
+        _fan_out(result, op, first_deadline + k * scenario.period, f"sample {k}")
 
 
-def _drive_burst(world: World) -> tuple[dict, dict]:
-    scenario = world.scenario
-    client = world.client
+def _drive_burst(result: ScenarioResult) -> None:
+    world, scenario = result.world, result.scenario
     op = Operation(scenario.op)
     rpc_type = operation_type(op)
     probe_op = probe_operation(rpc_type)
-    outcomes: dict[str, list[PendingCall]] = {sid: [] for sid in world.servers}
-    bursts: dict[str, list[list[EteSample]]] = {sid: [] for sid in world.servers}
+    result.bursts = {sid: [] for sid in world.servers}
     for trial in range(scenario.trials):
-        for sid in world.servers:
-            client.reset_predictor(sid, rpc_type)
+        _install_predictors(world, rpc_type)
+        for sid, bursts in result.bursts.items():
             run = run_probe_plan(
-                client,
+                world.client,
                 sid,
                 BurstProbe(scenario.burst_size, scenario.period),
                 operation=probe_op,
             )
             if not run.samples:
                 raise CheckFailed(f"{sid}: trial {trial} burst produced no samples")
-            bursts[sid].append(run.samples)
+            bursts.append(run.samples)
         desired = world.loop.now() + scenario.lead
-        for sid, call in _fan_out(world, op, desired, f"trial {trial} target").items():
-            outcomes[sid].append(call)
-    return outcomes, bursts
-
-
-def _burst_predictions(
-    bursts: list[list[EteSample]], algorithms, window: int
-) -> dict[str, list[Prediction]]:
-    out: dict[str, list[Prediction]] = {algo: [] for algo in algorithms}
-    for burst_samples in bursts:
-        state = PredictorState(algorithms, window)
-        for sample in burst_samples:
-            state.push(sample)
-        for algo, preds in out.items():
-            preds.append(state.predict(algo))
-    return out
+        _fan_out(result, op, desired, f"trial {trial} target")
 
 
 def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> ScenarioResult:
     """Execute a scenario start to finish and (optionally) write its outputs."""
     world = build_world(scenario)
+    result = ScenarioResult(
+        scenario,
+        world,
+        outcomes={sid: [] for sid in world.servers},
+        predictions={
+            sid: {algo: [] for algo in scenario.algorithms} for sid in world.servers
+        },
+    )
     if scenario.probe == "periodic":
-        outcomes = _drive_periodic(world)
-        bursts = {}
-        predictions = {}
-        for sid, calls in outcomes.items():
-            rows = evaluate_stream(
-                [call.sample for call in calls], scenario.algorithms, scenario.window
-            )
-            predictions[sid] = {
-                algo: [row[algo] for row in rows] for algo in scenario.algorithms
-            }
+        _drive_periodic(result)
     else:
-        outcomes, bursts = _drive_burst(world)
-        predictions = {
-            sid: _burst_predictions(bursts[sid], scenario.algorithms, scenario.window)
-            for sid in outcomes
-        }
-
-    result = ScenarioResult(scenario, world, outcomes, predictions, bursts)
+        _drive_burst(result)
     check_world(world)
     if out_dir is not None:
         result.write_outputs(out_dir)

@@ -50,9 +50,6 @@ class EventLoop:
             when = self._now
         heapq.heappush(self._heap, (when, next(self._seq), callback, args))
 
-    def call_later(self, delay: int, callback: Callable, *args) -> None:
-        self.call_at(self.now() + int(delay), callback, *args)
-
     def run_until(
         self,
         predicate: Callable[[], bool] | None = None,

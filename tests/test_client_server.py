@@ -13,6 +13,7 @@ from chronorpc.client import (
     ScheduleRejected,
 )
 from chronorpc.live import LiveClient
+from chronorpc.prediction import PredictorState
 from chronorpc.protocol import (
     MILLIS,
     SECONDS,
@@ -142,6 +143,25 @@ class TestFeedback:
         client.schedule_raw("s1", op, client.now() + SECONDS)
         assert client.predictor("s1", "edit-config").sample_count == 1
         assert client.predictor("s1", "noop").sample_count == 0
+
+    def test_plain_client_keeps_one_rule_per_predictor(self):
+        loop, client, server, _ = one_server(algorithm="ft-average")
+        client.schedule_at_completion("s1", Operation("noop"), client.now() + SECONDS)
+        state = client.predictor("s1", "noop")
+        assert state.sample_count == 1
+        assert state.algorithms == ("ft-average",)
+        assert state.kalman is None
+
+    def test_reset_predictor_installs_the_given_state(self):
+        loop, client, server, _ = one_server(ExecutionModel(base=25 * MILLIS))
+        state = PredictorState(("baseline", client.algorithm, "kalman"), 4)
+        client.reset_predictor("s1", "noop", state)
+        client.schedule_at_completion("s1", Operation("noop"), client.now() + SECONDS)
+        assert client.predictor("s1", "noop") is state
+        assert list(state.offsets) == [25 * MILLIS]
+        with pytest.raises(ValueError, match="not built for 'ft-average'"):
+            client.reset_predictor("s1", "noop", PredictorState(("kalman",)))
+        assert client.predictor("s1", "noop") is state
 
 
 class TestScheduleAtCompletion:

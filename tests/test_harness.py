@@ -28,6 +28,7 @@ from chronorpc.harness import (
     spike_window_split,
 )
 from chronorpc import protocol
+from chronorpc.prediction import PredictorState, evaluate_stream
 from chronorpc.protocol import MICROS, MILLIS, SECONDS
 from chronorpc.server import ExecutionModel
 
@@ -268,6 +269,62 @@ def test_shipped_scenarios_match_golden_digests():
         result = run_scenario(load_scenario(SCENARIO_DIR / name))
         text = result.csv_text() + result.summary_text()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, name
+
+
+def _offline_predictions(result, rules):
+    """The offline pass the runner once made: periodic samples replayed in
+    order, and each burst pushed into a fresh predictor."""
+    scenario = result.scenario
+    out = {}
+    for sid, samples in result.samples.items():
+        if scenario.probe == "periodic":
+            rows = evaluate_stream(samples, rules, scenario.window)
+        else:
+            rows = []
+            for burst in result.bursts[sid]:
+                state = PredictorState(rules, scenario.window)
+                for sample in burst:
+                    state.push(sample)
+                rows.append({algo: state.predict(algo) for algo in rules})
+        out[sid] = {algo: [row[algo] for row in rows] for algo in rules}
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_online_predictions_equal_the_offline_pass(name):
+    # Each rule is scored on what the client's predictor held when the call
+    # went out; on every shipped scenario that is exactly the prediction a
+    # replay of the recorded samples gives, and the driving rule's entry is
+    # the prediction the call was scheduled with.
+    scenario = load_scenario(SCENARIO_DIR / name)
+    result = run_scenario(scenario)
+    rules = (scenario.algorithm, *scenario.algorithms)
+    expected = _offline_predictions(result, rules)
+    for sid, calls in result.outcomes.items():
+        assert calls, sid
+        for algo in scenario.algorithms:
+            assert result.predictions[sid][algo] == expected[sid][algo], (sid, algo)
+        driving = expected[sid][scenario.algorithm]
+        assert [call.prediction for call in calls] == driving, sid
+
+
+def test_driving_rule_need_not_be_scored():
+    noisy = ServerSpec(model=ExecutionModel(base=20 * MILLIS, sigma=2 * MILLIS))
+    for probe in ("periodic", "burst"):
+        result = run_scenario(
+            small_scenario(
+                probe=probe,
+                servers=(noisy,),
+                algorithm="kalman",
+                algorithms=("baseline", "ft-average"),
+                trials=3,
+            )
+        )
+        assert sorted(result.predictions["s1"]) == ["baseline", "ft-average"]
+        expected = _offline_predictions(result, ("kalman", "ft-average"))["s1"]
+        assert result.predictions["s1"]["ft-average"] == expected["ft-average"]
+        calls = result.outcomes["s1"]
+        assert [call.prediction for call in calls] == expected["kalman"]
 
 
 def test_shipped_scenarios_decode_without_the_json_scanner(monkeypatch):

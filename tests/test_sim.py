@@ -45,7 +45,7 @@ class TestEventLoop:
         def chain(n):
             seen.append((loop.now(), n))
             if n:
-                loop.call_later(5, chain, n - 1)
+                loop.call_at(loop.now() + 5, chain, n - 1)
 
         loop.call_at(10, chain, 3)
         loop.run_until(deadline=100)
