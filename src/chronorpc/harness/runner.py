@@ -242,15 +242,18 @@ def _install_predictors(world: World, rpc_type: str) -> None:
 def _fan_out(result: ScenarioResult, op: Operation, desired: int, what: str) -> None:
     """One rpc per server, each aligned to complete at `desired`; all ok.
 
-    Every rule's prediction is recorded first; no event runs before the
-    sends, so each is what the client knew when its rpc went out.
+    Every other rule's prediction is recorded first; no event runs before
+    the sends, so each is what the client knew when its rpc went out. The
+    driving rule's is the one the call was scheduled with.
     """
     client = result.world.client
+    driving = client.algorithm
     rpc_type = operation_type(op)
     for sid, per_rule in result.predictions.items():
         state = client.predictor(sid, rpc_type)
         for algo, preds in per_rule.items():
-            preds.append(state.predict(algo))
+            if algo != driving:
+                preds.append(state.predict(algo))
     calls = client.coordinated_operation(
         result.world.servers, op, desired, align_completion=True
     )
@@ -260,6 +263,8 @@ def _fan_out(result: ScenarioResult, op: Operation, desired: int, what: str) -> 
         if not call.ok:
             raise CheckFailed(f"{sid}: {what} failed with {call.error_code}")
         result.outcomes[sid].append(call)
+        if driving in result.predictions[sid]:
+            result.predictions[sid][driving].append(call.prediction)
 
 
 def _drive_periodic(result: ScenarioResult) -> None:

@@ -204,13 +204,18 @@ def _parse_server_value(name: str, text: str) -> object:
     """Convert one per-server value and check it on its own.
 
     A model or range value is checked by building that object with only this
-    field set, so a bad value raises ValueError while its key is known.
+    field set, and lanes and toast_time as Server checks them, so a bad value
+    raises ValueError while its key is known.
     """
     value = _SERVER_KEYS[name](text)
     if name in _MODEL_KEYS:
         ExecutionModel(**{name: value})
     elif name in _RANGE_KEYS:
         SchedulingRangeConfig(**{name: value})
+    elif name == "lanes" and value < 1:
+        raise ValueError("lanes must be >= 1")
+    elif name == "toast_time" and value < 0:
+        raise ValueError("toast_time must be >= 0")
     return value
 
 

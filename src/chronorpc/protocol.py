@@ -35,13 +35,16 @@ json.dumps(obj, separators=(",", ":")) writes for the same dict. The
 per-type encoders below reproduce it without building the dict, and
 tests/test_protocol.py holds them to a json.dumps reference.
 
-decode() reads the canonical frames the cores send straight off their
-bytes: a bytes frame in the canonical layout of an rpc with empty params,
-an ok reply without params, a notification or a cancel-schedule, whose
-strings are printable ASCII without '"' or '\\' and whose integers have at
-most 19 digits. Every other frame goes through JSON, which accepts any key
-order and whitespace within a frame and is the one place errors are
-raised. Either path gives the same message for the same frame.
+decode() reads the frames the cores write straight off their bytes, one
+regex per frame type, when the strings are printable ASCII without '"' or
+'\\' and the integers have at most 19 digits: an rpc, whose params object
+of string pairs becomes a dict with one findall; an ok reply with optional
+execution-time and params; an error reply with error-code and optional
+error-detail; a notification; a cancel-schedule. Any other frame (an error
+reply carrying params, another writer's key order, whitespace or escapes)
+goes through json.loads, and the per-type decoders that check its fields are
+the one place errors are raised. Either path gives the same message for the
+same frame.
 
 The message records (Operation and the four message types) are built for
 every frame, so they are slotted but not frozen: a frozen __init__ sets
@@ -326,11 +329,11 @@ def encode(msg: Message) -> bytes:
     return frame
 
 
-# Per-type decoders over the parsed object. JSON gives exact types, so
+# Per-type decoders over a frame JSON parsed: a frame from another writer, or
+# one outside the canonical layouts below. JSON gives exact types, so
 # `type(x) is int` also rejects booleans and `type(x) is str` needs no
-# subclass case. Each decoder reads every field once and checks it inline, in
-# the order the fields are listed; on a bad field it calls _str_field or
-# _params_field only to raise their error for it.
+# subclass case. Each decoder checks its fields in the order they are listed,
+# one helper per kind of field.
 def _str_field(obj: dict, key: str) -> str:
     value = obj.get(key)
     if type(value) is str and value:
@@ -338,6 +341,22 @@ def _str_field(obj: dict, key: str) -> str:
     if key not in obj:
         raise MissingField(key)
     raise MalformedFrame("field must be a non-empty string", key)
+
+
+def _int_field(obj: dict, key: str) -> int | None:
+    value = obj.get(key)
+    if value is None or type(value) is int:
+        return value
+    raise MalformedFrame("field must be an integer", key)
+
+
+def _bool_field(obj: dict, key: str, default: bool | None = None) -> bool:
+    value = obj.get(key, default)
+    if type(value) is bool:
+        return value
+    if key not in obj:
+        raise MissingField(key)
+    raise MalformedFrame("field must be a boolean", key)
 
 
 def _params_field(obj: dict) -> dict[str, str] | None:
@@ -353,108 +372,88 @@ def _params_field(obj: dict) -> dict[str, str] | None:
 
 
 def _decode_rpc(obj: dict) -> RpcMessage:
-    message_id = obj.get("message-id")
-    if not (type(message_id) is str and message_id):
-        _str_field(obj, "message-id")
-    name = obj.get("op")
-    if not (type(name) is str and name):
-        _str_field(obj, "op")
-    params = obj.get("params")
-    if params is None:
-        params = {}
-    elif type(params) is not dict:
-        _params_field(obj)
-    else:
-        for value in params.values():
-            if type(value) is not str:
-                _params_field(obj)
-    scheduled_time = obj.get("scheduled-time")
-    if scheduled_time is not None and type(scheduled_time) is not int:
-        raise MalformedFrame("field must be an integer", "scheduled-time")
-    get_time = obj.get("get-time", False)
-    if type(get_time) is not bool:
-        raise MalformedFrame("field must be a boolean", "get-time")
-    return RpcMessage(message_id, Operation(name, params), scheduled_time, get_time)
+    message_id = _str_field(obj, "message-id")
+    name = _str_field(obj, "op")
+    params = _params_field(obj)
+    return RpcMessage(
+        message_id,
+        Operation(name, {} if params is None else params),
+        _int_field(obj, "scheduled-time"),
+        _bool_field(obj, "get-time", False),
+    )
 
 
 def _decode_reply(obj: dict) -> RpcReply:
-    message_id = obj.get("message-id")
-    if not (type(message_id) is str and message_id):
-        _str_field(obj, "message-id")
-    status = obj.get("status")
+    message_id = _str_field(obj, "message-id")
+    status = _str_field(obj, "status")
+    if status not in ("ok", "error"):
+        raise MalformedFrame("status must be 'ok' or 'error'", "status")
     error_code = None
     error_detail = ""
     if status == "error":
-        error_code = obj.get("error-code")
-        if not (type(error_code) is str and error_code):
-            _str_field(obj, "error-code")
+        error_code = _str_field(obj, "error-code")
         error_detail = obj.get("error-detail", "")
         if type(error_detail) is not str:
             raise MalformedFrame("field must be a string", "error-detail")
-    elif status != "ok":
-        _str_field(obj, "status")
-        raise MalformedFrame("status must be 'ok' or 'error'", "status")
-    execution_time = obj.get("execution-time")
-    if execution_time is not None:
-        if type(execution_time) is not int:
-            raise MalformedFrame("field must be an integer", "execution-time")
-        if error_code is not None:
-            raise MalformedFrame("error reply cannot carry execution-time", "execution-time")
-    params = obj.get("params")
-    if params is not None:
-        if type(params) is not dict:
-            _params_field(obj)
-        for value in params.values():
-            if type(value) is not str:
-                _params_field(obj)
+    execution_time = _int_field(obj, "execution-time")
+    if execution_time is not None and error_code is not None:
+        raise MalformedFrame("error reply cannot carry execution-time", "execution-time")
+    params = _params_field(obj)
     return RpcReply(message_id, status, error_code, error_detail, execution_time, params)
 
 
 def _decode_notification(obj: dict) -> ScheduleNotification:
-    message_id = obj.get("message-id")
-    if not (type(message_id) is str and message_id):
-        _str_field(obj, "message-id")
-    accepted = obj.get("accepted")
-    if type(accepted) is not bool:
-        if "accepted" not in obj:
-            raise MissingField("accepted")
-        raise MalformedFrame("field must be a boolean", "accepted")
-    return ScheduleNotification(message_id, accepted)
+    message_id = _str_field(obj, "message-id")
+    return ScheduleNotification(message_id, _bool_field(obj, "accepted"))
 
 
 def _decode_cancel(obj: dict) -> CancelSchedule:
-    message_id = obj.get("message-id")
-    if not (type(message_id) is str and message_id):
-        _str_field(obj, "message-id")
-    target_id = obj.get("target-id")
-    if not (type(target_id) is str and target_id):
-        _str_field(obj, "target-id")
-    return CancelSchedule(message_id, target_id)
+    message_id = _str_field(obj, "message-id")
+    return CancelSchedule(message_id, _str_field(obj, "target-id"))
 
 
-_scan_once = json.JSONDecoder().scan_once  # the scanner json.loads runs
+_DECODERS = {
+    "rpc": _decode_rpc,
+    "rpc-reply": _decode_reply,
+    "notification": _decode_notification,
+    "cancel-schedule": _decode_cancel,
+}
 
-# The canonical layouts encode() writes, read without the JSON scanner. A
-# string admits only printable ASCII without '"' or '\', which JSON reads as
-# itself; an integer only up to 19 digits with no leading zero and no "-0",
-# which JSON reads as the same int and int() never refuses. A frame that
-# misses on any byte goes to the JSON path.
-_STR = rb'"([\x20\x21\x23-\x5b\x5d-\x7e]+)"'
+# The canonical layouts encode() writes, read without JSON. A string admits
+# only printable ASCII without '"' or '\', which JSON reads as itself; it is
+# non-empty except for a params value. An integer has at most 19 digits, no
+# leading zero and no "-0", which JSON reads as the same int and int() never
+# refuses. A frame that misses on any byte goes to JSON.
+_CHAR = rb"[\x20\x21\x23-\x5b\x5d-\x7e]"
+_STR = rb'"(' + _CHAR + rb'+)"'
 _INT = rb"(0|-?[1-9][0-9]{0,18})"
+_PAIR = rb'"' + _CHAR + rb'+":"' + _CHAR + rb'*"'
+_PARAMS = rb"(\{(?:" + _PAIR + rb"(?:," + _PAIR + rb")*)?\})"
+# The (key, value) pairs of a matched params object, in order; dict() keeps
+# the last value of a repeated key, as json.loads does.
+_pairs = re.compile((rb'"(' + _CHAR + rb'+)":"(' + _CHAR + rb'*)"').decode()).findall
 
 
-def _canonical_rpc(message_id, op, scheduled_time, get_time):
+def _canonical_params(text):
+    return {} if text == b"{}" else dict(_pairs(text.decode()))
+
+
+def _canonical_rpc(message_id, op, params, scheduled_time, get_time):
     return RpcMessage(
         message_id.decode(),
-        Operation(op.decode(), {}),
+        Operation(op.decode(), _canonical_params(params)),
         None if scheduled_time is None else int(scheduled_time),
         get_time is not None,
     )
 
 
-def _canonical_reply(message_id, execution_time):
+def _canonical_reply(message_id, execution_time, params, error_code, error_detail):
+    if error_code is not None:
+        error_detail = "" if error_detail is None else error_detail.decode()
+        return RpcReply(message_id.decode(), "error", error_code.decode(), error_detail)
     execution_time = None if execution_time is None else int(execution_time)
-    return RpcReply(message_id.decode(), "ok", None, "", execution_time, None)
+    params = None if params is None else _canonical_params(params)
+    return RpcReply(message_id.decode(), "ok", None, "", execution_time, params)
 
 
 def _canonical_notification(message_id, accepted):
@@ -470,7 +469,7 @@ _CANONICAL = {
     b'rpc"': (
         re.compile(
             rb'\{"type":"rpc","message-id":' + _STR + rb',"op":' + _STR
-            + rb',"params":\{\}(?:,"scheduled-time":' + _INT + rb")?"
+            + rb',"params":' + _PARAMS + rb'(?:,"scheduled-time":' + _INT + rb")?"
             + rb'(,"get-time":true)?\}\n'
         ).fullmatch,
         _canonical_rpc,
@@ -478,7 +477,10 @@ _CANONICAL = {
     b"rpc-": (
         re.compile(
             rb'\{"type":"rpc-reply","message-id":' + _STR
-            + rb',"status":"ok"(?:,"execution-time":' + _INT + rb")?\}\n"
+            + rb',"status":(?:"ok"(?:,"execution-time":' + _INT + rb")?"
+            + rb'(?:,"params":' + _PARAMS + rb")?"
+            + rb'|"error","error-code":' + _STR + rb'(?:,"error-detail":' + _STR + rb")?"
+            + rb")\}\n"
         ).fullmatch,
         _canonical_reply,
     ),
@@ -496,13 +498,6 @@ _CANONICAL = {
         ).fullmatch,
         _canonical_cancel,
     ),
-}
-
-_DECODERS = {
-    "rpc": _decode_rpc,
-    "rpc-reply": _decode_reply,
-    "notification": _decode_notification,
-    "cancel-schedule": _decode_cancel,
 }
 
 
@@ -531,16 +526,7 @@ def decode(data: bytes | bytearray | str) -> Message:
             raise MalformedFrame("more than one frame supplied")
         raise MalformedFrame("frame is not newline-terminated")
     try:
-        text = data.decode("utf-8")
-        # What json.loads(text) returns, without its wrappers, when the frame
-        # is one JSON value and then the newline. Any other frame (whitespace
-        # around the value, bad syntax) goes to json.loads to accept or reject.
-        try:
-            obj, end = _scan_once(text, 0)
-        except (StopIteration, json.JSONDecodeError):
-            end = -1
-        if end != len(text) - 1:
-            obj = json.loads(text)
+        obj = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedFrame(f"bad frame syntax ({exc})") from exc
     if type(obj) is not dict:

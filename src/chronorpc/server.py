@@ -176,6 +176,8 @@ class Server:
     ):
         if lanes < 1:
             raise ValueError("lanes must be >= 1")
+        if toast_time < 0:
+            raise ValueError("toast_time must be >= 0")
         self.server_id = server_id
         self._sched = scheduler
         self._send = send

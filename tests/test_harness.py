@@ -18,6 +18,7 @@ from chronorpc.harness import (
     Scenario,
     ScenarioInvalid,
     ServerSpec,
+    build_world,
     experiment_platforms,
     experiment_probing,
     experiment_stress,
@@ -29,7 +30,7 @@ from chronorpc.harness import (
 )
 from chronorpc import protocol
 from chronorpc.prediction import PredictorState, evaluate_stream
-from chronorpc.protocol import MICROS, MILLIS, SECONDS
+from chronorpc.protocol import MICROS, MILLIS, SECONDS, Operation, SchedulingRangeConfig
 from chronorpc.server import ExecutionModel
 
 
@@ -133,6 +134,23 @@ class TestScenarioText:
         with pytest.raises(ScenarioInvalid) as exc:
             parse_scenario_text("servers = 2\nserver2.sched_max_past = -1s\n")
         assert exc.value.field_name == "server2.sched_max_past"
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("lanes = 0\n", "lanes"),
+            ("servers = 2\nserver2.lanes = -1\n", "server2.lanes"),
+            ("op = toast\ntoast_time = -50ms\n", "toast_time"),
+            ("servers = 2\nserver1.toast_time = -1\n", "server1.toast_time"),
+        ],
+    )
+    def test_bad_server_value_names_its_key(self, text, key):
+        with pytest.raises(ScenarioInvalid) as exc:
+            parse_scenario_text(text)
+        assert exc.value.field_name == key
+
+    def test_zero_toast_time_is_allowed(self):
+        assert parse_scenario_text("toast_time = 0\n").servers[0].toast_time == 0
 
     def test_validation_runs(self):
         with pytest.raises(ScenarioInvalid):
@@ -327,25 +345,67 @@ def test_driving_rule_need_not_be_scored():
         assert [call.prediction for call in calls] == expected["kalman"]
 
 
+def _coordinated_rounds() -> None:
+    """Rounds shaped like the sim-coordinated benchmark, on two servers.
+
+    Aligned set-value writes (one of an empty value), an accepted and a
+    refused atomic commit, and a snapshot after each: rpcs with params, ok
+    replies with params, error replies and cancel-schedules.
+    """
+    refusing = SchedulingRangeConfig(sched_max_future=1 * SECONDS)
+    world = build_world(
+        Scenario(
+            name="coordinated",
+            seed=3,
+            servers=(
+                ServerSpec(model=ExecutionModel(base=5 * MILLIS, sigma=0.5 * MILLIS)),
+                ServerSpec(model=ExecutionModel(base=20 * MILLIS), range_config=refusing),
+            ),
+            algorithm="ft-average",
+            delay_jitter=200 * MICROS,
+        )
+    )
+    client, loop, sids = world.client, world.loop, world.server_ids
+    committed = ""
+    for value, ahead in (("v1", 500 * MILLIS), ("", 500 * MILLIS), ("v3", 2 * SECONDS)):
+        write = Operation("set-value", {"key": "k", "value": value})
+        writes = client.coordinated_operation(
+            sids, write, loop.now() + 100 * MILLIS, align_completion=True
+        )
+        assert all(call.ok for call in writes.values())
+        commit_at = loop.now() + ahead
+        commit = client.atomic_commit(sids, commit_at)
+        assert commit.committed == (ahead < refusing.sched_max_future), commit
+        if commit.committed:
+            committed = value
+        loop.run_until(deadline=commit_at)
+        reads = client.coordinated_snapshot(sids, "k", commit_at + 200 * MILLIS)
+        assert {entry.value for entry in reads.values()} == {committed}
+
+
 def test_shipped_scenarios_decode_without_the_json_scanner(monkeypatch):
-    # Every frame layout the cores send in the shipped scenarios is
-    # canonical, so decode() reads each one without the JSON scanner.
-    scanned = []
-    scan = protocol._scan_once
+    # Every frame the cores send in the shipped scenarios, the demos and
+    # coordinated rounds is in a canonical layout, so decode() reads each one
+    # without JSON and no frame reaches the per-type JSON decoders.
+    decoded = []
+    for type_value, decoder in protocol._DECODERS.items():
 
-    def recording_scan(text, index):
-        scanned.append(text)
-        return scan(text, index)
+        def recording(obj, decoder=decoder):
+            decoded.append(obj)
+            return decoder(obj)
 
-    monkeypatch.setattr(protocol, "_scan_once", recording_scan)
+        monkeypatch.setitem(protocol._DECODERS, type_value, recording)
     for path in sorted(SCENARIO_DIR.glob("*.txt")):
         scenario = load_scenario(path)
         result = run_scenario(replace(scenario, samples=scenario.window, trials=2))
         assert all(server.log for server in result.world.servers.values())
-    assert scanned == []
-    # A frame with spaces is not canonical, and the patch sees it scanned.
+    for demo in DEMOS.values():
+        assert demo(seed=2)
+    _coordinated_rounds()
+    assert decoded == []
+    # A frame with spaces is not canonical, and JSON decodes it.
     protocol.decode(b'{"type": "notification", "message-id": "m1", "accepted": true}\n')
-    assert len(scanned) == 1
+    assert len(decoded) == 1
 
 
 def test_finished_run_retains_no_timers():
@@ -526,6 +586,16 @@ class TestCli:
         path = self.write_scenario(tmp_path, "wibble = 1\n")
         assert main(["run", "--scenario", str(path)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [("lanes = 0\n", "lanes"), ("op = toast\ntoast_time = -50ms\n", "toast_time")],
+        ids=["lanes", "toast_time"],
+    )
+    def test_run_bad_server_value(self, tmp_path, capsys, text, key):
+        path = self.write_scenario(tmp_path, "samples = 5\n" + text)
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
     def test_run_missing_file(self, tmp_path, capsys):
         assert main(["run", "--scenario", str(tmp_path / "nope.txt")]) == 1

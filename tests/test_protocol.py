@@ -400,9 +400,10 @@ def _outcome(fn, arg):
         )
 
 
-# One canonical frame of each layout decode() reads without the JSON scanner.
+# One canonical frame of each layout decode() reads without JSON.
 _RPC = b'{"type":"rpc","message-id":"m1","op":"noop","params":{},"scheduled-time":5,"get-time":true}\n'
 _REPLY = b'{"type":"rpc-reply","message-id":"m1","status":"ok","execution-time":7}\n'
+_ERROR = b'{"type":"rpc-reply","message-id":"m1","status":"error","error-code":"cancelled"}\n'
 _NOTIFY = b'{"type":"notification","message-id":"m1","accepted":true}\n'
 _CANCEL = b'{"type":"cancel-schedule","message-id":"m2","target-id":"m1"}\n'
 
@@ -420,7 +421,21 @@ class TestReferenceEquivalence:
 
     @settings(max_examples=300)
     @given(frame=_mutated_frames(), as_bytearray=st.booleans())
+    # Canonical layouts with params and error replies.
+    @example(frame=_RPC.replace(b"{}", b'{"key":"k","value":""}'), as_bytearray=False)
+    @example(frame=_RPC.replace(b"{}", b'{"k":"a","j":"","k":"b"}'), as_bytearray=False)
+    @example(frame=_REPLY.replace(b"}\n", b',"params":{}}\n'), as_bytearray=False)
+    @example(frame=_REPLY.replace(b"}\n", b',"params":{"value":"x"}}\n'), as_bytearray=False)
+    @example(frame=_ERROR, as_bytearray=False)
+    @example(frame=_ERROR.replace(b"}\n", b',"error-detail":"too late"}\n'), as_bytearray=False)
     # Near misses of the canonical layouts, which only the JSON path reads.
+    @example(frame=_RPC.replace(b"{}", b'{"":"v"}'), as_bytearray=False)
+    @example(frame=_RPC.replace(b"{}", b'{"k":"a\\"b"}'), as_bytearray=False)
+    @example(frame=_RPC.replace(b"{}", '{"k":"\u00e9"}'.encode()), as_bytearray=False)
+    @example(frame=_RPC.replace(b"{}", b'{"k":1}'), as_bytearray=False)
+    @example(frame=_ERROR.replace(b"}\n", b',"execution-time":7}\n'), as_bytearray=False)
+    @example(frame=_ERROR.replace(b"}\n", b',"params":{}}\n'), as_bytearray=False)
+    @example(frame=_ERROR.replace(b',"error-code":"cancelled"', b""), as_bytearray=False)
     @example(frame=_NOTIFY.replace(b'"m1"', b'"m\\u0031"'), as_bytearray=False)
     @example(frame=_NOTIFY.replace(b'"m1"', '"m\u00e9"'.encode()), as_bytearray=False)
     @example(frame=_RPC.replace(b"true", b"false"), as_bytearray=False)

@@ -374,6 +374,11 @@ class TestExecutorLanes:
         with pytest.raises(ValueError):
             make_server(lanes=0)
 
+    def test_toast_time_validation(self):
+        loop = EventLoop()
+        with pytest.raises(ValueError, match="toast_time"):
+            Server("s1", scheduler=loop, send=Wire(loop).send, toast_time=-1)
+
 
 class TestExecutionModel:
     def test_validation(self):
