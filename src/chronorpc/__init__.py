@@ -57,7 +57,6 @@ from .client import (
 )
 from .probing import (
     BurstProbe,
-    PeriodicProbe,
     PeriodSelectionConfig,
     ProbeRun,
     SelectionResult,
@@ -122,7 +121,6 @@ __all__ = [
     "Session",
     # probing
     "BurstProbe",
-    "PeriodicProbe",
     "PeriodSelectionConfig",
     "ProbeRun",
     "SelectionResult",

@@ -2,8 +2,8 @@
 
 When a workload does not naturally produce timing samples, the client sends
 probe rpcs - scheduled, with get-time set - purely to measure execution
-offsets. A plan is either Periodic (steady cadence) or Burst (a short run of
-closely spaced probes fired on demand before the operation that matters).
+offsets. A plan is a burst: a run of `count` probes spaced by `period`, fired
+on demand before the operation that matters or repeated as a steady cadence.
 Probe scheduled times form an exact grid: strictly increasing, spaced by the
 plan period.
 
@@ -13,9 +13,7 @@ each burst's mean offset, and picks:
 * burst mode    - twice the best (lowest-mean) tested period, leaving margin
                   above the fastest cadence that still measured well
 * periodic mode - the largest tested period whose mean stays within
-                  (1 + alpha) of the best burst's mean; a `rule="period"`
-                  variant instead compares the periods themselves against
-                  (1 + alpha) x the best period
+                  (1 + alpha) of the best burst's mean
 """
 
 from __future__ import annotations
@@ -29,9 +27,7 @@ from .protocol import MILLIS, SECONDS, Operation
 
 __all__ = [
     "InsufficientData",
-    "PeriodicProbe",
     "BurstProbe",
-    "ProbePlan",
     "ProbeRun",
     "run_probe_plan",
     "PeriodSelectionConfig",
@@ -48,15 +44,6 @@ class InsufficientData(Exception):
 
 
 @dataclass(frozen=True)
-class PeriodicProbe:
-    period: int
-
-    def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError("probe period must be positive")
-
-
-@dataclass(frozen=True)
 class BurstProbe:
     count: int
     period: int
@@ -68,50 +55,36 @@ class BurstProbe:
             raise ValueError("probe period must be positive")
 
 
-ProbePlan = PeriodicProbe | BurstProbe
-
-
 @dataclass
 class ProbeRun:
     """Result of one executed plan; calls keep schedule order."""
 
-    plan: ProbePlan
-    scheduled_times: list[int]
     calls: list[PendingCall]
+
+    @property
+    def scheduled_times(self) -> list[int]:
+        return [call.scheduled_time for call in self.calls]
 
     @property
     def samples(self) -> list[EteSample]:
         """Samples from the calls that produced one (the rest are gaps)."""
         return [call.sample for call in self.calls if call.sample is not None]
 
-    @property
-    def sample_count(self) -> int:
-        return len(self.samples)
-
 
 def run_probe_plan(
     client: Client,
     server_id: str,
-    plan: ProbePlan,
+    plan: BurstProbe,
     *,
-    samples: int | None = None,
     operation: Operation | None = None,
 ) -> ProbeRun:
     """Execute a plan against one server and collect its samples.
 
-    `samples` bounds a periodic plan (bursts carry their own count). Probes
-    dispatch the client's `dispatch_lead` ahead of their scheduled times so
-    transit delay never pushes them into the past. A probe that is rejected
-    or lost leaves a gap; the remaining probes still run.
+    Probes dispatch the client's `dispatch_lead` ahead of their scheduled
+    times so transit delay never pushes them into the past. A probe that is
+    rejected or lost leaves a gap; the remaining probes still run.
     """
-    if isinstance(plan, BurstProbe):
-        count = plan.count
-    else:
-        if samples is None:
-            raise ValueError("periodic plans need an explicit sample count")
-        count = samples
-    if count < 1:
-        raise ValueError("probe count must be >= 1")
+    count = plan.count
     op = operation if operation is not None else probe_operation()
     lead = client.dispatch_lead
 
@@ -134,7 +107,7 @@ def run_probe_plan(
         # map, so a reply arriving later counts as unmatched instead of
         # feeding the predictor.
         client.resolve_soft(call)
-    return ProbeRun(plan, times, calls)
+    return ProbeRun(calls)
 
 
 @dataclass(frozen=True)
@@ -146,7 +119,6 @@ class PeriodSelectionConfig:
     initial_period: int = 250 * MILLIS
     alpha: float = 0.1
     inter_burst_gap: int = 1 * SECONDS
-    rule: str = "ete"  # periodic-mode comparison: "ete" | "period"
 
     def __post_init__(self):
         if self.bursts < 1:
@@ -159,8 +131,6 @@ class PeriodSelectionConfig:
             raise ValueError("alpha must be in (0, 1)")
         if self.inter_burst_gap < 0:
             raise ValueError("inter_burst_gap must be non-negative")
-        if self.rule not in ("ete", "period"):
-            raise ValueError("rule must be 'ete' or 'period'")
 
     def periods(self) -> list[int]:
         return [self.initial_period * (1 << i) for i in range(self.bursts)]
@@ -184,26 +154,15 @@ def choose_burst_period(periods: Sequence[int], means: Sequence[float]) -> tuple
 
 
 def choose_periodic_period(
-    periods: Sequence[int],
-    means: Sequence[float],
-    alpha: float,
-    rule: str = "ete",
+    periods: Sequence[int], means: Sequence[float], alpha: float
 ) -> tuple[int, int]:
-    """Largest tested period still close enough to the best burst.
+    """Largest tested period whose burst mean is below (1 + alpha) x the best.
 
-    "ete" compares burst means against (1 + alpha) x the best mean;
-    "period" compares the periods themselves against (1 + alpha) x the best
-    period. Returns (best_index, chosen_period).
+    Returns (best_index, chosen_period).
     """
     best, _ = choose_burst_period(periods, means)
-    if rule == "ete":
-        bound = (1.0 + alpha) * means[best]
-        qualifying = [i for i in range(len(periods)) if means[i] < bound]
-    elif rule == "period":
-        bound = (1.0 + alpha) * periods[best]
-        qualifying = [i for i in range(len(periods)) if periods[i] < bound]
-    else:
-        raise ValueError("rule must be 'ete' or 'period'")
+    bound = (1.0 + alpha) * means[best]
+    qualifying = [i for i in range(len(periods)) if means[i] < bound]
     if not qualifying:
         return best, periods[best]
     chosen = max(qualifying, key=lambda i: periods[i])
@@ -263,5 +222,5 @@ def select_period_periodic(
     """Sweep doubling-period bursts and pick the periodic-mode probe period."""
     config = config or PeriodSelectionConfig()
     periods, means, bursts = _sweep(client, server_id, config, operation)
-    best, period = choose_periodic_period(periods, means, config.alpha, config.rule)
+    best, period = choose_periodic_period(periods, means, config.alpha)
     return SelectionResult(period, best, periods, means, bursts)

@@ -264,6 +264,8 @@ def _encode_reply(msg: RpcReply) -> str:
             raise ValueError("error reply cannot carry execution-time")
     elif msg.error_code is not None:
         raise ValueError("ok reply cannot carry an error-code")
+    elif msg.error_detail:
+        raise ValueError("ok reply cannot carry an error-detail")
     mid = msg.message_id
     mid = _escape(mid) if type(mid) is str and mid else _quoted(mid, "message-id")
     frame = f'{{"type":"rpc-reply","message-id":{mid},"status":{_escape(status)}'
@@ -314,7 +316,8 @@ def encode(msg: Message) -> bytes:
 
     Raises ValueError for structurally invalid messages (empty id, params
     that are not a dict of strings, an error reply carrying execution-time,
-    or a frame over 64 KiB).
+    an ok reply carrying an error-code or error-detail, or a frame over
+    64 KiB).
     """
     encoder = _ENCODERS.get(type(msg))
     if encoder is None:

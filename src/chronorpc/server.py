@@ -197,7 +197,8 @@ class Server:
         self._seen_ids: set[str] = set()
         # Targets cancelled before their rpc arrived. The cancel answered
         # unknown-message-id, which the requester takes as a confirmed abort,
-        # so the rpc must never run when it does arrive.
+        # so the rpc must never run when it does arrive. Its entry goes once
+        # the rpc is refused; _seen_ids then answers any repeat.
         self._cancelled_unseen: set[str] = set()
         self._ready: deque[PendingOp] = deque()
         self._active = 0
@@ -229,6 +230,7 @@ class Server:
             return
         self._seen_ids.add(mid)
         if mid in self._cancelled_unseen:
+            self._cancelled_unseen.discard(mid)
             self._reply(RpcReply.make_error(mid, ERR_CANCELLED))
             return
         operation = msg.operation

@@ -130,6 +130,8 @@ def ref_encode(msg: Message) -> bytes:
             raise ValueError("error reply needs an error-code")
         if msg.status == "ok" and msg.error_code is not None:
             raise ValueError("ok reply cannot carry an error-code")
+        if msg.status == "ok" and msg.error_detail:
+            raise ValueError("ok reply cannot carry an error-detail")
         if msg.status == "error" and msg.execution_time is not None:
             raise ValueError("error reply cannot carry execution-time")
         obj["type"] = "rpc-reply"

@@ -4,7 +4,6 @@ from chronorpc.client import Client, ReplyTimeout, probe_operation
 from chronorpc.probing import (
     BurstProbe,
     InsufficientData,
-    PeriodicProbe,
     PeriodSelectionConfig,
     choose_burst_period,
     choose_periodic_period,
@@ -39,8 +38,6 @@ def make_pair(model=None, *, delay=1 * MILLIS, reply_filter=None, **client_kw):
 class TestPlans:
     def test_validation(self):
         with pytest.raises(ValueError):
-            PeriodicProbe(0)
-        with pytest.raises(ValueError):
             BurstProbe(0, 1 * SECONDS)
         with pytest.raises(ValueError):
             BurstProbe(3, -1)
@@ -61,22 +58,15 @@ class TestRunProbePlan:
         assert run.scheduled_times == [
             t0 + lead + k * 500 * MILLIS for k in range(4)
         ]
-        assert run.sample_count == 4
+        assert len(run.samples) == 4
         assert [s.ete for s in run.samples] == [20 * MILLIS] * 4
         # the server really started each probe on its slot
         assert [e.t_start for e in server.log] == run.scheduled_times
 
-    def test_periodic_needs_sample_count(self):
-        loop, client, server = make_pair()
-        with pytest.raises(ValueError):
-            run_probe_plan(client, "s1", PeriodicProbe(1 * SECONDS))
-
     def test_periodic_collects_requested_samples(self):
         loop, client, server = make_pair()
-        run = run_probe_plan(
-            client, "s1", PeriodicProbe(1 * SECONDS), samples=5
-        )
-        assert run.sample_count == 5
+        run = run_probe_plan(client, "s1", BurstProbe(5, 1 * SECONDS))
+        assert len(run.samples) == 5
         diffs = {
             b - a for a, b in zip(run.scheduled_times, run.scheduled_times[1:])
         }
@@ -89,8 +79,10 @@ class TestRunProbePlan:
             reply_timeout=1 * SECONDS,
         )
         run = run_probe_plan(client, "s1", BurstProbe(4, 500 * MILLIS))
-        assert run.sample_count == 3
+        assert len(run.samples) == 3
         assert run.calls[1].sample is None  # the gap keeps its slot
+        assert len(run.scheduled_times) == 4
+        assert run.scheduled_times == [c.scheduled_time for c in run.calls]
         assert [c.sample is not None for c in run.calls] == [
             True, False, True, True
         ]
@@ -166,21 +158,9 @@ class TestChoosers:
         best, period = choose_periodic_period(periods, [5.0] * 4, 0.1)
         assert (best, period) == (0, 2000)
 
-    def test_periodic_period_rule(self):
-        periods = [250, 500, 1000]
-        best, period = choose_periodic_period(
-            periods, [30.0, 10.0, 11.0], 0.1, rule="period"
-        )
-        # bound is 550; periods 250 and 500 qualify
-        assert (best, period) == (1, 500)
-
     def test_periodic_zero_best_mean_falls_back(self):
         best, period = choose_periodic_period([250, 500], [0.0, 5.0], 0.1)
         assert (best, period) == (0, 250)
-
-    def test_bad_rule(self):
-        with pytest.raises(ValueError):
-            choose_periodic_period([1], [1.0], 0.1, rule="magic")
 
 
 class TestSelectionConfig:
@@ -198,8 +178,6 @@ class TestSelectionConfig:
             PeriodSelectionConfig(alpha=0.0)
         with pytest.raises(ValueError):
             PeriodSelectionConfig(alpha=1.0)
-        with pytest.raises(ValueError):
-            PeriodSelectionConfig(rule="maybe")
 
 
 class TestSelectionEndToEnd:

@@ -184,6 +184,13 @@ class TestEncodeValidation:
         with pytest.raises(ValueError):
             encode(bad)
 
+    def test_ok_reply_cannot_carry_error_detail(self):
+        # decode() drops error-detail on an ok reply, so it would not survive
+        # the round trip.
+        bad = RpcReply("m1", "ok", None, "note", 5)
+        with pytest.raises(ValueError, match="error-detail"):
+            encode(bad)
+
     def test_empty_message_id(self):
         with pytest.raises(ValueError):
             encode(RpcMessage("", Operation("noop")))
@@ -416,6 +423,8 @@ class TestReferenceEquivalence:
     # Fields encode() writes without a type check.
     @example(msg=RpcReply("m1", "error", 5, 7))
     @example(msg=RpcReply("m1", "ok", None, ["detail"], 3))
+    # An ok reply refuses an error-detail, which decode() would drop.
+    @example(msg=RpcReply("m1", "ok", None, "note", 5))
     def test_encode_matches_reference(self, msg):
         assert _outcome(encode, msg) == _outcome(ref_encode, msg)
 

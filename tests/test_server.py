@@ -267,6 +267,7 @@ class TestCancellation:
         assert "m1" not in server.ops
         assert server.log == []
         assert server.state.candidate == {}
+        assert server._cancelled_unseen == set()
         # the id now counts as seen: a second copy is a duplicate
         rpc(server, "m1", at=2 * SECONDS)
         assert [r.error_code for r in wire.replies("m1")] == [
