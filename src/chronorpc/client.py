@@ -44,11 +44,8 @@ from .protocol import (
     RpcMessage,
     RpcReply,
     ScheduleNotification,
-    SchedulingRangeConfig,
-    Verdict,
     decode,
     encode,
-    validate_schedule,
 )
 
 __all__ = [
@@ -70,10 +67,6 @@ __all__ = [
     "DEFAULT_REPLY_TIMEOUT",
 ]
 
-# Read on every range-checked rpc. On Python 3.11 reading an Enum member off
-# its class costs several times a module global, so it is bound once here.
-_REJECT = Verdict.REJECT
-
 DEFAULT_REPLY_TIMEOUT = 10 * SECONDS
 DEFAULT_RTT_BOUND = 50 * MILLIS
 DEFAULT_DISPATCH_LEAD = 100 * MILLIS
@@ -85,15 +78,14 @@ class ClientError(Exception):
 
 
 class ScheduleRejected(ClientError):
-    """The scheduled time fell outside the server's acceptable range.
+    """The server refused the scheduled time as outside its acceptable range.
 
-    `local` is true when the client's own pre-check refused the request
-    before transmission.
+    Raised by resolve() on a `schedule-out-of-range` reply; the server is
+    the only judge of its range, so the rpc has always been sent.
     """
 
-    def __init__(self, detail: str = "", *, local: bool = False):
+    def __init__(self, detail: str = ""):
         super().__init__(detail or "schedule rejected")
-        self.local = local
 
 
 class ReplyTimeout(ClientError):
@@ -248,7 +240,6 @@ ScheduleOutcome = PendingCall
 class Session:
     server_id: str
     send: Callable[[bytes], None]
-    range_config: SchedulingRangeConfig | None = None
 
 
 class Client:
@@ -288,13 +279,8 @@ class Client:
     def now(self) -> int:
         return self._driver.now()
 
-    def connect(
-        self,
-        server_id: str,
-        send: Callable[[bytes], None],
-        range_config: SchedulingRangeConfig | None = None,
-    ) -> Session:
-        session = Session(server_id, send, range_config)
+    def connect(self, server_id: str, send: Callable[[bytes], None]) -> Session:
+        session = Session(server_id, send)
         with self._lock:
             self._sessions[server_id] = session
         return session
@@ -380,23 +366,11 @@ class Client:
         get_time: bool = False,
         prediction: Prediction | None = None,
         desired_completion: int | None = None,
-        range_check: bool = False,
     ) -> PendingCall:
         """Send one rpc without waiting; the returned call resolves later."""
         session = self.session(server_id)
         with self._lock:
             now = self._driver.now()
-            if (
-                range_check
-                and scheduled_time is not None
-                and session.range_config is not None
-            ):
-                verdict = validate_schedule(scheduled_time, now, session.range_config)
-                if verdict is _REJECT:
-                    raise ScheduleRejected(
-                        f"scheduled-time {scheduled_time} outside {server_id}'s range",
-                        local=True,
-                    )
             mid = self._next_mid()
             # Encoded before it is registered: a message that cannot be sent
             # leaves no call pending.
@@ -529,7 +503,6 @@ class Client:
             get_time=True,
             prediction=prediction,
             desired_completion=desired_completion,
-            range_check=True,
         )
 
     def schedule_at_completion(
@@ -541,9 +514,9 @@ class Client:
         """Schedule so the operation is expected to finish at desired_completion.
 
         Sends scheduled-time = desired - predicted offset with get-time set,
-        and feeds the reported completion back into the predictor. Refuses
-        locally (without transmitting) when the computed time falls outside
-        the server's known acceptable range.
+        and feeds the reported completion back into the predictor. Raises
+        ScheduleRejected when the server refuses the computed time as
+        outside its acceptable range.
         """
         call = self.submit_at_completion(server_id, operation, desired_completion)
         self.wait([call], self._reply_deadline(call))
@@ -576,26 +549,18 @@ class Client:
 
         By default all servers *start* at `at`; with align_completion each
         call goes through submit_at_completion, so completions line up
-        instead. Per-server failures come back in the result map rather than
-        aborting the rest.
+        instead. A server named more than once gets one rpc, and the result
+        map keys each server once, in first-seen order. Per-server failures
+        come back in the result map rather than aborting the rest.
         """
         calls: dict[str, PendingCall] = {}
-        results: dict[str, PendingCall | ClientError] = {}
-        for server_id in server_ids:
-            try:
-                if align_completion:
-                    call = self.submit_at_completion(server_id, operation, at)
-                else:
-                    call = self.submit(
-                        server_id, operation, at, get_time=True, range_check=True
-                    )
-                calls[server_id] = call
-            except ClientError as exc:
-                results[server_id] = exc
+        for server_id in dict.fromkeys(server_ids):
+            if align_completion:
+                calls[server_id] = self.submit_at_completion(server_id, operation, at)
+            else:
+                calls[server_id] = self.submit(server_id, operation, at, get_time=True)
         self.wait(calls.values(), at + self.reply_timeout)
-        for server_id, call in calls.items():
-            results[server_id] = self.resolve_soft(call)
-        return results
+        return {sid: self.resolve_soft(call) for sid, call in calls.items()}
 
     def coordinated_snapshot(
         self,
@@ -630,9 +595,10 @@ class Client:
         Every participant must acknowledge acceptance before
         commit_time - margin; otherwise the client cancels every participant
         that did not already reject, and those cancellations must all be
-        confirmed before the commit time (else AbortFailed).
+        confirmed before the commit time (else AbortFailed). A server named
+        more than once takes part once, in first-seen order.
         """
-        server_ids = list(server_ids)
+        server_ids = list(dict.fromkeys(server_ids))
         margin = max(2 * self.rtt_bound, MIN_COMMIT_MARGIN)
         now = self._driver.now()
         if commit_time - now <= self.rtt_bound + margin:

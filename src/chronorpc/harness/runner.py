@@ -118,7 +118,7 @@ def build_world(scenario: Scenario, seed: int | None = None) -> World:
             rng=named_rng(root, "link", sid, "down"),
             name=f"{sid}-down",
         )
-        client.connect(sid, to_server.send, range_config=spec.range_config)
+        client.connect(sid, to_server.send)
         servers[sid] = server
     return World(loop, client, servers, scenario)
 

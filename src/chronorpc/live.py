@@ -244,16 +244,11 @@ class LiveClient:
         self._socks: list[socket.socket] = []
         self._threads: list[threading.Thread] = []
 
-    def connect(
-        self,
-        server_id: str,
-        address: tuple[str, int],
-        range_config: SchedulingRangeConfig | None = None,
-    ):
+    def connect(self, server_id: str, address: tuple[str, int]):
         sock = socket.create_connection(address)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._socks.append(sock)
-        session = self.core.connect(server_id, sock.sendall, range_config=range_config)
+        session = self.core.connect(server_id, sock.sendall)
 
         def deliver(frame: bytes) -> None:
             with self._lock:

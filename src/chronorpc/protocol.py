@@ -228,14 +228,6 @@ def _json_params(params: dict[str, str]) -> str:
     return "{" + ",".join(entries) + "}"
 
 
-def _json_value(value: object) -> str:
-    # error-code and error-detail are written without a type check, as
-    # json.dumps wrote them; only a non-string takes the slow path.
-    if isinstance(value, str):
-        return _escape(value)
-    return json.dumps(value, separators=(",", ":"))
-
-
 def _encode_rpc(msg: RpcMessage) -> str:
     op = msg.operation
     mid = msg.message_id
@@ -260,6 +252,10 @@ def _encode_reply(msg: RpcReply) -> str:
     if status == "error":
         if not msg.error_code:
             raise ValueError("error reply needs an error-code")
+        if not isinstance(msg.error_code, str):
+            raise ValueError(f"error-code must be a string, got {msg.error_code!r}")
+        if not isinstance(msg.error_detail, str):
+            raise ValueError(f"error-detail must be a string, got {msg.error_detail!r}")
         if msg.execution_time is not None:
             raise ValueError("error reply cannot carry execution-time")
     elif msg.error_code is not None:
@@ -270,9 +266,9 @@ def _encode_reply(msg: RpcReply) -> str:
     mid = _escape(mid) if type(mid) is str and mid else _quoted(mid, "message-id")
     frame = f'{{"type":"rpc-reply","message-id":{mid},"status":{_escape(status)}'
     if msg.error_code is not None:
-        frame += f',"error-code":{_json_value(msg.error_code)}'
+        frame += f',"error-code":{_escape(msg.error_code)}'
     if msg.error_detail:
-        frame += f',"error-detail":{_json_value(msg.error_detail)}'
+        frame += f',"error-detail":{_escape(msg.error_detail)}'
     if msg.execution_time is not None:
         frame += f',"execution-time":{int(msg.execution_time)}'
     if msg.params is not None:
@@ -315,9 +311,9 @@ def encode(msg: Message) -> bytes:
     """Serialize one message to a newline-terminated frame.
 
     Raises ValueError for structurally invalid messages (empty id, params
-    that are not a dict of strings, an error reply carrying execution-time,
-    an ok reply carrying an error-code or error-detail, or a frame over
-    64 KiB).
+    that are not a dict of strings, an error reply whose error-code or
+    error-detail is not a string or that carries execution-time, an ok reply
+    carrying an error-code or error-detail, or a frame over 64 KiB).
     """
     encoder = _ENCODERS.get(type(msg))
     if encoder is None:

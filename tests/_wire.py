@@ -128,6 +128,10 @@ def ref_encode(msg: Message) -> bytes:
             raise ValueError(f"bad reply status: {msg.status!r}")
         if msg.status == "error" and not msg.error_code:
             raise ValueError("error reply needs an error-code")
+        if msg.status == "error" and not isinstance(msg.error_code, str):
+            raise ValueError(f"error-code must be a string, got {msg.error_code!r}")
+        if msg.status == "error" and not isinstance(msg.error_detail, str):
+            raise ValueError(f"error-detail must be a string, got {msg.error_detail!r}")
         if msg.status == "ok" and msg.error_code is not None:
             raise ValueError("ok reply cannot carry an error-code")
         if msg.status == "ok" and msg.error_detail:

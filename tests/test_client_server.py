@@ -47,7 +47,7 @@ def make_world(specs, *, delay=1 * MILLIS, seed=9, **client_kw):
         )
         down = Link(loop, server.on_frame, delay=d,
                     rng=named_rng(seed, "link", sid, "down"), name=f"{sid}-down")
-        client.connect(sid, down.send, spec.get("range"))
+        client.connect(sid, down.send)
         servers[sid] = server
         links[sid] = (down, up)
     return loop, client, servers, links
@@ -79,9 +79,8 @@ class TestScheduleRaw:
 
     def test_remote_rejection_raises(self):
         loop, client, server, _ = one_server()
-        with pytest.raises(ScheduleRejected) as exc:
+        with pytest.raises(ScheduleRejected):
             client.schedule_raw("s1", Operation("noop"), client.now() + 30 * SECONDS)
-        assert not exc.value.local
         assert server.log == []
 
     def test_resolved_call_is_its_own_outcome(self):
@@ -183,26 +182,12 @@ class TestScheduleAtCompletion:
                 assert out.prediction_error == 0
                 assert out.execution_time == desired
 
-    def test_local_refusal_sends_nothing(self):
-        cfg = SchedulingRangeConfig()
-        loop, client, server, _ = one_server(range_config=cfg)
-        with pytest.raises(ScheduleRejected) as exc:
-            client.schedule_at_completion(
-                "s1", Operation("noop"), client.now() + 30 * SECONDS
-            )
-        assert exc.value.local
-        loop.run_until(deadline=40 * SECONDS)
-        assert server.decode_errors == 0
-        assert server.ops == {}
-        assert server.log == []
-
-    def test_without_range_config_refusal_comes_from_server(self):
+    def test_out_of_range_is_refused_by_the_server(self):
         loop, client, server, _ = one_server()
-        with pytest.raises(ScheduleRejected) as exc:
+        with pytest.raises(ScheduleRejected):
             client.schedule_at_completion(
                 "s1", Operation("noop"), client.now() + 30 * SECONDS
             )
-        assert not exc.value.local
         assert server.rejected_ids == {"m1"}
 
 
@@ -348,8 +333,18 @@ class TestCoordinatedOperation:
         results = client.coordinated_operation(["s1", "s2"], Operation("noop"), at)
         assert isinstance(results["s1"], ScheduleOutcome) and results["s1"].ok
         assert isinstance(results["s2"], ScheduleRejected)
-        assert results["s2"].local
+        assert servers["s2"].rejected_ids == {"m2"}
+        assert servers["s2"].log == []
         assert servers["s1"].log[0].t_start == at
+
+    def test_repeated_server_runs_once(self):
+        loop, client, servers, _ = make_world({"s1": {}})
+        at = client.now() + 2 * SECONDS
+        results = client.coordinated_operation(["s1", "s1"], Operation("noop"), at)
+        assert list(results) == ["s1"]
+        assert results["s1"].ok
+        loop.run_until(deadline=at + SECONDS)
+        assert len(servers["s1"].log) == 1
 
 
 class TestSnapshot:
@@ -412,14 +407,12 @@ class TestAtomicCommit:
             assert isinstance(out, ScheduleOutcome) and out.ok
 
     def test_one_rejection_aborts_all(self):
+        # s5 accepts schedules at most 1 s ahead, so it refuses the commit
         tight = {"s5": {
             "model": ExecutionModel(base=15 * MILLIS),
-            "range": None,  # no local knowledge: rejection comes from the wire
+            "range": SchedulingRangeConfig(sched_max_future=1 * SECONDS),
         }}
         loop, client, servers = self.staged_world(4, extra=tight)
-        servers["s5"].range_config = SchedulingRangeConfig(
-            sched_max_future=1 * SECONDS
-        )
         at = client.now() + 2 * SECONDS
         result = client.atomic_commit(list(servers), at)
         assert result.status == "aborted"
@@ -432,6 +425,23 @@ class TestAtomicCommit:
         for sid in ["s1", "s2", "s3", "s4"]:
             assert result.cancel_times[sid] < at
         assert "s5" not in result.cancel_times
+
+    def test_repeated_server_takes_part_once(self):
+        tight = {"s2": {
+            "model": ExecutionModel(base=15 * MILLIS),
+            "range": SchedulingRangeConfig(sched_max_future=1 * SECONDS),
+        }}
+        loop, client, servers = self.staged_world(1, extra=tight)
+        at = client.now() + 2 * SECONDS
+        result = client.atomic_commit(["s1", "s1", "s2"], at)
+        assert result.status == "aborted"
+        assert list(result.cancel_times) == ["s1"]
+        loop.run_until(deadline=at + SECONDS)
+        s1 = servers["s1"]
+        commits = [op for op in s1.ops.values() if op.operation.name == "commit"]
+        assert len(commits) == 1
+        assert [op.operation.name for op in s1.log] == ["set-value"]
+        assert s1.state.running == {}
 
     def test_window_too_short_sends_nothing(self):
         loop, client, servers = self.staged_world(2)
@@ -457,14 +467,14 @@ class TestAtomicCommit:
         assert "s2" in str(exc.value)
 
 
-def test_range_config_mismatch_double_check():
-    # client thinks the window is wide, server is stricter: remote reject
+def test_server_range_changed_at_runtime_is_enforced():
+    # the server starts wide and is narrowed before the rpc arrives
     loop, client, server, _ = one_server(
         range_config=SchedulingRangeConfig(sched_max_future=60 * SECONDS)
     )
     server.range_config = SchedulingRangeConfig(sched_max_future=1 * SECONDS)
-    with pytest.raises(ScheduleRejected) as exc:
+    with pytest.raises(ScheduleRejected):
         client.schedule_at_completion(
             "s1", Operation("noop"), client.now() + 5 * SECONDS
         )
-    assert not exc.value.local
+    assert server.rejected_ids == {"m1"}

@@ -191,6 +191,18 @@ class TestEncodeValidation:
         with pytest.raises(ValueError, match="error-detail"):
             encode(bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            RpcReply("m1", "error", 5),  # type: ignore[arg-type]
+            RpcReply("m1", "error", "cancelled", 7),  # type: ignore[arg-type]
+        ],
+    )
+    def test_error_reply_fields_must_be_strings(self, bad):
+        # decode() refuses a non-string error-code or error-detail.
+        with pytest.raises(ValueError, match="must be a string"):
+            encode(bad)
+
     def test_empty_message_id(self):
         with pytest.raises(ValueError):
             encode(RpcMessage("", Operation("noop")))
@@ -420,7 +432,7 @@ class TestReferenceEquivalence:
 
     @settings(max_examples=300)
     @given(msg=_messages)
-    # Fields encode() writes without a type check.
+    # Reply fields of the wrong type, which both encoders refuse.
     @example(msg=RpcReply("m1", "error", 5, 7))
     @example(msg=RpcReply("m1", "ok", None, ["detail"], 3))
     # An ok reply refuses an error-detail, which decode() would drop.

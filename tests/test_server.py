@@ -371,6 +371,29 @@ class TestExecutorLanes:
         assert ends == sorted(ends)
         assert len(server.log) == 12
 
+    def test_cancel_while_waiting_for_a_lane(self):
+        # m2 falls due while toast m1 holds the only lane, so it waits in the
+        # ready queue; cancelled there, it must be skipped, and m3 behind it
+        # still runs when the lane frees.
+        loop, server, wire = make_server()
+        rpc(server, "m1", op="toast", at=1 * SECONDS)
+        rpc(server, "m2", op="set-value", params={"key": "k", "value": "v"},
+            at=1 * SECONDS + 50 * MILLIS)
+        rpc(server, "m3", at=1 * SECONDS + 60 * MILLIS)
+        loop.run_until(deadline=1 * SECONDS + 80 * MILLIS)
+        assert server.ops["m1"].state is OpState.RUNNING
+        assert server.ops["m2"].state is OpState.PENDING
+        assert [op.message_id for op in server._ready] == ["m2", "m3"]
+        server.on_frame(encode(CancelSchedule("c1", "m2")))
+        loop.run_until(deadline=3 * SECONDS)
+        assert wire.reply("c1").ok
+        assert wire.reply("m2").error_code == "cancelled"
+        assert server.ops["m2"].state is OpState.CANCELLED
+        assert server.ops["m2"].t_start is None
+        assert server.state.candidate == {}
+        assert [e.message_id for e in server.log] == ["m1", "m3"]
+        assert server.ops["m3"].t_start == server.ops["m1"].t_end
+
     def test_lane_validation(self):
         with pytest.raises(ValueError):
             make_server(lanes=0)
