@@ -35,12 +35,10 @@ from .prediction import (
     ALGORITHMS,
     DEFAULT_WINDOW,
     EteSample,
-    KalmanFilter1D,
     Prediction,
     PredictionError,
     PredictorState,
     evaluate_stream,
-    kalman_step,
 )
 from .sim import EventLoop, Link, named_rng
 from .server import ExecutionModel, Server
@@ -96,12 +94,10 @@ __all__ = [
     "ALGORITHMS",
     "DEFAULT_WINDOW",
     "EteSample",
-    "KalmanFilter1D",
     "Prediction",
     "PredictionError",
     "PredictorState",
     "evaluate_stream",
-    "kalman_step",
     # simulation
     "EventLoop",
     "Link",

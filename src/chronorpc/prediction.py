@@ -12,10 +12,15 @@ Four algorithms are provided:
 * ft-average   - mean of the last N samples with one maximum and one minimum
                  occurrence removed (falls back to the plain mean when fewer
                  than 3 samples are held), insensitive to a lone outlier
-* kalman       - one-dimensional constant-state Kalman filter whose process
-                 and measurement variances are re-estimated from recent
-                 history (drift of the filtered estimate, and filtered
-                 residuals, respectively)
+* kalman       - the last offset held, once two samples are in (the window
+                 average before that). As specified, the rule is a 1-D
+                 constant-state Kalman filter that estimates its
+                 measurement noise from its filtered residuals. Its first
+                 gain is 1, which makes every filtered residual exactly
+                 0.0, so the gain stays 1 and each estimate is the newest
+                 measurement. Below the 2**53 ns bound PredictorState
+                 states, e + 1.0 * (x - e) is exactly x, so the last offset
+                 is bit for bit what the filter would predict.
 
 One PredictorState holds the window and serves any subset of them from it,
 so evaluate_stream compares rules on exactly the same samples in one pass;
@@ -44,8 +49,6 @@ __all__ = [
     "PredictionError",
     "OutOfOrderSample",
     "EteSample",
-    "kalman_step",
-    "KalmanFilter1D",
     "Prediction",
     "PredictorState",
     "evaluate_stream",
@@ -93,81 +96,6 @@ class EteSample:
         )
 
 
-def _population_variance(values: Sequence[float]) -> float:
-    # 1/N divisor over exactly the supplied entries.
-    mean = sum(values) / len(values)
-    return sum([(v - mean) ** 2 for v in values]) / len(values)
-
-
-def kalman_step(
-    estimate: float,
-    variance: float,
-    drift_variance: float,
-    residual_variance: float,
-    measurement: float,
-) -> tuple[float, float, float]:
-    """One predict+update cycle of the unit-transition filter.
-
-    Returns (new_estimate, new_variance, gain). The predicted estimate is the
-    previous one; the predicted variance grows by the drift variance. When
-    both the predicted variance and the residual variance are zero the gain
-    is defined as 1 (adopt the measurement).
-    """
-    predicted_variance = variance + drift_variance
-    denom = predicted_variance + residual_variance
-    gain = 1.0 if denom == 0.0 else predicted_variance / denom
-    new_estimate = estimate + gain * (measurement - estimate)
-    new_variance = (1.0 - gain) * predicted_variance
-    return new_estimate, new_variance, gain
-
-
-class KalmanFilter1D:
-    """Kalman filter over a constant hidden offset with unit transition.
-
-    The filter seeds itself from the first measurement (estimate := x,
-    variance := 0) and re-estimates its noise terms before every update:
-    drift variance from the last `window` first differences of the estimate
-    and residual variance from the last `window` filtered residuals, both
-    with 1/N divisors over however many entries exist. Each difference is
-    taken once, when its estimate is appended (new minus previous).
-
-    `count`, `estimate` and `variance` are plain attributes, read-only by
-    contract; PredictorState predicts `estimate` once `count` is 2 or more.
-    """
-
-    def __init__(self, window: int = DEFAULT_WINDOW):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
-        self.count = 0
-        self.estimate = 0.0
-        self.variance = 0.0
-        self._diffs: deque[float] = deque(maxlen=window)
-        self._residuals: deque[float] = deque(maxlen=window)
-
-    def observe(self, measurement: float) -> None:
-        measurement = float(measurement)
-        if self.count == 0:
-            self.estimate = measurement
-            self.variance = 0.0
-        else:
-            # The noise terms: drift variance over the differences held, and
-            # residual variance once two residuals are held.
-            diffs = self._diffs
-            residuals = self._residuals
-            previous = self.estimate
-            self.estimate, self.variance, _ = kalman_step(
-                previous,
-                self.variance,
-                _population_variance(diffs) if diffs else 0.0,
-                _population_variance(residuals) if len(residuals) >= 2 else 0.0,
-                measurement,
-            )
-            diffs.append(self.estimate - previous)
-        self._residuals.append(measurement - self.estimate)
-        self.count += 1
-
-
 @dataclass(slots=True)
 class Prediction:
     """A rounded offset prediction plus which algorithm actually produced it.
@@ -196,8 +124,8 @@ class PredictorState:
     8), since below that bound every float partial sum is an exact integer.
 
     Cold-start ladder: with no samples every rule predicts 0 (baseline); the
-    Kalman rule additionally falls back to the window average until the
-    filter has two samples. Only a state built with kalman owns a filter.
+    kalman rule falls back to the window average until two samples have
+    been pushed, then predicts the last offset held.
     """
 
     def __init__(self, algorithms: Sequence[str], window: int = DEFAULT_WINDOW):
@@ -212,7 +140,6 @@ class PredictorState:
         self.total = 0
         self.last_index: int | None = None
         self.sample_count = 0
-        self.kalman = KalmanFilter1D(window) if "kalman" in self.algorithms else None
 
     def push(self, sample: EteSample) -> None:
         index = sample.sequence_index
@@ -226,8 +153,6 @@ class PredictorState:
         offsets.append(ete)
         self.total += ete
         self.last_index = index
-        if self.kalman is not None:
-            self.kalman.observe(ete)
         self.sample_count += 1
 
     def push_times(self, scheduled_time: int, execution_time: int) -> EteSample:
@@ -261,12 +186,11 @@ class PredictorState:
                 raw = (self.total - max(offsets) - min(offsets)) / (n - 2)
             return Prediction(round(raw), raw, "ft-average")
         # kalman
-        kalman = self.kalman
-        if kalman.count < 2:
+        if self.sample_count < 2:
             raw = self.total / n
             return Prediction(round(raw), raw, "average", True)
-        raw = kalman.estimate
-        return Prediction(round(raw), raw, "kalman")
+        last = offsets[-1]
+        return Prediction(last, float(last), "kalman")
 
 
 def evaluate_stream(

@@ -249,13 +249,13 @@ def _encode_reply(msg: RpcReply) -> str:
     status = msg.status
     if status not in ("ok", "error"):
         raise ValueError(f"bad reply status: {status!r}")
+    if not isinstance(msg.error_detail, str):
+        raise ValueError(f"error-detail must be a string, got {msg.error_detail!r}")
     if status == "error":
         if not msg.error_code:
             raise ValueError("error reply needs an error-code")
         if not isinstance(msg.error_code, str):
             raise ValueError(f"error-code must be a string, got {msg.error_code!r}")
-        if not isinstance(msg.error_detail, str):
-            raise ValueError(f"error-detail must be a string, got {msg.error_detail!r}")
         if msg.execution_time is not None:
             raise ValueError("error reply cannot carry execution-time")
     elif msg.error_code is not None:
@@ -311,9 +311,10 @@ def encode(msg: Message) -> bytes:
     """Serialize one message to a newline-terminated frame.
 
     Raises ValueError for structurally invalid messages (empty id, params
-    that are not a dict of strings, an error reply whose error-code or
-    error-detail is not a string or that carries execution-time, an ok reply
-    carrying an error-code or error-detail, or a frame over 64 KiB).
+    that are not a dict of strings, a reply whose error-detail is not a
+    string, an error reply whose error-code is not a string or that carries
+    execution-time, an ok reply carrying an error-code or a non-empty
+    error-detail, or a frame over 64 KiB).
     """
     encoder = _ENCODERS.get(type(msg))
     if encoder is None:

@@ -1,11 +1,16 @@
-"""List-based copies of the windowed rules and the Kalman noise estimators.
+"""List-based copies of the windowed rules, and the Kalman filter's step and
+noise estimators.
 
-The package computes these quantities incrementally (PredictorState keeps
-a running sum, KalmanFilter1D keeps its differences and residuals in deques).
-The functions here recompute them from plain lists with the same operations
-in the same order, so the incremental code must match them bit for bit
-(`==`), where tests/_reference.py is an independent oracle checked to a
-tolerance.
+The package computes the windowed rules incrementally (PredictorState keeps
+a running sum). The functions here recompute them from plain lists with the
+same operations in the same order, so the incremental code must match them
+bit for bit (`==`), where tests/_reference.py is an independent oracle
+checked to a tolerance.
+
+The package computes the kalman rule as the last offset held, which is what
+the filter as specified reduces to. `kalman_step` and the two noise
+estimators below are the filter itself, kept so that tests can replay it
+(`list_kalman_replay` in test_prediction.py) and check that reduction `==`.
 """
 
 from __future__ import annotations
@@ -72,3 +77,24 @@ def estimate_residual_variance(
     residuals = [x - s for x, s in zip(measurement_history, estimate_history)]
     return _population_variance(residuals)
 
+
+def kalman_step(
+    estimate: float,
+    variance: float,
+    drift_variance: float,
+    residual_variance: float,
+    measurement: float,
+) -> tuple[float, float, float]:
+    """One predict+update cycle of the unit-transition filter.
+
+    Returns (new_estimate, new_variance, gain). The predicted estimate is the
+    previous one; the predicted variance grows by the drift variance. When
+    both the predicted variance and the residual variance are zero the gain
+    is defined as 1 (adopt the measurement).
+    """
+    predicted_variance = variance + drift_variance
+    denom = predicted_variance + residual_variance
+    gain = 1.0 if denom == 0.0 else predicted_variance / denom
+    new_estimate = estimate + gain * (measurement - estimate)
+    new_variance = (1.0 - gain) * predicted_variance
+    return new_estimate, new_variance, gain

@@ -13,6 +13,11 @@ Conventions mirrored from the package contract:
     and defines gain := 1 when both variance terms are zero
   - cold-start ladder: no samples -> 0; kalman with fewer than 2 samples
     -> plain window average
+
+The package computes kalman as the last offset held: the filter below,
+run as specified, has gain 1 on every step (each filtered residual is 0.0),
+so each estimate is the newest measurement. ref_kalman_trajectory runs the
+whole filter anyway, so the tests check that reduction rather than assume it.
 """
 
 from __future__ import annotations

@@ -126,12 +126,12 @@ def ref_encode(msg: Message) -> bytes:
     elif isinstance(msg, RpcReply):
         if msg.status not in ("ok", "error"):
             raise ValueError(f"bad reply status: {msg.status!r}")
+        if not isinstance(msg.error_detail, str):
+            raise ValueError(f"error-detail must be a string, got {msg.error_detail!r}")
         if msg.status == "error" and not msg.error_code:
             raise ValueError("error reply needs an error-code")
         if msg.status == "error" and not isinstance(msg.error_code, str):
             raise ValueError(f"error-code must be a string, got {msg.error_code!r}")
-        if msg.status == "error" and not isinstance(msg.error_detail, str):
-            raise ValueError(f"error-detail must be a string, got {msg.error_detail!r}")
         if msg.status == "ok" and msg.error_code is not None:
             raise ValueError("ok reply cannot carry an error-code")
         if msg.status == "ok" and msg.error_detail:

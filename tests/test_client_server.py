@@ -149,7 +149,6 @@ class TestFeedback:
         state = client.predictor("s1", "noop")
         assert state.sample_count == 1
         assert state.algorithms == ("ft-average",)
-        assert state.kalman is None
 
     def test_reset_predictor_installs_the_given_state(self):
         loop, client, server, _ = one_server(ExecutionModel(base=25 * MILLIS))

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from chronorpc.prediction import (
     ALGORITHMS,
     EteSample,
-    KalmanFilter1D,
     OutOfOrderSample,
     PredictorState,
     evaluate_stream,
-    kalman_step,
     read_sample_csv,
     replay_rows,
 )
@@ -25,6 +23,7 @@ from _list_rules import (
     estimate_drift_variance,
     estimate_residual_variance,
     ft_average,
+    kalman_step,
 )
 from _reference import (
     ref_kalman_trajectory,
@@ -181,6 +180,9 @@ class TestKalmanStep:
 
 
 class TestKalmanFilter:
+    """The filter as specified, run by the from-scratch reference, and the
+    package's kalman rule, which is the last offset held."""
+
     def test_not_warm_until_two(self):
         state = PredictorState(("kalman",), 8)
         ran = []
@@ -192,37 +194,33 @@ class TestKalmanFilter:
         assert p.raw == 20.0 * MILLIS
 
     def test_constant_stream_fixed_point(self):
-        f = KalmanFilter1D(8)
-        for _ in range(20):
-            f.observe(20.0 * MILLIS)
-        assert f.estimate == 20.0 * MILLIS
-        assert f.variance == 0.0
+        estimates, variances = ref_kalman_trajectory([20.0 * MILLIS] * 20, 8)
+        assert estimates[-1] == 20.0 * MILLIS
+        assert variances[-1] == 0.0
 
     def test_trace_matches_reference(self):
-        trace = [float(v) for v in make_trace()]
-        ref_estimates, ref_variances = ref_kalman_trajectory(trace, 8)
-        f = KalmanFilter1D(8)
-        for i, x in enumerate(trace):
-            f.observe(x)
-            assert rel_err(f.estimate, ref_estimates[i]) <= 1e-9, i
-            assert rel_err(f.variance, ref_variances[i]) <= 1e-9, i
+        # The list replay (kalman_step and the list noise estimators) against
+        # the from-scratch filter; a prediction is the estimate one sample
+        # earlier.
+        trace = make_trace()
+        ref_estimates, ref_variances = ref_kalman_trajectory(
+            [float(v) for v in trace], 8
+        )
+        raws, variances = list_kalman_replay(trace, 8)
+        for i in range(len(trace)):
+            if i >= 2:
+                assert rel_err(raws[i], ref_estimates[i - 1]) <= 1e-9, i
+            assert rel_err(variances[i], ref_variances[i]) <= 1e-9, i
 
     def test_integer_streams_track_last_sample(self):
         # With zero-initialized variance and exact integer arithmetic the
         # residuals stay identically zero, so the gain locks at 1 and the
-        # estimate follows the newest measurement. Frozen here on purpose;
-        # see the constant-stream fixed point above for the benign case.
+        # estimate follows the newest measurement. The package's kalman rule
+        # is computed as exactly that.
         rng = random.Random(9)
-        f = KalmanFilter1D(8)
-        last = 0.0
-        for _ in range(100):
-            last = float(rng.randint(0, 10**10))
-            f.observe(last)
-        assert f.estimate == last
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            KalmanFilter1D(0)
+        values = [float(rng.randint(0, 10**10)) for _ in range(100)]
+        estimates, _ = ref_kalman_trajectory(values, 8)
+        assert estimates[-1] == values[-1]
 
 
 class TestSampleWindow:
@@ -242,9 +240,9 @@ class TestSampleWindow:
         state.push(samples[1])
         with pytest.raises(OutOfOrderSample):
             state.push(samples[0])
-        # the rejected sample reached neither the window nor the filter
+        # the rejected sample did not reach the window
         assert list(state.offsets) == [6]
-        assert (state.sample_count, state.kalman.count) == (1, 1)
+        assert state.sample_count == 1
 
     def test_duplicate_index(self):
         state = PredictorState(("average",), 3)
@@ -302,13 +300,17 @@ class TestPredictorState:
         assert state.predict("kalman").algorithm == "kalman"
         assert not state.predict("kalman").fallback
 
-    def test_only_kalman_owns_a_filter(self):
-        states = {algo: PredictorState((algo,), 8) for algo in ALGORITHMS}
-        for state in states.values():
+    def test_serves_only_the_rules_it_was_built_with(self):
+        for algo in ALGORITHMS:
+            state = PredictorState((algo,), 8)
             for s in make_samples([10, 20, 30]):
                 state.push(s)
-        assert [a for a, st in states.items() if st.kalman is not None] == ["kalman"]
-        assert states["kalman"].kalman.count == 3
+            assert state.algorithms == (algo,)
+            assert not state.predict(algo).fallback
+            for other in ALGORITHMS:
+                if other != algo:
+                    with pytest.raises(ValueError):
+                        state.predict(other)
 
     def test_baseline_always_zero(self):
         state = PredictorState(("baseline",), 8)
@@ -334,7 +336,6 @@ class TestPredictorState:
         for algo in ("kalman", "baseline", "median"):
             with pytest.raises(ValueError):
                 state.predict(algo)
-        assert state.kalman is None
 
     def test_rounding_to_nearest_ns(self):
         state = PredictorState(("average",), 8)
@@ -431,10 +432,8 @@ class TestProperties:
     @settings(max_examples=100)
     @given(values=st.lists(st.integers(min_value=0, max_value=10**11), min_size=2, max_size=20))
     def test_kalman_estimate_within_sample_range(self, values):
-        f = KalmanFilter1D(8)
-        for v in values:
-            f.observe(float(v))
-        assert min(values) <= f.estimate <= max(values)
+        estimates, _ = ref_kalman_trajectory([float(v) for v in values], 8)
+        assert min(values) <= estimates[-1] <= max(values)
 
     @settings(max_examples=50)
     @given(values=etes)
@@ -515,5 +514,20 @@ class TestIncrementalWindowMatchesLists:
             for algo in ALGORITHMS:
                 assert state.predict(algo).raw == expected[algo][i], (algo, i)
             state.push(sample)
-            assert state.kalman.variance == kalman_variances[i], i
             assert list(state.offsets) == values[max(0, i + 1 - window) : i + 1]
+        # The filter as specified never leaves gain 1.
+        assert kalman_variances == [0.0] * len(values)
+
+    @settings(max_examples=200)
+    @given(stream=windowed_streams())
+    def test_kalman_is_the_last_offset_held(self, stream):
+        window, values = stream
+        estimates, variances = ref_kalman_trajectory(values, window)
+        assert estimates == [float(v) for v in values]
+        assert variances == [0.0] * len(values)
+        state = PredictorState(ALGORITHMS, window)
+        for i, sample in enumerate(make_samples(values)):
+            state.push(sample)
+            if i >= 1:
+                raw = state.predict("kalman").raw
+                assert raw.hex() == float(values[i]).hex(), i

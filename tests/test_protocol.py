@@ -196,10 +196,12 @@ class TestEncodeValidation:
         [
             RpcReply("m1", "error", 5),  # type: ignore[arg-type]
             RpcReply("m1", "error", "cancelled", 7),  # type: ignore[arg-type]
+            RpcReply("m1", "ok", None, None, 5),  # type: ignore[arg-type]
         ],
     )
     def test_error_reply_fields_must_be_strings(self, bad):
-        # decode() refuses a non-string error-code or error-detail.
+        # decode() refuses a non-string error-code or error-detail, and gives
+        # an absent error-detail back as "", so None would not round-trip.
         with pytest.raises(ValueError, match="must be a string"):
             encode(bad)
 
@@ -435,6 +437,7 @@ class TestReferenceEquivalence:
     # Reply fields of the wrong type, which both encoders refuse.
     @example(msg=RpcReply("m1", "error", 5, 7))
     @example(msg=RpcReply("m1", "ok", None, ["detail"], 3))
+    @example(msg=RpcReply("m1", "ok", None, None, 5))
     # An ok reply refuses an error-detail, which decode() would drop.
     @example(msg=RpcReply("m1", "ok", None, "note", 5))
     def test_encode_matches_reference(self, msg):
