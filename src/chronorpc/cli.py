@@ -18,8 +18,10 @@ import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .harness import (
+    CSV_HEADER,
     CheckFailed,
     DEMOS,
     DemoFailure,
@@ -33,9 +35,9 @@ from .harness import (
 from .prediction import (
     ALGORITHMS,
     DEFAULT_WINDOW,
+    EteSample,
     PredictionError,
-    read_sample_csv,
-    replay_rows,
+    evaluate_stream,
 )
 
 EXPERIMENTS = {
@@ -46,6 +48,82 @@ EXPERIMENTS = {
     "probing": "probing",
     "stress": "stress",
 }
+
+REPLAY_INPUT_FIELDS = ("sequence", "scheduled_time_ns", "execution_time_ns")
+# The same three columns in the samples.csv that `run --out` writes
+RUN_OUTPUT_FIELDS = ("sample_index", "t_s_ns", "t_e_ns")
+
+
+def read_sample_csv(stream: Iterable[str]) -> list[EteSample]:
+    """Load a recorded stream from CSV (header required).
+
+    Two headers are read: sequence,scheduled_time_ns,execution_time_ns, and
+    CSV_HEADER, the samples.csv that `run --out` writes. That file repeats
+    each sample once per rule, so only the first rule's rows are kept, and
+    it must hold the samples of one server.
+    """
+    reader = csv.DictReader(stream, restval="")
+    header = reader.fieldnames or []
+    missing = [f for f in REPLAY_INPUT_FIELDS if f not in header]
+    run_output = bool(missing) and all(f in header for f in CSV_HEADER)
+    if missing and not run_output:
+        raise ValueError(f"sample csv missing columns: {', '.join(missing)}")
+    fields = RUN_OUTPUT_FIELDS if run_output else REPLAY_INPUT_FIELDS
+    sequence, scheduled, executed = fields
+    samples = []
+    servers: dict[str, None] = {}
+    rule = None
+    for row in reader:
+        try:
+            sample = EteSample.from_times(
+                int(row[scheduled]), int(row[executed]), int(row[sequence])
+            )
+        except ValueError:
+            raise ValueError(
+                f"line {reader.line_num}: {', '.join(fields)} must be integers"
+            ) from None
+        if run_output:
+            servers[row["server_id"]] = None
+            if rule is None:
+                rule = row["algorithm"]
+            if row["algorithm"] != rule:
+                continue
+        samples.append(sample)
+    if len(servers) > 1:
+        raise ValueError(
+            f"samples of {len(servers)} servers ({', '.join(servers)}); "
+            "replay reads one server's stream"
+        )
+    return samples
+
+
+def replay_rows(
+    samples: Sequence[EteSample],
+    algorithms: Sequence[str] = ALGORITHMS,
+    window: int = DEFAULT_WINDOW,
+) -> tuple[list[str], list[list[int]]]:
+    """Replay a recorded stream through the chosen algorithms.
+
+    Returns (header, rows); each row is sequence, scheduled/execution time,
+    the measured offset, then per-algorithm prediction and absolute error.
+    """
+    predictions = evaluate_stream(samples, algorithms, window)
+    header = list(REPLAY_INPUT_FIELDS) + ["ete_ns"]
+    for name in algorithms:
+        header += [f"{name}_prediction_ns", f"{name}_abs_error_ns"]
+    rows = []
+    for sample, preds in zip(samples, predictions):
+        row = [
+            sample.sequence_index,
+            sample.scheduled_time,
+            sample.execution_time,
+            sample.ete,
+        ]
+        for name in algorithms:
+            pred = preds[name]
+            row += [pred.value, abs(pred.value - sample.ete)]
+        rows.append(row)
+    return header, rows
 
 
 def _positive_int(text: str) -> int:
@@ -75,7 +153,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--trials", type=int, default=None, help="trials per burst scenario")
 
     p_replay = sub.add_parser("replay", help="run predictors offline over a sample csv")
-    p_replay.add_argument("--csv", required=True, help="csv with sequence,scheduled_time_ns,execution_time_ns")
+    p_replay.add_argument(
+        "--csv",
+        required=True,
+        help="csv with sequence,scheduled_time_ns,execution_time_ns, "
+        "or one server's samples.csv from run --out",
+    )
     p_replay.add_argument("--algo", default="all", choices=("all",) + ALGORITHMS)
     p_replay.add_argument("--window", type=_positive_int, default=DEFAULT_WINDOW)
     p_replay.add_argument("--out", default=None, help="output csv path (default stdout)")

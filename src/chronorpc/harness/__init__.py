@@ -1,4 +1,11 @@
-"""Deterministic evaluation harness: scenario files, runner, experiments, demos."""
+"""Deterministic evaluation harness: scenario files, runner, experiments, demos.
+
+The experiments and demos load on first use (PEP 562 module __getattr__):
+a scenario run never calls them, and every set-up would otherwise pay to
+import them.
+"""
+
+import importlib
 
 from .scenario import (
     Scenario,
@@ -17,22 +24,22 @@ from .runner import (
     check_world,
     run_scenario,
 )
-from .experiments import (
-    ExperimentReport,
-    PLATFORM_PROFILES,
-    experiment_platforms,
-    experiment_probing,
-    experiment_stress,
-    spike_window_split,
-)
-from .demos import (
-    DEMOS,
-    DemoFailure,
-    demo_commit,
-    demo_commit_abort,
-    demo_coordinated,
-    demo_snapshot,
-)
+
+# name -> the submodule that defines it, imported when the name is first read
+_LAZY = {
+    "ExperimentReport": "experiments",
+    "PLATFORM_PROFILES": "experiments",
+    "experiment_platforms": "experiments",
+    "experiment_probing": "experiments",
+    "experiment_stress": "experiments",
+    "spike_window_split": "experiments",
+    "DEMOS": "demos",
+    "DemoFailure": "demos",
+    "demo_commit": "demos",
+    "demo_commit_abort": "demos",
+    "demo_coordinated": "demos",
+    "demo_snapshot": "demos",
+}
 
 __all__ = [
     "Scenario",
@@ -48,16 +55,14 @@ __all__ = [
     "build_world",
     "check_world",
     "run_scenario",
-    "ExperimentReport",
-    "PLATFORM_PROFILES",
-    "experiment_platforms",
-    "experiment_probing",
-    "experiment_stress",
-    "spike_window_split",
-    "DEMOS",
-    "DemoFailure",
-    "demo_commit",
-    "demo_commit_abort",
-    "demo_coordinated",
-    "demo_snapshot",
+    *_LAZY,
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -17,7 +17,6 @@ jitter; the virtual-time harness is the place for exact assertions.
 from __future__ import annotations
 
 import contextlib
-import logging
 import socket
 import threading
 import time
@@ -33,8 +32,6 @@ __all__ = [
     "LiveServer",
     "LiveClient",
 ]
-
-log = logging.getLogger(__name__)
 
 
 class LiveDriver(EventLoop):
@@ -80,7 +77,10 @@ class LiveDriver(EventLoop):
                     try:
                         self.run_until(deadline=now)
                     except Exception:
-                        log.exception("timer callback failed")
+                        # imported here: only this failure path logs
+                        import logging
+
+                        logging.getLogger(__name__).exception("timer callback failed")
                     continue
                 left = None if end is None else end - time.monotonic_ns()
                 if left is not None and left <= 0:

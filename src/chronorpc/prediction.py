@@ -37,8 +37,6 @@ mutable, not hashable.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -52,15 +50,10 @@ __all__ = [
     "Prediction",
     "PredictorState",
     "evaluate_stream",
-    "read_sample_csv",
-    "replay_rows",
-    "REPLAY_INPUT_FIELDS",
 ]
 
 ALGORITHMS = ("baseline", "average", "ft-average", "kalman")
 DEFAULT_WINDOW = 8
-
-REPLAY_INPUT_FIELDS = ("sequence", "scheduled_time_ns", "execution_time_ns")
 
 
 class PredictionError(Exception):
@@ -209,55 +202,3 @@ def evaluate_stream(
         push(sample)
     return rows
 
-
-def read_sample_csv(stream: io.TextIOBase | Iterable[str]) -> list[EteSample]:
-    """Load a recorded stream from CSV with columns
-    sequence,scheduled_time_ns,execution_time_ns (header required)."""
-    reader = csv.DictReader(stream, restval="")
-    missing = [f for f in REPLAY_INPUT_FIELDS if f not in (reader.fieldnames or [])]
-    if missing:
-        raise ValueError(f"sample csv missing columns: {', '.join(missing)}")
-    samples = []
-    for row in reader:
-        try:
-            sample = EteSample.from_times(
-                int(row["scheduled_time_ns"]),
-                int(row["execution_time_ns"]),
-                int(row["sequence"]),
-            )
-        except ValueError:
-            raise ValueError(
-                f"line {reader.line_num}: "
-                f"{', '.join(REPLAY_INPUT_FIELDS)} must be integers"
-            ) from None
-        samples.append(sample)
-    return samples
-
-
-def replay_rows(
-    samples: Sequence[EteSample],
-    algorithms: Sequence[str] = ALGORITHMS,
-    window: int = DEFAULT_WINDOW,
-) -> tuple[list[str], list[list[int]]]:
-    """Replay a recorded stream through the chosen algorithms.
-
-    Returns (header, rows); each row is sequence, scheduled/execution time,
-    the measured offset, then per-algorithm prediction and absolute error.
-    """
-    predictions = evaluate_stream(samples, algorithms, window)
-    header = list(REPLAY_INPUT_FIELDS) + ["ete_ns"]
-    for name in algorithms:
-        header += [f"{name}_prediction_ns", f"{name}_abs_error_ns"]
-    rows = []
-    for sample, preds in zip(samples, predictions):
-        row = [
-            sample.sequence_index,
-            sample.scheduled_time,
-            sample.execution_time,
-            sample.ete,
-        ]
-        for name in algorithms:
-            pred = preds[name]
-            row += [pred.value, abs(pred.value - sample.ete)]
-        rows.append(row)
-    return header, rows

@@ -454,6 +454,30 @@ def test_bench_tracer_installs_on_the_package():
     assert done.returncode == 0, done.stderr
 
 
+def test_set_up_import_leaves_experiments_demos_logging_and_csv_unloaded():
+    # A fresh interpreter: pytest itself has loaded logging in this one.
+    code = (
+        "import sys\n"
+        "import chronorpc.harness, chronorpc.live\n"
+        "lazy = ['chronorpc.harness.experiments', 'chronorpc.harness.demos',"
+        " 'logging', 'csv']\n"
+        "print([m for m in lazy if m in sys.modules])\n"
+        "for name in chronorpc.harness.__all__:\n"
+        "    getattr(chronorpc.harness, name)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("workload", ["sim-scenarios", "sim-coordinated"])
 def test_bench_workload_checks_pass_on_the_package(workload):
     # bench/workloads.py reads the package's results (for example
@@ -641,13 +665,48 @@ class TestCli:
         assert len(rows) == 4
 
     def test_replay_wrong_columns(self, tmp_path, capsys):
-        # a run-output csv is not replay input; must fail cleanly, no traceback
+        # a csv with neither accepted header must fail cleanly, no traceback
         src = tmp_path / "samples.csv"
         src.write_text("sample_index,ete_ns\n0,31000\n", encoding="utf-8")
         assert main(["replay", "--csv", str(src)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "scheduled_time_ns" in err
+
+    def test_replay_reads_run_output(self, tmp_path, capsys):
+        # replay of run --out's samples.csv gives the same bytes as replay of
+        # the same stream in the sequence,scheduled_time_ns,execution_time_ns form
+        path = Path(__file__).resolve().parent.parent / "scenarios" / "constant.txt"
+        run_out = tmp_path / "rt"
+        assert main(["run", "--scenario", str(path), "--out", str(run_out)]) == 0
+        calls = run_scenario(load_scenario(path)).outcomes["s1"]
+        by_hand = tmp_path / "by-hand.csv"
+        by_hand.write_text(
+            "sequence,scheduled_time_ns,execution_time_ns\n"
+            + "".join(
+                f"{i},{c.sample.scheduled_time},{c.sample.execution_time}\n"
+                for i, c in enumerate(calls)
+            ),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        outputs = []
+        for src in (run_out / "samples.csv", by_hand):
+            dst = tmp_path / f"replay-{src.stem}.csv"
+            assert main(["replay", "--csv", str(src), "--out", str(dst)]) == 0
+            outputs.append(dst.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") == len(calls) + 1
+
+    def test_replay_refuses_run_output_of_two_servers(self, tmp_path, capsys):
+        path = Path(__file__).resolve().parent.parent / "scenarios" / "two-servers.txt"
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        src = tmp_path / "samples.csv"
+        assert main(["replay", "--csv", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}: samples of 2 servers (s1, s2)")
+        assert "Traceback" not in err
 
     def test_replay_sequence_not_increasing(self, tmp_path, capsys):
         src = tmp_path / "samples.csv"

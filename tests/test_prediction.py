@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chronorpc.cli import read_sample_csv, replay_rows
 from chronorpc.prediction import (
     ALGORITHMS,
     EteSample,
     OutOfOrderSample,
     PredictorState,
     evaluate_stream,
-    read_sample_csv,
-    replay_rows,
 )
 from chronorpc.protocol import MILLIS
 
