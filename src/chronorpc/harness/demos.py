@@ -11,7 +11,7 @@ from ..client import ClientError, PendingCall
 from ..protocol import MILLIS, SECONDS, Operation, SchedulingRangeConfig
 from ..server import ExecutionModel
 from .scenario import Scenario, ServerSpec
-from .runner import World, build_world
+from .runner import CheckFailed, World, build_world
 
 __all__ = [
     "DemoFailure",
@@ -23,8 +23,11 @@ __all__ = [
 ]
 
 
-class DemoFailure(AssertionError):
-    """A demo observed behaviour it was supposed to rule out."""
+class DemoFailure(CheckFailed):
+    """A demo observed behaviour it was supposed to rule out.
+
+    A CheckFailed, so the cli reports it as it reports a failed scenario check.
+    """
 
 
 def _require(condition: bool, message: str) -> None:

@@ -74,7 +74,6 @@ def experiment_platforms(
     seed: int = 1,
     *,
     samples: int = 300,
-    period: int = 8 * SECONDS,
     out_dir: str | Path | None = None,
 ) -> tuple[ExperimentReport, dict[str, ScenarioResult]]:
     rows = []
@@ -84,7 +83,7 @@ def experiment_platforms(
             name=f"platforms-{profile}",
             seed=_sub_seed(seed, "platforms", profile),
             probe="periodic",
-            period=period,
+            period=8 * SECONDS,
             samples=samples,
             servers=(ServerSpec(model=model),),
         )
@@ -107,8 +106,6 @@ def experiment_platforms(
 def experiment_probing(
     seed: int = 1,
     *,
-    periods: tuple[int, ...] = (1 * SECONDS, 2 * SECONDS, 4 * SECONDS, 8 * SECONDS),
-    burst_sizes: tuple[int, ...] = (1, 2, 4, 8),
     samples: int = 200,
     trials: int = 80,
     out_dir: str | Path | None = None,
@@ -116,7 +113,7 @@ def experiment_probing(
     model = ExecutionModel(base=30 * MILLIS, sigma=3 * MILLIS)
     rows = []
     results: dict[str, ScenarioResult] = {}
-    for period in periods:
+    for period in (1 * SECONDS, 2 * SECONDS, 4 * SECONDS, 8 * SECONDS):
         scenario = Scenario(
             name=f"probing-periodic-{period}",
             seed=_sub_seed(seed, "probing", "periodic", period),
@@ -130,7 +127,7 @@ def experiment_probing(
         for algo in scenario.algorithms:
             count, mean, worst = result.error_stats("s1", algo)
             rows.append(("periodic", period, 0, algo, count, f"{mean:.3f}", worst))
-    for size in burst_sizes:
+    for size in (1, 2, 4, 8):
         scenario = Scenario(
             name=f"probing-burst-{size}",
             seed=_sub_seed(seed, "probing", "burst", size),
@@ -179,12 +176,10 @@ def experiment_stress(
     seed: int = 1,
     *,
     samples: int = 1000,
-    spike_p: float = 0.02,
-    spike_mult: float = 10.0,
     out_dir: str | Path | None = None,
 ) -> tuple[ExperimentReport, ScenarioResult]:
     model = ExecutionModel(
-        base=30 * MILLIS, sigma=3 * MILLIS, spike_p=spike_p, spike_mult=spike_mult
+        base=30 * MILLIS, sigma=3 * MILLIS, spike_p=0.02, spike_mult=10.0
     )
     scenario = Scenario(
         name="stress-spikes",

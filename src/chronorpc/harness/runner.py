@@ -78,7 +78,6 @@ def build_world(scenario: Scenario, seed: int | None = None) -> World:
     from named substreams of the single root seed, so adding a server leaves
     every existing stream untouched.
     """
-    scenario.validate()
     root = scenario.seed if seed is None else seed
     loop = EventLoop()
     rtt = 2 * (scenario.delay + scenario.delay_jitter)
@@ -108,7 +107,6 @@ def build_world(scenario: Scenario, seed: int | None = None) -> World:
             range_config=spec.range_config,
             rng=named_rng(root, "server", sid),
             lanes=spec.lanes,
-            toast_time=spec.toast_time,
         )
         to_server = Link(
             loop,
@@ -174,8 +172,8 @@ class ScenarioResult:
 
     def csv_text(self) -> str:
         # Rows are written directly, as csv.writer would write them: server
-        # ids are s<N>, algorithm names come from ALGORITHMS (Scenario.validate
-        # checks them) and every other field is an int, so no field ever
+        # ids are s<N>, algorithm names come from ALGORITHMS (Scenario checks
+        # them) and every other field is an int, so no field ever
         # needs quoting.
         rows = [",".join(CSV_HEADER) + "\n"]
         for sid, calls in self.outcomes.items():

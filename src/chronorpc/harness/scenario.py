@@ -18,7 +18,9 @@ nanoseconds). Per-server overrides use a `serverN.` prefix (1-based), e.g.::
     sigma = 3ms
     server2.base = 60ms
 
-Unknown keys are rejected so typos cannot silently change a run.
+Unknown keys are rejected so typos cannot silently change a run. Every
+value is checked where it lives: by ExecutionModel, SchedulingRangeConfig,
+ServerSpec or Scenario when it is built.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 
 from ..prediction import ALGORITHMS, DEFAULT_WINDOW
 from ..protocol import MILLIS, SECONDS, MICROS, SchedulingRangeConfig
-from ..server import DEFAULT_TOAST_TIME, ExecutionModel
+from ..server import ExecutionModel
 
 __all__ = [
     "ScenarioInvalid",
@@ -54,7 +56,10 @@ class ServerSpec:
     model: ExecutionModel = field(default_factory=ExecutionModel)
     range_config: SchedulingRangeConfig = field(default_factory=SchedulingRangeConfig)
     lanes: int = 1
-    toast_time: int = DEFAULT_TOAST_TIME
+
+    def __post_init__(self):
+        if self.lanes < 1:
+            raise ValueError("lanes must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,7 @@ class Scenario:
     delay_jitter: int = 0
     servers: tuple[ServerSpec, ...] = (ServerSpec(),)
 
-    def validate(self) -> "Scenario":
+    def __post_init__(self):
         def bad(name: str, reason: str):
             raise ScenarioInvalid(name, reason)
 
@@ -106,7 +111,6 @@ class Scenario:
             bad("lead", "must exceed the link delay bound")
         if not self.servers:
             bad("servers", "need at least one server")
-        return self
 
     def server_id(self, index: int) -> str:
         return f"s{index + 1}"
@@ -172,61 +176,42 @@ _SCENARIO_KEYS = {
     "delay_jitter": parse_duration,
 }
 
-# Per-server keys (usable bare for all servers or with a serverN. prefix).
+# Per-server keys (usable bare for all servers or with a serverN. prefix):
+# field name -> (converter, the object that holds and checks the field).
 _SERVER_KEYS = {
-    "base": parse_duration,
-    "sigma": _parse_sigma,
-    "jitter": parse_duration,
-    "spike_p": _parse_float,
-    "spike_mult": _parse_float,
-    "load_penalty": _parse_float,
-    "load_recovery": parse_duration,
-    "sched_max_future": parse_duration,
-    "sched_max_past": parse_duration,
-    "lanes": _parse_int,
-    "toast_time": parse_duration,
+    "base": (parse_duration, ExecutionModel),
+    "sigma": (_parse_sigma, ExecutionModel),
+    "jitter": (parse_duration, ExecutionModel),
+    "spike_p": (_parse_float, ExecutionModel),
+    "spike_mult": (_parse_float, ExecutionModel),
+    "load_penalty": (_parse_float, ExecutionModel),
+    "load_recovery": (parse_duration, ExecutionModel),
+    "sched_max_future": (parse_duration, SchedulingRangeConfig),
+    "sched_max_past": (parse_duration, SchedulingRangeConfig),
+    "lanes": (_parse_int, ServerSpec),
 }
-
-
-_MODEL_KEYS = (
-    "base",
-    "sigma",
-    "jitter",
-    "spike_p",
-    "spike_mult",
-    "load_penalty",
-    "load_recovery",
-)
-_RANGE_KEYS = ("sched_max_future", "sched_max_past")
 
 
 def _parse_server_value(name: str, text: str) -> object:
     """Convert one per-server value and check it on its own.
 
-    A model or range value is checked by building that object with only this
-    field set, and lanes and toast_time as Server checks them, so a bad value
-    raises ValueError while its key is known.
+    The value is checked by building its owner with only this field set, so
+    a bad value raises ValueError while its key is known.
     """
-    value = _SERVER_KEYS[name](text)
-    if name in _MODEL_KEYS:
-        ExecutionModel(**{name: value})
-    elif name in _RANGE_KEYS:
-        SchedulingRangeConfig(**{name: value})
-    elif name == "lanes" and value < 1:
-        raise ValueError("lanes must be >= 1")
-    elif name == "toast_time" and value < 0:
-        raise ValueError("toast_time must be >= 0")
+    convert, owner = _SERVER_KEYS[name]
+    value = convert(text)
+    owner(**{name: value})
     return value
 
 
 def _build_server(values: dict[str, object]) -> ServerSpec:
+    by_owner = {ExecutionModel: {}, SchedulingRangeConfig: {}, ServerSpec: {}}
+    for name, value in values.items():
+        by_owner[_SERVER_KEYS[name][1]][name] = value
     return ServerSpec(
-        model=ExecutionModel(**{k: values[k] for k in _MODEL_KEYS if k in values}),
-        range_config=SchedulingRangeConfig(
-            **{k: values[k] for k in _RANGE_KEYS if k in values}
-        ),
-        lanes=int(values.get("lanes", 1)),
-        toast_time=int(values.get("toast_time", DEFAULT_TOAST_TIME)),
+        model=ExecutionModel(**by_owner[ExecutionModel]),
+        range_config=SchedulingRangeConfig(**by_owner[SchedulingRangeConfig]),
+        **by_owner[ServerSpec],
     )
 
 
@@ -253,8 +238,6 @@ def parse_scenario_text(text: str) -> Scenario:
                 server_count = _parse_int(value)
                 if server_count < 1:
                     raise ScenarioInvalid("servers", "must be >= 1")
-            elif key == "duration":
-                scenario_values.setdefault("_duration", parse_duration(value))
             elif key in _SCENARIO_KEYS:
                 scenario_values[key] = _SCENARIO_KEYS[key](value)
             elif key in _SERVER_KEYS:
@@ -275,11 +258,6 @@ def parse_scenario_text(text: str) -> Scenario:
         except ValueError as exc:
             raise ScenarioInvalid(key, f"bad value {value!r} ({exc})") from exc
 
-    duration = scenario_values.pop("_duration", None)
-    if duration is not None and "samples" not in scenario_values:
-        period = scenario_values.get("period", Scenario.period)
-        scenario_values["samples"] = max(1, int(duration) // int(period))
-
     for index in overrides:
         if not 1 <= index <= server_count:
             raise ScenarioInvalid(
@@ -292,12 +270,11 @@ def parse_scenario_text(text: str) -> Scenario:
         merged.update(overrides.get(i, {}))
         servers.append(_build_server(merged))
 
-    scenario = Scenario(servers=tuple(servers), **scenario_values)
-    return scenario.validate()
+    return Scenario(servers=tuple(servers), **scenario_values)
 
 
 def load_scenario(path: str | Path) -> Scenario:
     scenario = parse_scenario_text(Path(path).read_text(encoding="utf-8"))
     if scenario.name == "scenario":
-        scenario = replace(scenario, name=Path(path).stem).validate()
+        scenario = replace(scenario, name=Path(path).stem)
     return scenario

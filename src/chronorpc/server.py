@@ -9,8 +9,10 @@ completion - carrying the completion timestamp when the rpc asked for it.
 Builtin operations:
 
 * noop        - does nothing; the canonical probe target
-* toast       - adds a configurable duration to the run time (params
-                "duration-ns" overrides the server default)
+* toast       - holds its lane for 100 ms on top of the run time; params
+                "duration-ns", plain ASCII decimal digits, sets the hold in
+                ns instead. Any other duration-ns adds no hold, and the op
+                answers invalid-params at completion
 * set-value   - writes params "key"/"value" into the candidate store
 * commit      - atomically promotes the candidate store to the running store
 * get-value   - reads params "key" from the running store into the reply
@@ -64,6 +66,19 @@ __all__ = [
 BUILTIN_OPS = ("noop", "toast", "set-value", "get-value", "commit")
 
 DEFAULT_TOAST_TIME = 100 * MILLIS
+
+
+def _toast_hold(params: dict[str, str]) -> int | None:
+    """A toast's hold in ns, or None when duration-ns is malformed."""
+    raw = params.get("duration-ns")
+    if raw is None:
+        return DEFAULT_TOAST_TIME
+    if raw.isascii() and raw.isdigit():
+        try:
+            return int(raw)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
 
 
 @dataclass(frozen=True)
@@ -172,12 +187,9 @@ class Server:
         range_config: SchedulingRangeConfig | None = None,
         rng: random.Random | None = None,
         lanes: int = 1,
-        toast_time: int = DEFAULT_TOAST_TIME,
     ):
         if lanes < 1:
             raise ValueError("lanes must be >= 1")
-        if toast_time < 0:
-            raise ValueError("toast_time must be >= 0")
         self.server_id = server_id
         self._sched = scheduler
         self._send = send
@@ -185,7 +197,6 @@ class Server:
         self.range_config = range_config or SchedulingRangeConfig()
         self._rng = rng or random.Random(0)
         self.lanes = lanes
-        self.toast_time = toast_time
 
         self.state = ServerState()
         # ops in completion order: the same objects as in `ops`
@@ -325,13 +336,7 @@ class Server:
     def _extra_time(self, operation: Operation) -> int:
         if operation.name != "toast":
             return 0
-        raw = operation.params.get("duration-ns")
-        if raw is None:
-            return self.toast_time
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            return self.toast_time
+        return _toast_hold(operation.params) or 0
 
     def _complete(self, op: PendingOp) -> None:
         params, error_code, detail = self._apply(op.operation)
@@ -354,7 +359,11 @@ class Server:
     ) -> tuple[dict[str, str] | None, str | None, str]:
         name = operation.name
         params = operation.params
-        if name in ("noop", "toast"):
+        if name == "noop":
+            return None, None, ""
+        if name == "toast":
+            if _toast_hold(params) is None:
+                return None, ERR_INVALID_PARAMS, "toast duration-ns must be decimal digits"
             return None, None, ""
         if name == "set-value":
             if "key" not in params or "value" not in params:

@@ -21,6 +21,7 @@ from chronorpc.protocol import (
     RpcReply,
     SchedulingRangeConfig,
     TransportClosed,
+    decode,
     encode,
 )
 from chronorpc.server import ExecutionModel, Server
@@ -208,6 +209,21 @@ class TestCancel:
         loop, client, server, _ = one_server()
         assert client.cancel("s1", "m999") is CancelResult.UNKNOWN
 
+    def test_unmapped_error_raises_rpc_failure(self):
+        # A server that answers every message duplicate-message-id, an error
+        # a cancel has no CancelResult for.
+        loop = EventLoop()
+        client = Client(loop)
+
+        def answer(frame):
+            reply = RpcReply.make_error(decode(frame).message_id, "duplicate-message-id")
+            loop.call_at(loop.now() + MILLIS, client.on_frame, encode(reply))
+
+        client.connect("s1", answer)
+        with pytest.raises(RpcFailure) as exc:
+            client.cancel("s1", "m7")
+        assert exc.value.reply.error_code == "duplicate-message-id"
+
 
 class TestNotifications:
     def test_acceptance_notification_precedes_start(self):
@@ -251,6 +267,13 @@ class TestNotifications:
         client.on_frame(replies[-1])
         assert client.unmatched_messages == 1
         assert call.reply is None
+
+    def test_submit_to_unconnected_server_is_refused(self):
+        loop, client, server, (down, _) = one_server()
+        with pytest.raises(ValueError, match="not connected to 's2'"):
+            client.submit("s2", Operation("noop"))
+        assert client._pending == {}
+        assert down.frames_sent == 0
 
     def test_garbage_frame_is_counted(self):
         loop, client, server, _ = one_server()
@@ -441,6 +464,15 @@ class TestAtomicCommit:
         assert len(commits) == 1
         assert [op.operation.name for op in s1.log] == ["set-value"]
         assert s1.state.running == {}
+
+    def test_no_participants_commits_trivially(self):
+        loop, client, servers = self.staged_world(1)
+        at = client.now() + 2 * SECONDS
+        result = client.atomic_commit([], at)
+        assert result.committed
+        assert (result.outcomes, result.accept_times, result.cancel_times) == ({}, {}, {})
+        loop.run_until(deadline=at + SECONDS)
+        assert servers["s1"].state.running == {}
 
     def test_window_too_short_sends_nothing(self):
         loop, client, servers = self.staged_world(2)

@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from chronorpc.cli import main
+from chronorpc.cli import DEMO_NAMES, main
 from chronorpc.harness import (
     CSV_HEADER,
     DEMOS,
+    DemoFailure,
     Scenario,
     ScenarioInvalid,
     ServerSpec,
@@ -92,18 +93,29 @@ class TestScenarioText:
         assert s.servers[2].model.spike_p == 0.25
         assert [spec.model.sigma for spec in s.servers] == [2.5e6, 1e6, 1.5e6]
 
-    def test_duration_derives_sample_count(self):
-        s = parse_scenario_text("period = 2s\nduration = 10s\n")
-        assert s.samples == 5
-
-    def test_explicit_samples_beats_duration(self):
-        s = parse_scenario_text("period = 2s\nduration = 10s\nsamples = 3\n")
-        assert s.samples == 3
-
     def test_unknown_key(self):
         with pytest.raises(ScenarioInvalid) as exc:
             parse_scenario_text("wibble = 3\n")
         assert "wibble" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "text, key, reason",
+        [
+            ("duration = 10s\n", "duration", "unknown key"),
+            ("toast_time = 100ms\n", "toast_time", "unknown key"),
+            ("server1.toast_time = 1ms\n", "server1.toast_time", "unknown server field"),
+            ("server1.wibble = 1\n", "server1.wibble", "unknown server field"),
+            ("serverX.base = 1ms\n", "serverX.base", "bad server prefix"),
+            ("servers = 0\n", "servers", "must be >= 1"),
+            ("seed =\n", "seed", "empty value"),
+            ("period = ms\n", "period", "bad value"),
+        ],
+    )
+    def test_refused_line_names_its_key(self, text, key, reason):
+        with pytest.raises(ScenarioInvalid) as exc:
+            parse_scenario_text(text)
+        assert exc.value.field_name == key
+        assert reason in str(exc.value)
 
     def test_bad_value(self):
         with pytest.raises(ScenarioInvalid) as exc:
@@ -140,17 +152,14 @@ class TestScenarioText:
         [
             ("lanes = 0\n", "lanes"),
             ("servers = 2\nserver2.lanes = -1\n", "server2.lanes"),
-            ("op = toast\ntoast_time = -50ms\n", "toast_time"),
-            ("servers = 2\nserver1.toast_time = -1\n", "server1.toast_time"),
+            ("jitter = -1ms\n", "jitter"),
+            ("servers = 2\nserver1.spike_p = 2\n", "server1.spike_p"),
         ],
     )
     def test_bad_server_value_names_its_key(self, text, key):
         with pytest.raises(ScenarioInvalid) as exc:
             parse_scenario_text(text)
         assert exc.value.field_name == key
-
-    def test_zero_toast_time_is_allowed(self):
-        assert parse_scenario_text("toast_time = 0\n").servers[0].toast_time == 0
 
     def test_validation_runs(self):
         with pytest.raises(ScenarioInvalid):
@@ -163,6 +172,37 @@ class TestScenarioText:
         path = tmp_path / "quick-check.txt"
         path.write_text("samples = 2\n", encoding="utf-8")
         assert load_scenario(path).name == "quick-check"
+
+
+@pytest.mark.parametrize(
+    "field_name, value",
+    [
+        ("probe", "sideways"),
+        ("period", 0),
+        ("samples", 0),
+        ("burst_size", 0),
+        ("trials", 0),
+        ("window", 0),
+        ("algorithm", "median"),
+        ("algorithms", ("average", "median")),
+        ("algorithms", ()),
+        ("delay", -1),
+        ("delay_jitter", -1),
+        ("lead", 1 * MILLIS),  # not above the default 1 ms link delay
+        ("servers", ()),
+    ],
+)
+def test_scenario_checks_each_field_on_construction(field_name, value):
+    with pytest.raises(ScenarioInvalid) as exc:
+        Scenario(**{field_name: value})
+    assert exc.value.field_name == field_name
+    with pytest.raises(ScenarioInvalid):
+        replace(Scenario(), **{field_name: value})
+
+
+def test_server_spec_checks_lanes_on_construction():
+    with pytest.raises(ValueError, match="lanes must be >= 1"):
+        ServerSpec(lanes=0)
 
 
 def small_scenario(**kw):
@@ -454,6 +494,21 @@ def test_bench_tracer_installs_on_the_package():
     assert done.returncode == 0, done.stderr
 
 
+def _fresh_python(code: str) -> str:
+    """stdout of `code` run in a fresh interpreter on the package's source."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_set_up_import_leaves_experiments_demos_logging_and_csv_unloaded():
     # A fresh interpreter: pytest itself has loaded logging in this one.
     code = (
@@ -465,17 +520,27 @@ def test_set_up_import_leaves_experiments_demos_logging_and_csv_unloaded():
         "for name in chronorpc.harness.__all__:\n"
         "    getattr(chronorpc.harness, name)\n"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
+    assert _fresh_python(code) == "[]\n"
+
+
+def test_cli_run_and_replay_leave_experiments_and_demos_unloaded(tmp_path):
+    # `chronorpc run` and `chronorpc replay` never call them.
+    scenario = SCENARIO_DIR / "constant.txt"
+    samples = tmp_path / "samples.csv"
+    samples.write_text(
+        "sequence,scheduled_time_ns,execution_time_ns\n0,1000,31000\n",
+        encoding="utf-8",
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    code = (
+        "import contextlib, io, sys\n"
+        "from chronorpc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['run', '--scenario', {str(scenario)!r}]) == 0\n"
+        f"    assert main(['replay', '--csv', {str(samples)!r}]) == 0\n"
+        "lazy = ['chronorpc.harness.experiments', 'chronorpc.harness.demos']\n"
+        "print([m for m in lazy if m in sys.modules])\n"
+    )
+    assert _fresh_python(code) == "[]\n"
 
 
 @pytest.mark.parametrize("workload", ["sim-scenarios", "sim-coordinated"])
@@ -613,8 +678,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "text, key",
-        [("lanes = 0\n", "lanes"), ("op = toast\ntoast_time = -50ms\n", "toast_time")],
-        ids=["lanes", "toast_time"],
+        [("lanes = 0\n", "lanes"), ("jitter = -1ms\n", "jitter")],
+        ids=["lanes", "jitter"],
     )
     def test_run_bad_server_value(self, tmp_path, capsys, text, key):
         path = self.write_scenario(tmp_path, "samples = 5\n" + text)
@@ -745,6 +810,24 @@ class TestCli:
     def test_demo(self, capsys):
         assert main(["demo", "commit", "--seed", "1"]) == 0
         assert capsys.readouterr().out.strip()
+
+    def test_demo_names_are_the_demos(self):
+        assert list(DEMO_NAMES) == sorted(DEMOS)
+
+    def test_unknown_demo_lists_the_demos(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "nope"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert all(repr(name) in err for name in DEMOS)
+
+    def test_failing_demo_exits_1(self, monkeypatch, capsys):
+        def failing(seed):
+            raise DemoFailure("staged failure")
+
+        monkeypatch.setitem(DEMOS, "commit", failing)
+        assert main(["demo", "commit"]) == 1
+        assert capsys.readouterr().err == "error: staged failure\n"
 
     def test_experiment_roman_alias(self, tmp_path, capsys):
         assert main(

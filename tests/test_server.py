@@ -1,5 +1,6 @@
 import math
 import statistics
+import sys
 
 import pytest
 
@@ -333,6 +334,28 @@ class TestBuiltins:
         loop.run_until(deadline=1 * SECONDS)
         assert wire.reply("m1").execution_time == 30 * MILLIS + 5 * MILLIS
 
+    @pytest.mark.parametrize("raw", ["abc", "1e3", "-5", "5_000", " 7 ", "+9"])
+    def test_malformed_toast_duration_is_refused(self, raw):
+        loop, server, wire = make_server()
+        rpc(server, "m1", op="toast", params={"duration-ns": raw}, get_time=True)
+        loop.run_until(deadline=1 * SECONDS)
+        reply = wire.reply("m1")
+        assert reply.error_code == "invalid-params"
+        assert "duration-ns" in reply.error_detail
+        # no hold was added: the op ran for its base time only
+        assert server.ops["m1"].t_end == 30 * MILLIS
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="int() reads digit strings of any length",
+    )
+    def test_toast_duration_too_long_for_int_is_refused(self):
+        loop, server, wire = make_server()
+        raw = "1" * (sys.get_int_max_str_digits() + 1)
+        rpc(server, "m1", op="toast", params={"duration-ns": raw}, get_time=True)
+        loop.run_until(deadline=1 * SECONDS)
+        assert wire.reply("m1").error_code == "invalid-params"
+
     def test_spike_multiplies_run_but_not_toast_hold(self):
         model = ExecutionModel(base=30 * MILLIS, spike_p=1.0, spike_mult=2.0)
         loop, server, wire = make_server(model=model)
@@ -397,11 +420,6 @@ class TestExecutorLanes:
     def test_lane_validation(self):
         with pytest.raises(ValueError):
             make_server(lanes=0)
-
-    def test_toast_time_validation(self):
-        loop = EventLoop()
-        with pytest.raises(ValueError, match="toast_time"):
-            Server("s1", scheduler=loop, send=Wire(loop).send, toast_time=-1)
 
 
 class TestExecutionModel:
