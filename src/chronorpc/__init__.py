@@ -51,7 +51,6 @@ from .client import (
     RpcFailure,
     ScheduleOutcome,
     ScheduleRejected,
-    Session,
 )
 from .probing import (
     BurstProbe,
@@ -114,7 +113,6 @@ __all__ = [
     "RpcFailure",
     "ScheduleOutcome",
     "ScheduleRejected",
-    "Session",
     # probing
     "BurstProbe",
     "PeriodSelectionConfig",

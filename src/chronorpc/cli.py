@@ -149,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--seed", type=int, default=1)
     p_exp.add_argument("--out", default=None, help="directory for the experiment csv")
     p_exp.add_argument("--samples", type=int, default=None, help="samples per periodic scenario")
-    p_exp.add_argument("--trials", type=int, default=None, help="trials per burst scenario")
+    p_exp.add_argument("--trials", type=int, default=None, help="trials per burst scenario (II only)")
 
     p_replay = sub.add_parser("replay", help="run predictors offline over a sample csv")
     p_replay.add_argument(
@@ -176,7 +176,9 @@ def _cmd_run(args) -> int:
         return 1
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
-    result = run_scenario(scenario, out_dir=args.out)
+    result = run_scenario(scenario)
+    if args.out is not None:
+        result.write_outputs(args.out)
     sys.stdout.write(result.summary_text())
     if args.out:
         print(f"# wrote samples.csv and summary.txt to {args.out}")
@@ -188,10 +190,12 @@ def _cmd_experiment(args) -> int:
 
     name = EXPERIMENTS[args.name]
     kwargs = {} if args.samples is None else {"samples": args.samples}
-    if name == "probing" and args.trials is not None:
+    if args.trials is not None:
         kwargs["trials"] = args.trials
     run = getattr(experiments, f"experiment_{name}")
-    report, _ = run(args.seed, out_dir=args.out, **kwargs)
+    report, _ = run(args.seed, **kwargs)
+    if args.out is not None:
+        report.write(args.out)
     sys.stdout.write(report.csv_text())
     return 0
 
@@ -228,7 +232,14 @@ def _cmd_demo(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if (
+        args.command == "experiment"
+        and args.trials is not None
+        and EXPERIMENTS[args.name] != "probing"
+    ):
+        parser.error(f"--trials applies only to experiment II (probing), not {args.name}")
     try:
         if args.command == "run":
             return _cmd_run(args)

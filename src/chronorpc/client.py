@@ -60,7 +60,6 @@ __all__ = [
     "SnapshotEntry",
     "CommitOutcome",
     "PendingCall",
-    "Session",
     "Client",
     "operation_type",
     "probe_operation",
@@ -236,12 +235,6 @@ class PendingCall:
 ScheduleOutcome = PendingCall
 
 
-@dataclass
-class Session:
-    server_id: str
-    send: Callable[[bytes], None]
-
-
 class Client:
     def __init__(
         self,
@@ -263,7 +256,7 @@ class Client:
         self.rtt_bound = rtt_bound
         self.dispatch_lead = dispatch_lead
         self._lock = lock if lock is not None else threading.RLock()
-        self._sessions: dict[str, Session] = {}
+        self._sends: dict[str, Callable[[bytes], None]] = {}
         self._pending: dict[str, PendingCall] = {}
         self._predictors: dict[tuple[str, str], PredictorState] = {}
         self._mid_counter = 0
@@ -279,15 +272,13 @@ class Client:
     def now(self) -> int:
         return self._driver.now()
 
-    def connect(self, server_id: str, send: Callable[[bytes], None]) -> Session:
-        session = Session(server_id, send)
+    def connect(self, server_id: str, send: Callable[[bytes], None]) -> None:
         with self._lock:
-            self._sessions[server_id] = session
-        return session
+            self._sends[server_id] = send
 
-    def session(self, server_id: str) -> Session:
+    def _send_to(self, server_id: str) -> Callable[[bytes], None]:
         try:
-            return self._sessions[server_id]
+            return self._sends[server_id]
         except KeyError:
             raise ValueError(f"not connected to {server_id!r}") from None
 
@@ -298,16 +289,14 @@ class Client:
         with self._lock:
             state = self._predictors.get(key)
             if state is None:
-                state = PredictorState((self.algorithm,), self.window)
+                state = PredictorState(self.window)
                 self._predictors[key] = state
             return state
 
-    def reset_predictor(self, server_id: str, rpc_type: str, state: PredictorState) -> None:
-        """Install `state`, which may serve more rules than the driving one."""
-        if self.algorithm not in state.algorithms:
-            raise ValueError(f"predictor not built for {self.algorithm!r}")
+    def reset_predictor(self, server_id: str, rpc_type: str) -> None:
+        """Forget the pair's samples: its next use starts a fresh window."""
         with self._lock:
-            self._predictors[(server_id, rpc_type)] = state
+            self._predictors.pop((server_id, rpc_type), None)
 
     # -- inbound ----------------------------------------------------------
 
@@ -368,7 +357,7 @@ class Client:
         desired_completion: int | None = None,
     ) -> PendingCall:
         """Send one rpc without waiting; the returned call resolves later."""
-        session = self.session(server_id)
+        send = self._send_to(server_id)
         with self._lock:
             now = self._driver.now()
             mid = self._next_mid()
@@ -385,11 +374,11 @@ class Client:
                 prediction,
                 desired_completion,
             )
-            self._send(session, call, frame)
+            self._send(send, call, frame)
         return call
 
     def submit_cancel(self, server_id: str, target_id: str) -> PendingCall:
-        session = self.session(server_id)
+        send = self._send_to(server_id)
         with self._lock:
             mid = self._next_mid()
             frame = encode(CancelSchedule(mid, target_id))
@@ -401,16 +390,18 @@ class Client:
                 get_time=False,
                 sent_at=self._driver.now(),
             )
-            self._send(session, call, frame)
+            self._send(send, call, frame)
         return call
 
-    def _send(self, session: Session, call: PendingCall, frame: bytes) -> None:
+    def _send(
+        self, send: Callable[[bytes], None], call: PendingCall, frame: bytes
+    ) -> None:
         # Registered before the send, so a transport that delivers
         # synchronously still finds the call; a send that raises leaves
         # nothing pending.
         self._pending[call.message_id] = call
         try:
-            session.send(frame)
+            send(frame)
         except BaseException:
             self._pending.pop(call.message_id, None)
             raise

@@ -74,7 +74,6 @@ def experiment_platforms(
     seed: int = 1,
     *,
     samples: int = 300,
-    out_dir: str | Path | None = None,
 ) -> tuple[ExperimentReport, dict[str, ScenarioResult]]:
     rows = []
     results: dict[str, ScenarioResult] = {}
@@ -98,8 +97,6 @@ def experiment_platforms(
         ("profile", "algorithm", "count", "mean_abs_error_ns", "max_abs_error_ns", "mean_ete_ns"),
         tuple(rows),
     )
-    if out_dir is not None:
-        report.write(out_dir)
     return report, results
 
 
@@ -108,7 +105,6 @@ def experiment_probing(
     *,
     samples: int = 200,
     trials: int = 80,
-    out_dir: str | Path | None = None,
 ) -> tuple[ExperimentReport, dict[str, ScenarioResult]]:
     model = ExecutionModel(base=30 * MILLIS, sigma=3 * MILLIS)
     rows = []
@@ -150,8 +146,6 @@ def experiment_probing(
          "mean_abs_error_ns", "max_abs_error_ns"),
         tuple(rows),
     )
-    if out_dir is not None:
-        report.write(out_dir)
     return report, results
 
 
@@ -176,7 +170,6 @@ def experiment_stress(
     seed: int = 1,
     *,
     samples: int = 1000,
-    out_dir: str | Path | None = None,
 ) -> tuple[ExperimentReport, ScenarioResult]:
     model = ExecutionModel(
         base=30 * MILLIS, sigma=3 * MILLIS, spike_p=0.02, spike_mult=10.0
@@ -208,6 +201,4 @@ def experiment_stress(
         ("algorithm", "region", "count", "mean_abs_error_ns", "max_abs_error_ns"),
         tuple(rows),
     )
-    if out_dir is not None:
-        report.write(out_dir)
     return report, result

@@ -2,11 +2,11 @@
 
 run_scenario() builds a world (one client, the scenario's servers, delayed
 in-order links, everything seeded through named substreams) and drives the
-closed scheduling loop. The client's predictor for each (server, op-type)
-serves every configured algorithm, and each measured rpc records every
-algorithm's prediction just before it is sent. So algorithms are scored on
-the same samples, whichever one drove the loop, and on what the client knew
-when it sent each rpc: a pipelined scenario would score what was achievable.
+closed scheduling loop. Every rule reads the one window the client keeps
+for each (server, op-type), and each measured rpc records every scored
+rule's prediction just before it is sent. So rules are scored on the same
+samples, whichever one drove the loop, and on what the client knew when it
+sent each rpc: a pipelined scenario would score what was achievable.
 
 Periodic scenarios schedule one completion-targeted operation per server at
 the probe cadence; each reply is one sample. Burst scenarios repeat
@@ -26,7 +26,7 @@ from pathlib import Path
 
 from ..client import Client, ClientError, PendingCall, operation_type, probe_operation
 # evaluate_stream is not called here, but bench/tracing.py wraps it here too.
-from ..prediction import EteSample, Prediction, PredictorState, evaluate_stream
+from ..prediction import EteSample, Prediction, evaluate_stream
 from ..probing import BurstProbe, run_probe_plan
 from ..protocol import MILLIS, Operation
 from ..server import OpState, Server
@@ -229,14 +229,6 @@ def check_world(world: World) -> None:
         raise CheckFailed("client saw undecodable frames")
 
 
-def _install_predictors(world: World, rpc_type: str) -> None:
-    """A fresh predictor per server, serving the driving and every scored rule."""
-    s = world.scenario
-    rules = tuple(dict.fromkeys((s.algorithm, *s.algorithms)))
-    for sid in world.servers:
-        world.client.reset_predictor(sid, rpc_type, PredictorState(rules, s.window))
-
-
 def _fan_out(result: ScenarioResult, op: Operation, desired: int, what: str) -> None:
     """One rpc per server, each aligned to complete at `desired`; all ok.
 
@@ -268,7 +260,6 @@ def _fan_out(result: ScenarioResult, op: Operation, desired: int, what: str) -> 
 def _drive_periodic(result: ScenarioResult) -> None:
     world, scenario = result.world, result.scenario
     op = Operation(scenario.op)
-    _install_predictors(world, operation_type(op))
     first_deadline = world.loop.now() + scenario.lead
     for k in range(scenario.samples):
         _fan_out(result, op, first_deadline + k * scenario.period, f"sample {k}")
@@ -281,7 +272,8 @@ def _drive_burst(result: ScenarioResult) -> None:
     probe_op = probe_operation(rpc_type)
     result.bursts = {sid: [] for sid in world.servers}
     for trial in range(scenario.trials):
-        _install_predictors(world, rpc_type)
+        for sid in world.servers:
+            world.client.reset_predictor(sid, rpc_type)
         for sid, bursts in result.bursts.items():
             run = run_probe_plan(
                 world.client,
@@ -296,8 +288,8 @@ def _drive_burst(result: ScenarioResult) -> None:
         _fan_out(result, op, desired, f"trial {trial} target")
 
 
-def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> ScenarioResult:
-    """Execute a scenario start to finish and (optionally) write its outputs."""
+def run_scenario(scenario: Scenario) -> ScenarioResult:
+    """Execute a scenario start to finish; write_outputs() writes its files."""
     world = build_world(scenario)
     result = ScenarioResult(
         scenario,
@@ -312,6 +304,4 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> Scena
     else:
         _drive_burst(result)
     check_world(world)
-    if out_dir is not None:
-        result.write_outputs(out_dir)
     return result

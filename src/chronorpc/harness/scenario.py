@@ -127,7 +127,10 @@ def parse_duration(text: str) -> int:
             number = t[: -len(suffix)].strip()
             if not number:
                 break
-            return int(round(float(number) * scale))
+            value = float(number) * scale
+            if not math.isfinite(value):
+                raise ValueError(f"not a finite duration: {t!r}")
+            return int(round(value))
     return int(t)
 
 
@@ -142,12 +145,9 @@ def _parse_int(text: str) -> int:
 def _parse_sigma(text: str) -> float:
     """Nanoseconds as a plain number (exponent notation allowed) or a duration."""
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         return float(parse_duration(text))
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {text.strip()!r}")
-    return value
 
 
 def _parse_str(text: str) -> str:

@@ -244,11 +244,11 @@ class LiveClient:
         self._socks: list[socket.socket] = []
         self._threads: list[threading.Thread] = []
 
-    def connect(self, server_id: str, address: tuple[str, int]):
+    def connect(self, server_id: str, address: tuple[str, int]) -> None:
         sock = socket.create_connection(address)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._socks.append(sock)
-        session = self.core.connect(server_id, sock.sendall)
+        self.core.connect(server_id, sock.sendall)
 
         def deliver(frame: bytes) -> None:
             with self._lock:
@@ -263,7 +263,6 @@ class LiveClient:
         )
         thread.start()
         self._threads.append(thread)
-        return session
 
     def close(self) -> None:
         for sock in self._socks:

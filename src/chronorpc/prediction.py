@@ -22,9 +22,10 @@ Four algorithms are provided:
                  states, e + 1.0 * (x - e) is exactly x, so the last offset
                  is bit for bit what the filter would predict.
 
-One PredictorState holds the window and serves any subset of them from it,
-so evaluate_stream compares rules on exactly the same samples in one pass;
-each rule is computed in PredictorState.predict and nowhere else.
+Every rule is a pure function of one window, so one PredictorState serves
+all of them: evaluate_stream compares rules on exactly the same samples in
+one pass, and each rule is computed in PredictorState.predict and nowhere
+else.
 
 Arithmetic runs in 64-bit floats on nanosecond values; predictions are
 rounded to whole nanoseconds only at the scheduling boundary.
@@ -104,8 +105,8 @@ class Prediction:
 
 
 class PredictorState:
-    """Per-(server, operation-type) predictor: one window of offsets serving
-    each of the rules it was built with.
+    """Per-(server, operation-type) predictor: one window of offsets that
+    serves every rule in ALGORITHMS.
 
     The window holds the last `window` offsets in sequence order
     (`offsets`), their exact integer sum (`total`), the last sequence index
@@ -121,13 +122,9 @@ class PredictorState:
     been pushed, then predicts the last offset held.
     """
 
-    def __init__(self, algorithms: Sequence[str], window: int = DEFAULT_WINDOW):
-        for name in algorithms:
-            if name not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm: {name!r}")
+    def __init__(self, window: int = DEFAULT_WINDOW):
         if window < 1:
             raise ValueError("window must be >= 1")
-        self.algorithms = tuple(algorithms)
         self.window = window
         self.offsets: deque[int] = deque(maxlen=window)
         self.total = 0
@@ -161,8 +158,8 @@ class PredictorState:
     def predict(self, algorithm: str) -> Prediction:
         """The rule's prediction, rounded to whole nanoseconds (round() of a
         float is already an int)."""
-        if algorithm not in self.algorithms:
-            raise ValueError(f"predictor not built for {algorithm!r}")
+        if algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm: {algorithm!r}")
         if algorithm == "baseline":
             return Prediction(0, 0.0, "baseline")
         offsets = self.offsets
@@ -194,8 +191,12 @@ def evaluate_stream(
     """Offline pass over a recorded stream: for each sample, one row holding
     each rule's prediction that a fresh predictor would have issued just
     before observing it."""
-    state = PredictorState(algorithms, window)
-    predict, push, names = state.predict, state.push, state.algorithms
+    names = tuple(algorithms)
+    for name in names:
+        if name not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm: {name!r}")
+    state = PredictorState(window)
+    predict, push = state.predict, state.push
     rows: list[dict[str, Prediction]] = []
     for sample in samples:
         rows.append({name: predict(name) for name in names})

@@ -26,6 +26,7 @@ through a scheduler (now/call_at), a frame-send callable, and on_frame().
 from __future__ import annotations
 
 import enum
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -105,16 +106,16 @@ class ExecutionModel:
     def __post_init__(self):
         if self.base < 0:
             raise ValueError("base must be non-negative")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not (0.0 <= self.sigma < math.inf):
+            raise ValueError("sigma must be finite and non-negative")
         if self.jitter < 0:
             raise ValueError("jitter must be non-negative")
         if not 0.0 <= self.spike_p <= 1.0:
             raise ValueError("spike_p must be in [0, 1]")
-        if self.spike_mult < 1.0:
-            raise ValueError("spike_mult must be >= 1")
-        if self.load_penalty < 0:
-            raise ValueError("load_penalty must be non-negative")
+        if not (1.0 <= self.spike_mult < math.inf):
+            raise ValueError("spike_mult must be finite and >= 1")
+        if not (0.0 <= self.load_penalty < math.inf):
+            raise ValueError("load_penalty must be finite and non-negative")
         if self.load_recovery < 0:
             raise ValueError("load_recovery must be non-negative")
 

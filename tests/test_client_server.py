@@ -13,12 +13,15 @@ from chronorpc.client import (
     ScheduleRejected,
 )
 from chronorpc.live import LiveClient
-from chronorpc.prediction import PredictorState
+from chronorpc.prediction import ALGORITHMS
 from chronorpc.protocol import (
     MILLIS,
     SECONDS,
+    CancelSchedule,
     Operation,
+    RpcMessage,
     RpcReply,
+    ScheduleNotification,
     SchedulingRangeConfig,
     TransportClosed,
     decode,
@@ -144,23 +147,28 @@ class TestFeedback:
         assert client.predictor("s1", "edit-config").sample_count == 1
         assert client.predictor("s1", "noop").sample_count == 0
 
-    def test_plain_client_keeps_one_rule_per_predictor(self):
-        loop, client, server, _ = one_server(algorithm="ft-average")
+    def test_first_use_builds_one_window_for_every_rule(self):
+        loop, client, server, _ = one_server(
+            ExecutionModel(base=25 * MILLIS), algorithm="ft-average", window=3
+        )
         client.schedule_at_completion("s1", Operation("noop"), client.now() + SECONDS)
         state = client.predictor("s1", "noop")
-        assert state.sample_count == 1
-        assert state.algorithms == ("ft-average",)
+        assert (state.sample_count, state.window) == (1, 3)
+        for algo in ALGORITHMS:
+            assert state.predict(algo).value == (0 if algo == "baseline" else 25 * MILLIS)
 
-    def test_reset_predictor_installs_the_given_state(self):
+    def test_reset_predictor_starts_a_fresh_window(self):
         loop, client, server, _ = one_server(ExecutionModel(base=25 * MILLIS))
-        state = PredictorState(("baseline", client.algorithm, "kalman"), 4)
-        client.reset_predictor("s1", "noop", state)
         client.schedule_at_completion("s1", Operation("noop"), client.now() + SECONDS)
-        assert client.predictor("s1", "noop") is state
-        assert list(state.offsets) == [25 * MILLIS]
-        with pytest.raises(ValueError, match="not built for 'ft-average'"):
-            client.reset_predictor("s1", "noop", PredictorState(("kalman",)))
-        assert client.predictor("s1", "noop") is state
+        old = client.predictor("s1", "noop")
+        client.reset_predictor("s1", "noop")
+        client.reset_predictor("s1", "never-used")
+        fresh = client.predictor("s1", "noop")
+        assert fresh is not old
+        assert (fresh.sample_count, fresh.window) == (0, client.window)
+        client.schedule_at_completion("s1", Operation("noop"), client.now() + SECONDS)
+        assert client.predictor("s1", "noop") is fresh
+        assert list(fresh.offsets) == list(old.offsets) == [25 * MILLIS]
 
 
 class TestScheduleAtCompletion:
@@ -239,6 +247,21 @@ class TestNotifications:
         loop, client, server, _ = one_server()
         client.on_frame(encode(RpcReply.make_ok("m42")))
         assert client.unmatched_messages == 1
+
+    @pytest.mark.parametrize(
+        "msg",
+        [
+            ScheduleNotification("m42", True),
+            RpcMessage("m42", Operation("noop")),
+            CancelSchedule("m43", "m42"),
+        ],
+        ids=["notification", "rpc", "cancel"],
+    )
+    def test_unmatched_or_unhandled_message_is_counted(self, msg):
+        loop, client, server, _ = one_server()
+        client.on_message(msg)
+        assert client.unmatched_messages == 1
+        assert client._pending == {}
 
     def test_resolved_call_leaves_pending(self):
         loop, client, server, _ = one_server()

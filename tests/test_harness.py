@@ -15,11 +15,13 @@ from chronorpc.cli import DEMO_NAMES, main
 from chronorpc.harness import (
     CSV_HEADER,
     DEMOS,
+    CheckFailed,
     DemoFailure,
     Scenario,
     ScenarioInvalid,
     ServerSpec,
     build_world,
+    check_world,
     experiment_platforms,
     experiment_probing,
     experiment_stress,
@@ -32,7 +34,7 @@ from chronorpc.harness import (
 from chronorpc import protocol
 from chronorpc.prediction import PredictorState, evaluate_stream
 from chronorpc.protocol import MICROS, MILLIS, SECONDS, Operation, SchedulingRangeConfig
-from chronorpc.server import ExecutionModel
+from chronorpc.server import ExecutionModel, OpState
 
 
 class TestParseDuration:
@@ -284,12 +286,26 @@ class TestRunScenario:
             assert abs_error == abs(prediction - ete)
 
     def test_write_outputs(self, tmp_path):
-        result = run_scenario(small_scenario(samples=3), out_dir=tmp_path)
+        result = run_scenario(small_scenario(samples=3))
+        result.write_outputs(tmp_path)
         assert (tmp_path / "samples.csv").read_text().startswith(
             ",".join(CSV_HEADER)
         )
         summary = (tmp_path / "summary.txt").read_text()
         assert summary.startswith("# scenario t seed 5")
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            # beyond the default 15 s sched_max_future: the server refuses it
+            ({"lead": 20 * SECONDS}, "s1: sample 0 failed: scheduled-time .* outside"),
+            ({"op": "does-not-exist"}, "s1: sample 0 failed with unknown-operation"),
+        ],
+        ids=["rejected", "error-reply"],
+    )
+    def test_failed_target_call_fails_the_run(self, kw, message):
+        with pytest.raises(CheckFailed, match=message):
+            run_scenario(small_scenario(samples=3, **kw))
 
     def test_spike_indices_come_from_server_truth(self):
         spec = ServerSpec(
@@ -320,6 +336,42 @@ GOLDEN_DIGESTS = {
 }
 
 
+def _leak_a_rejection(world):
+    server = world.servers["s1"]
+    server.rejected_ids.add(server.log[0].message_id)
+
+
+def _reorder_the_log(world):
+    world.servers["s1"].log.reverse()
+
+
+def _cancel_an_executed_op(world):
+    server = world.servers["s1"]
+    server.ops[server.log[0].message_id].state = OpState.CANCELLED
+
+
+def _count_a_decode_error(world):
+    world.client.decode_errors = 1
+
+
+@pytest.mark.parametrize(
+    "doctor, message",
+    [
+        (_leak_a_rejection, "s1: rejected rpcs reached the log: \\['m1'\\]"),
+        (_reorder_the_log, "s1: execution log is not ordered by completion"),
+        (_cancel_an_executed_op, "s1: cancelled op m1 was executed"),
+        (_count_a_decode_error, "client saw undecodable frames"),
+    ],
+    ids=["rejected-in-log", "log-order", "cancelled-executed", "decode-errors"],
+)
+def test_check_world_refuses_a_doctored_world(doctor, message):
+    world = run_scenario(small_scenario(samples=3)).world
+    check_world(world)
+    doctor(world)
+    with pytest.raises(CheckFailed, match=message):
+        check_world(world)
+
+
 def test_shipped_scenarios_match_golden_digests():
     shipped = sorted(p.name for p in SCENARIO_DIR.glob("*.txt"))
     assert shipped == sorted(GOLDEN_DIGESTS)
@@ -340,7 +392,7 @@ def _offline_predictions(result, rules):
         else:
             rows = []
             for burst in result.bursts[sid]:
-                state = PredictorState(rules, scenario.window)
+                state = PredictorState(scenario.window)
                 for sample in burst:
                     state.push(sample)
                 rows.append({algo: state.predict(algo) for algo in rules})
@@ -605,8 +657,9 @@ class TestExperiments:
             assert len(rows) == 3
 
     def test_csv_round_trip(self, tmp_path):
-        report, _ = experiment_platforms(seed=3, samples=5, out_dir=tmp_path)
-        path = tmp_path / "experiment_platforms.csv"
+        report, _ = experiment_platforms(seed=3, samples=5)
+        path = report.write(tmp_path)
+        assert path == tmp_path / "experiment_platforms.csv"
         rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == list(report.header)
         assert len(rows) == 1 + len(report.rows)
@@ -685,6 +738,26 @@ class TestCli:
         path = self.write_scenario(tmp_path, "samples = 5\n" + text)
         assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("period = infs\n", "period"),
+            ("lead = 1e400ms\n", "lead"),
+            ("server1.base = 1e300s\n", "server1.base"),
+            ("sigma = nan\n", "sigma"),
+            ("spike_p = 1\nspike_mult = inf\n", "spike_mult"),
+            ("spike_p = 1\nspike_mult = nan\n", "spike_mult"),
+            ("load_recovery = 1s\nload_penalty = nan\n", "load_penalty"),
+            ("load_penalty = inf\n", "load_penalty"),
+        ],
+    )
+    def test_run_refuses_non_finite_numbers(self, tmp_path, capsys, text, key):
+        path = self.write_scenario(tmp_path, "samples = 5\n" + text)
+        assert main(["run", "--scenario", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {key}: bad value ")
+        assert captured.out == ""
 
     def test_run_missing_file(self, tmp_path, capsys):
         assert main(["run", "--scenario", str(tmp_path / "nope.txt")]) == 1
@@ -834,6 +907,21 @@ class TestCli:
             ["experiment", "I", "--samples", "5", "--out", str(tmp_path)]
         ) == 0
         assert (tmp_path / "experiment_platforms.csv").exists()
+
+    @pytest.mark.parametrize("name", ["I", "platforms", "III", "stress"])
+    def test_trials_is_refused_where_nothing_reads_it(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", name, "--samples", "5", "--trials", "3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--trials" in captured.err
+        assert captured.out == ""
+
+    def test_trials_sets_the_probing_bursts(self, capsys):
+        assert main(["experiment", "II", "--samples", "2", "--trials", "3"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        counts = {row[4] for row in rows[1:] if row[0] == "burst"}
+        assert counts == {"3"}
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
