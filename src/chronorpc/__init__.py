@@ -55,7 +55,6 @@ from .client import (
 from .probing import (
     BurstProbe,
     PeriodSelectionConfig,
-    ProbeRun,
     SelectionResult,
     choose_burst_period,
     choose_periodic_period,
@@ -116,7 +115,6 @@ __all__ = [
     # probing
     "BurstProbe",
     "PeriodSelectionConfig",
-    "ProbeRun",
     "SelectionResult",
     "choose_burst_period",
     "choose_periodic_period",

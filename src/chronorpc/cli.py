@@ -132,6 +132,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _out_path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chronorpc",
@@ -142,12 +148,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a scenario file")
     p_run.add_argument("--scenario", required=True, help="path to a scenario file")
     p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p_run.add_argument("--out", default=None, help="directory for samples.csv and summary.txt")
+    p_run.add_argument("--out", type=_out_path, help="directory for samples.csv and summary.txt")
 
     p_exp = sub.add_parser("experiment", help="run a canned study")
     p_exp.add_argument("name", choices=sorted(EXPERIMENTS), help="which experiment")
     p_exp.add_argument("--seed", type=int, default=1)
-    p_exp.add_argument("--out", default=None, help="directory for the experiment csv")
+    p_exp.add_argument("--out", type=_out_path, help="directory for the experiment csv")
     p_exp.add_argument("--samples", type=int, default=None, help="samples per periodic scenario")
     p_exp.add_argument("--trials", type=int, default=None, help="trials per burst scenario (II only)")
 
@@ -160,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_replay.add_argument("--algo", default="all", choices=("all",) + ALGORITHMS)
     p_replay.add_argument("--window", type=_positive_int, default=DEFAULT_WINDOW)
-    p_replay.add_argument("--out", default=None, help="output csv path (default stdout)")
+    p_replay.add_argument("--out", type=_out_path, help="output csv path (default stdout)")
 
     p_demo = sub.add_parser("demo", help="run a coordination walkthrough")
     p_demo.add_argument("name", choices=DEMO_NAMES)
@@ -180,7 +186,7 @@ def _cmd_run(args) -> int:
     if args.out is not None:
         result.write_outputs(args.out)
     sys.stdout.write(result.summary_text())
-    if args.out:
+    if args.out is not None:
         print(f"# wrote samples.csv and summary.txt to {args.out}")
     return 0
 

@@ -27,7 +27,6 @@ from typing import Callable, Iterable
 from .prediction import (
     ALGORITHMS,
     DEFAULT_WINDOW,
-    EteSample,
     Prediction,
     PredictorState,
 )
@@ -160,7 +159,8 @@ class PendingCall:
     """One rpc's client-side record, resolved by on_message().
 
     Once answered, the call is also the rpc's outcome: the properties below
-    read the reply it holds.
+    read the reply it holds. A call whose `ete` is set is a measured sample;
+    an ok reply to a scheduled call pushes that offset to its predictor.
     """
 
     server_id: str
@@ -176,7 +176,6 @@ class PendingCall:
     notification: ScheduleNotification | None = None
     notification_at: int | None = None
     error: ClientError | None = None
-    sample: EteSample | None = None
 
     @property
     def resolved(self) -> bool:
@@ -327,9 +326,7 @@ class Client:
                     state = self._predictors.get(key)
                     if state is None:
                         state = self.predictor(*key)
-                    call.sample = state.push_times(
-                        call.scheduled_time, msg.execution_time
-                    )
+                    state.push(msg.execution_time - call.scheduled_time)
             elif isinstance(msg, ScheduleNotification):
                 call = self._pending.get(msg.message_id)
                 if call is None:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from ..client import Client, ClientError, PendingCall, operation_type, probe_operation
 # evaluate_stream is not called here, but bench/tracing.py wraps it here too.
-from ..prediction import EteSample, Prediction, evaluate_stream
+from ..prediction import Prediction, evaluate_stream
 from ..probing import BurstProbe, run_probe_plan
 from ..protocol import MILLIS, Operation
 from ..server import OpState, Server
@@ -124,19 +124,20 @@ def build_world(scenario: Scenario, seed: int | None = None) -> World:
 @dataclass
 class ScenarioResult:
     """One run: per server, the measured calls in sample order, each rule's
-    predictions as they were sent and, in burst mode, each trial's probes."""
+    predictions as they were sent and, in burst mode, each trial's probe
+    calls that measured an offset. Each call is its own sample: its
+    scheduled_time, execution_time and ete are T_s, T_e and T_e - T_s."""
 
     scenario: Scenario
     world: World
     outcomes: dict[str, list[PendingCall]]
     predictions: dict[str, dict[str, list[Prediction]]]
-    bursts: dict[str, list[list[EteSample]]] = field(default_factory=dict)
+    bursts: dict[str, list[list[PendingCall]]] = field(default_factory=dict)
 
     @property
-    def samples(self) -> dict[str, list[EteSample]]:
-        return {
-            sid: [call.sample for call in calls] for sid, calls in self.outcomes.items()
-        }
+    def samples(self) -> dict[str, list[PendingCall]]:
+        """The same lists as outcomes; kept for bench/workloads.py."""
+        return self.outcomes
 
     @property
     def spike_indices(self) -> dict[str, list[int]]:
@@ -153,7 +154,7 @@ class ScenarioResult:
     def errors(self, server_id: str, algorithm: str) -> list[int]:
         preds = self.predictions[server_id][algorithm]
         return [
-            abs(p.value - call.sample.ete)
+            abs(p.value - call.ete)
             for p, call in zip(preds, self.outcomes[server_id])
         ]
 
@@ -168,7 +169,7 @@ class ScenarioResult:
         calls = self.outcomes[server_id]
         if not calls:
             return 0.0
-        return sum(call.sample.ete for call in calls) / len(calls)
+        return sum(call.ete for call in calls) / len(calls)
 
     def csv_text(self) -> str:
         # Rows are written directly, as csv.writer would write them: server
@@ -179,10 +180,11 @@ class ScenarioResult:
         for sid, calls in self.outcomes.items():
             predictions = self.predictions[sid]
             for i, call in enumerate(calls):
-                sample = call.sample
-                ete = sample.ete
+                t_s = call.scheduled_time
+                t_e = call.execution_time
+                ete = t_e - t_s
                 head = f"{i},{sid},"
-                tail = f",{sample.scheduled_time},{sample.execution_time},{ete},"
+                tail = f",{t_s},{t_e},{ete},"
                 for algo in self.scenario.algorithms:
                     value = predictions[algo][i].value
                     rows.append(f"{head}{algo}{tail}{value},{abs(value - ete)}\n")
@@ -275,15 +277,16 @@ def _drive_burst(result: ScenarioResult) -> None:
         for sid in world.servers:
             world.client.reset_predictor(sid, rpc_type)
         for sid, bursts in result.bursts.items():
-            run = run_probe_plan(
+            calls = run_probe_plan(
                 world.client,
                 sid,
                 BurstProbe(scenario.burst_size, scenario.period),
                 operation=probe_op,
             )
-            if not run.samples:
+            measured = [call for call in calls if call.ete is not None]
+            if not measured:
                 raise CheckFailed(f"{sid}: trial {trial} burst produced no samples")
-            bursts.append(run.samples)
+            bursts.append(measured)
         desired = world.loop.now() + scenario.lead
         _fan_out(result, op, desired, f"trial {trial} target")
 

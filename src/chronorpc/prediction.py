@@ -30,10 +30,14 @@ else.
 Arithmetic runs in 64-bit floats on nanosecond values; predictions are
 rounded to whole nanoseconds only at the scheduling boundary.
 
-EteSample and Prediction are built for every sample and every prediction,
-so they are slotted but not frozen (a frozen __init__ pays for
-object.__setattr__ on each field). They are read-only by contract and, being
-mutable, not hashable.
+Online, the predictor is pushed the bare offset of each answered call, which
+itself holds T_s and T_e. EteSample is the offline record: a recorded stream
+is read into EteSamples, and evaluate_stream walks them in order, refusing a
+sequence index that does not strictly increase.
+
+Prediction is built for every prediction, so it and EteSample are slotted
+but not frozen (a frozen __init__ pays for object.__setattr__ on each
+field). They are read-only by contract and, being mutable, not hashable.
 """
 
 from __future__ import annotations
@@ -108,9 +112,8 @@ class PredictorState:
     """Per-(server, operation-type) predictor: one window of offsets that
     serves every rule in ALGORITHMS.
 
-    The window holds the last `window` offsets in sequence order
-    (`offsets`), their exact integer sum (`total`), the last sequence index
-    pushed (`last_index`) and how many samples were ever pushed
+    The window holds the last `window` offsets in push order (`offsets`),
+    their exact integer sum (`total`) and how many offsets were ever pushed
     (`sample_count`); all are read-only by contract. The mean needs no pass
     over the window: total / n is bit for bit the float mean
     sum(map(float, offsets)) / n while the absolute offsets held add up to
@@ -128,32 +131,16 @@ class PredictorState:
         self.window = window
         self.offsets: deque[int] = deque(maxlen=window)
         self.total = 0
-        self.last_index: int | None = None
         self.sample_count = 0
 
-    def push(self, sample: EteSample) -> None:
-        index = sample.sequence_index
-        last = self.last_index
-        if last is not None and index <= last:
-            raise OutOfOrderSample(f"sequence index {index} after {last}")
-        ete = sample.ete
+    def push(self, ete: int) -> None:
+        """Fold in one measured offset, T_e - T_s."""
         offsets = self.offsets
         if len(offsets) == self.window:
             self.total -= offsets[0]
         offsets.append(ete)
         self.total += ete
-        self.last_index = index
         self.sample_count += 1
-
-    def push_times(self, scheduled_time: int, execution_time: int) -> EteSample:
-        sample = EteSample(
-            scheduled_time,
-            execution_time,
-            execution_time - scheduled_time,
-            self.sample_count,
-        )
-        self.push(sample)
-        return sample
 
     def predict(self, algorithm: str) -> Prediction:
         """The rule's prediction, rounded to whole nanoseconds (round() of a
@@ -190,7 +177,8 @@ def evaluate_stream(
 ) -> list[dict[str, Prediction]]:
     """Offline pass over a recorded stream: for each sample, one row holding
     each rule's prediction that a fresh predictor would have issued just
-    before observing it."""
+    before observing it. Sequence indices must strictly increase: a sample
+    whose index does not raises OutOfOrderSample before it is pushed."""
     names = tuple(algorithms)
     for name in names:
         if name not in ALGORITHMS:
@@ -198,8 +186,13 @@ def evaluate_stream(
     state = PredictorState(window)
     predict, push = state.predict, state.push
     rows: list[dict[str, Prediction]] = []
+    last = None
     for sample in samples:
+        index = sample.sequence_index
+        if last is not None and index <= last:
+            raise OutOfOrderSample(f"sequence index {index} after {last}")
+        last = index
         rows.append({name: predict(name) for name in names})
-        push(sample)
+        push(sample.ete)
     return rows
 

@@ -18,17 +18,15 @@ each burst's mean offset, and picks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .client import Client, PendingCall, probe_operation
-from .prediction import EteSample
 from .protocol import MILLIS, SECONDS, Operation
 
 __all__ = [
     "InsufficientData",
     "BurstProbe",
-    "ProbeRun",
     "run_probe_plan",
     "PeriodSelectionConfig",
     "SelectionResult",
@@ -55,34 +53,19 @@ class BurstProbe:
             raise ValueError("probe period must be positive")
 
 
-@dataclass
-class ProbeRun:
-    """Result of one executed plan; calls keep schedule order."""
-
-    calls: list[PendingCall]
-
-    @property
-    def scheduled_times(self) -> list[int]:
-        return [call.scheduled_time for call in self.calls]
-
-    @property
-    def samples(self) -> list[EteSample]:
-        """Samples from the calls that produced one (the rest are gaps)."""
-        return [call.sample for call in self.calls if call.sample is not None]
-
-
 def run_probe_plan(
     client: Client,
     server_id: str,
     plan: BurstProbe,
     *,
     operation: Operation | None = None,
-) -> ProbeRun:
-    """Execute a plan against one server and collect its samples.
+) -> list[PendingCall]:
+    """Execute a plan against one server; returns its calls in schedule order.
 
     Probes dispatch the client's `dispatch_lead` ahead of their scheduled
-    times so transit delay never pushes them into the past. A probe that is
-    rejected or lost leaves a gap; the remaining probes still run.
+    times so transit delay never pushes them into the past. A call whose
+    `ete` is set measured an offset; a probe that is rejected or lost leaves
+    a gap (its call holds the error), and the remaining probes still run.
     """
     count = plan.count
     op = operation if operation is not None else probe_operation()
@@ -107,7 +90,7 @@ def run_probe_plan(
         # map, so a reply arriving later counts as unmatched instead of
         # feeding the predictor.
         client.resolve_soft(call)
-    return ProbeRun(calls)
+    return calls
 
 
 @dataclass(frozen=True)
@@ -142,7 +125,6 @@ class SelectionResult:
     best_index: int
     periods: list[int]
     means: list[float]
-    bursts: list[list[EteSample]] = field(default_factory=list)
 
 
 def choose_burst_period(periods: Sequence[int], means: Sequence[float]) -> tuple[int, int]:
@@ -174,28 +156,26 @@ def _sweep(
     server_id: str,
     config: PeriodSelectionConfig,
     operation: Operation | None,
-) -> tuple[list[int], list[float], list[list[EteSample]]]:
+) -> tuple[list[int], list[float]]:
     periods = config.periods()
     means: list[float] = []
-    bursts: list[list[EteSample]] = []
     driver = client.driver
     for period in periods:
-        run = run_probe_plan(
+        calls = run_probe_plan(
             client,
             server_id,
             BurstProbe(config.burst_size, period),
             operation=operation,
         )
-        burst_samples = run.samples
-        if not burst_samples:
+        etes = [call.ete for call in calls if call.ete is not None]
+        if not etes:
             raise InsufficientData(
                 f"burst at period {period} ns produced no samples"
             )
-        means.append(sum(s.ete for s in burst_samples) / len(burst_samples))
-        bursts.append(burst_samples)
+        means.append(sum(etes) / len(etes))
         if config.inter_burst_gap:
             driver.wait_until(None, driver.now() + config.inter_burst_gap)
-    return periods, means, bursts
+    return periods, means
 
 
 def select_period_burst(
@@ -207,9 +187,9 @@ def select_period_burst(
 ) -> SelectionResult:
     """Sweep doubling-period bursts and pick the burst-mode probe period."""
     config = config or PeriodSelectionConfig()
-    periods, means, bursts = _sweep(client, server_id, config, operation)
+    periods, means = _sweep(client, server_id, config, operation)
     best, period = choose_burst_period(periods, means)
-    return SelectionResult(period, best, periods, means, bursts)
+    return SelectionResult(period, best, periods, means)
 
 
 def select_period_periodic(
@@ -221,6 +201,6 @@ def select_period_periodic(
 ) -> SelectionResult:
     """Sweep doubling-period bursts and pick the periodic-mode probe period."""
     config = config or PeriodSelectionConfig()
-    periods, means, bursts = _sweep(client, server_id, config, operation)
+    periods, means = _sweep(client, server_id, config, operation)
     best, period = choose_periodic_period(periods, means, config.alpha)
-    return SelectionResult(period, best, periods, means, bursts)
+    return SelectionResult(period, best, periods, means)

@@ -96,7 +96,9 @@ class TestScheduleRaw:
         assert isinstance(call, ScheduleOutcome)
         assert call.status == "ok" and call.ok
         assert call.execution_time == call.reply.execution_time
-        assert call.ete == call.sample.ete == 25 * MILLIS
+        assert call.ete == 25 * MILLIS
+        # the call is the sample: its offset is what the predictor learned
+        assert list(client.predictor("s1").offsets) == [call.ete]
         assert call.completion_error == call.execution_time - desired
         assert call.prediction_error == abs(call.prediction.value - call.ete)
 

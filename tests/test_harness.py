@@ -32,7 +32,7 @@ from chronorpc.harness import (
     spike_window_split,
 )
 from chronorpc import protocol
-from chronorpc.prediction import PredictorState, evaluate_stream
+from chronorpc.prediction import EteSample, PredictorState, evaluate_stream
 from chronorpc.protocol import MICROS, MILLIS, SECONDS, Operation, SchedulingRangeConfig
 from chronorpc.server import ExecutionModel, OpState
 
@@ -386,15 +386,19 @@ def _offline_predictions(result, rules):
     order, and each burst pushed into a fresh predictor."""
     scenario = result.scenario
     out = {}
-    for sid, samples in result.samples.items():
+    for sid, calls in result.outcomes.items():
         if scenario.probe == "periodic":
+            samples = [
+                EteSample.from_times(call.scheduled_time, call.execution_time, i)
+                for i, call in enumerate(calls)
+            ]
             rows = evaluate_stream(samples, rules, scenario.window)
         else:
             rows = []
             for burst in result.bursts[sid]:
                 state = PredictorState(scenario.window)
-                for sample in burst:
-                    state.push(sample)
+                for call in burst:
+                    state.push(call.ete)
                 rows.append({algo: state.predict(algo) for algo in rules})
         out[sid] = {algo: [row[algo] for row in rows] for algo in rules}
     return out
@@ -759,6 +763,18 @@ class TestCli:
         assert captured.err.startswith(f"error: {key}: bad value ")
         assert captured.out == ""
 
+    def test_burst_with_every_probe_refused_fails_the_run(self, tmp_path, capsys):
+        # probes start lead = 500ms ahead, beyond the 100ms the server accepts
+        path = self.write_scenario(
+            tmp_path,
+            "probe = burst\nburst_size = 3\ntrials = 2\nperiod = 100ms\n"
+            "lead = 500ms\nsched_max_future = 100ms\n",
+        )
+        assert main(["run", "--scenario", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: s1: trial 0 burst produced no samples\n"
+        assert captured.out == ""
+
     def test_run_missing_file(self, tmp_path, capsys):
         assert main(["run", "--scenario", str(tmp_path / "nope.txt")]) == 1
 
@@ -785,6 +801,33 @@ class TestCli:
         )
         assert main([a.format(dir=tmp_path, csv=src) for a in argv]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--scenario", "{scenario}"],
+            ["experiment", "III", "--samples", "5"],
+            ["replay", "--csv", "{csv}"],
+        ],
+        ids=["run", "experiment", "replay"],
+    )
+    def test_empty_out_is_refused(self, tmp_path, capsys, monkeypatch, argv):
+        scenario = self.write_scenario(tmp_path)
+        src = tmp_path / "samples.csv"
+        src.write_text(
+            "sequence,scheduled_time_ns,execution_time_ns\n0,1000,31000\n",
+            encoding="utf-8",
+        )
+        work = tmp_path / "cwd"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(scenario=scenario, csv=src) for a in argv] + ["--out", ""])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--out: must not be empty" in captured.err
+        assert captured.out == ""
+        assert list(work.iterdir()) == []
 
     def test_replay(self, tmp_path, capsys):
         src = tmp_path / "samples.csv"
@@ -822,7 +865,7 @@ class TestCli:
         by_hand.write_text(
             "sequence,scheduled_time_ns,execution_time_ns\n"
             + "".join(
-                f"{i},{c.sample.scheduled_time},{c.sample.execution_time}\n"
+                f"{i},{c.scheduled_time},{c.execution_time}\n"
                 for i, c in enumerate(calls)
             ),
             encoding="utf-8",

@@ -59,8 +59,8 @@ def rel_err(a: float, b: float) -> float:
 def window_of(etes) -> PredictorState:
     """A state for every rule whose window holds exactly the given offsets."""
     state = PredictorState(max(1, len(etes)))
-    for s in make_samples(etes):
-        state.push(s)
+    for ete in etes:
+        state.push(ete)
     return state
 
 
@@ -185,9 +185,9 @@ class TestKalmanFilter:
     def test_not_warm_until_two(self):
         state = PredictorState(8)
         ran = []
-        for s in make_samples([20 * MILLIS] * 2):
+        for ete in [20 * MILLIS] * 2:
             ran.append(state.predict("kalman").algorithm)
-            state.push(s)
+            state.push(ete)
         p = state.predict("kalman")
         assert ran + [p.algorithm] == ["baseline", "average", "kalman"]
         assert p.raw == 20.0 * MILLIS
@@ -227,36 +227,28 @@ class TestSampleWindow:
 
     def test_eviction(self):
         state = PredictorState(3)
-        for s in make_samples([1, 2, 3, 4]):
-            state.push(s)
+        for ete in [1, 2, 3, 4]:
+            state.push(ete)
         assert list(state.offsets) == [2, 3, 4]
         assert state.total == 9
         assert state.sample_count == 4
 
     def test_out_of_order(self):
-        state = PredictorState(3)
+        # evaluate_stream is where sequence order is checked
         samples = make_samples([5, 6])
-        state.push(samples[1])
-        with pytest.raises(OutOfOrderSample):
-            state.push(samples[0])
-        # the rejected sample did not reach the window
-        assert list(state.offsets) == [6]
-        assert state.sample_count == 1
+        with pytest.raises(OutOfOrderSample, match="sequence index 0 after 1"):
+            evaluate_stream([samples[1], samples[0]], ("average",), 3)
 
     def test_duplicate_index(self):
-        state = PredictorState(3)
         sample = make_samples([5])[0]
-        state.push(sample)
-        with pytest.raises(OutOfOrderSample):
-            state.push(sample)
+        with pytest.raises(OutOfOrderSample, match="sequence index 0 after 0"):
+            evaluate_stream([sample, sample], ("average",), 3)
 
     def test_empty_push_one(self):
         state = PredictorState(4)
         assert len(state.offsets) == 0
-        assert state.last_index is None
-        state.push(make_samples([9])[0])
-        assert len(state.offsets) == 1
-        assert state.last_index == 0
+        state.push(9)
+        assert list(state.offsets) == [9]
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -285,7 +277,7 @@ class TestPredictorState:
 
     def test_kalman_falls_back_to_average_with_one_sample(self):
         state = PredictorState(8)
-        state.push(make_samples([30 * MILLIS])[0])
+        state.push(30 * MILLIS)
         p = state.predict("kalman")
         assert p.algorithm == "average"
         assert p.fallback
@@ -294,23 +286,16 @@ class TestPredictorState:
     def test_warm_flag(self):
         state = PredictorState(8)
         assert state.predict("kalman").fallback
-        for s in make_samples([10, 20]):
-            state.push(s)
+        for ete in [10, 20]:
+            state.push(ete)
         assert state.predict("kalman").algorithm == "kalman"
         assert not state.predict("kalman").fallback
 
     def test_baseline_always_zero(self):
         state = PredictorState(8)
-        for s in make_samples([10, 20, 30]):
-            state.push(s)
+        for ete in [10, 20, 30]:
+            state.push(ete)
         assert state.predict("baseline").value == 0
-
-    def test_push_times_assigns_sequence(self):
-        state = PredictorState(8)
-        s0 = state.push_times(0, 50)
-        s1 = state.push_times(1000, 1080)
-        assert (s0.sequence_index, s1.sequence_index) == (0, 1)
-        assert state.predict("average").value == 65
 
     def test_rejects_unknown_algorithm(self):
         # An empty window refuses the name too, rather than answer with the
@@ -318,15 +303,15 @@ class TestPredictorState:
         state = PredictorState(8)
         with pytest.raises(ValueError, match="unknown algorithm: 'median'"):
             state.predict("median")
-        for s in make_samples([10, 20, 30]):
-            state.push(s)
+        for ete in [10, 20, 30]:
+            state.push(ete)
         with pytest.raises(ValueError, match="unknown algorithm: 'median'"):
             state.predict("median")
 
     def test_rounding_to_nearest_ns(self):
         state = PredictorState(8)
-        for s in make_samples([1, 2]):
-            state.push(s)
+        for ete in [1, 2]:
+            state.push(ete)
         p = state.predict("average")
         assert p.raw == 1.5
         assert p.value == 2  # round-half-even at .5
@@ -491,7 +476,6 @@ class TestIncrementalWindowMatchesLists:
     @given(stream=windowed_streams())
     def test_predict_raw_is_bit_identical(self, stream):
         window, values = stream
-        samples = make_samples(values)
         kalman_raws, kalman_variances = list_kalman_replay(values, window)
         expected = {"baseline": [0.0] * len(values), "kalman": kalman_raws}
         for name, rule in (("average", average), ("ft-average", ft_average)):
@@ -500,10 +484,10 @@ class TestIncrementalWindowMatchesLists:
                 for i in range(1, len(values))
             ]
         state = PredictorState(window)
-        for i, sample in enumerate(samples):
+        for i, ete in enumerate(values):
             for algo in ALGORITHMS:
                 assert state.predict(algo).raw == expected[algo][i], (algo, i)
-            state.push(sample)
+            state.push(ete)
             assert list(state.offsets) == values[max(0, i + 1 - window) : i + 1]
         # The filter as specified never leaves gain 1.
         assert kalman_variances == [0.0] * len(values)
@@ -516,8 +500,8 @@ class TestIncrementalWindowMatchesLists:
         assert estimates == [float(v) for v in values]
         assert variances == [0.0] * len(values)
         state = PredictorState(window)
-        for i, sample in enumerate(make_samples(values)):
-            state.push(sample)
+        for i, ete in enumerate(values):
+            state.push(ete)
             if i >= 1:
                 raw = state.predict("kalman").raw
                 assert raw.hex() == float(values[i]).hex(), i

@@ -53,24 +53,21 @@ class TestRunProbePlan:
     def test_burst_grid_is_exact(self):
         loop, client, server = make_pair()
         t0 = client.now()
-        run = run_probe_plan(client, "s1", BurstProbe(4, 500 * MILLIS))
+        calls = run_probe_plan(client, "s1", BurstProbe(4, 500 * MILLIS))
         lead = client.dispatch_lead
-        assert run.scheduled_times == [
-            t0 + lead + k * 500 * MILLIS for k in range(4)
-        ]
-        assert len(run.samples) == 4
-        assert [s.ete for s in run.samples] == [20 * MILLIS] * 4
+        scheduled = [c.scheduled_time for c in calls]
+        assert scheduled == [t0 + lead + k * 500 * MILLIS for k in range(4)]
+        assert [c.ete for c in calls] == [20 * MILLIS] * 4
         # the server really started each probe on its slot
-        assert [e.t_start for e in server.log] == run.scheduled_times
+        assert [e.t_start for e in server.log] == scheduled
 
     def test_periodic_collects_requested_samples(self):
         loop, client, server = make_pair()
-        run = run_probe_plan(client, "s1", BurstProbe(5, 1 * SECONDS))
-        assert len(run.samples) == 5
-        diffs = {
-            b - a for a, b in zip(run.scheduled_times, run.scheduled_times[1:])
-        }
-        assert diffs == {1 * SECONDS}
+        calls = run_probe_plan(client, "s1", BurstProbe(5, 1 * SECONDS))
+        assert len(calls) == 5
+        assert all(c.ete is not None for c in calls)
+        scheduled = [c.scheduled_time for c in calls]
+        assert {b - a for a, b in zip(scheduled, scheduled[1:])} == {1 * SECONDS}
 
     def test_lost_reply_leaves_a_gap(self):
         lost = b'"message-id":"m2"'
@@ -78,14 +75,10 @@ class TestRunProbePlan:
             reply_filter=lambda f: lost in f and b'"type":"rpc-reply"' in f,
             reply_timeout=1 * SECONDS,
         )
-        run = run_probe_plan(client, "s1", BurstProbe(4, 500 * MILLIS))
-        assert len(run.samples) == 3
-        assert run.calls[1].sample is None  # the gap keeps its slot
-        assert len(run.scheduled_times) == 4
-        assert run.scheduled_times == [c.scheduled_time for c in run.calls]
-        assert [c.sample is not None for c in run.calls] == [
-            True, False, True, True
-        ]
+        calls = run_probe_plan(client, "s1", BurstProbe(4, 500 * MILLIS))
+        assert len(calls) == 4
+        # the gap keeps its slot
+        assert [c.ete is not None for c in calls] == [True, False, True, True]
         # the other slots still ran and fed the predictor
         assert client.predictor("s1", "noop").sample_count == 3
 
@@ -101,22 +94,15 @@ class TestRunProbePlan:
         loop, client, server = make_pair(
             reply_filter=drop_m2_reply, reply_timeout=1 * SECONDS
         )
-        run = run_probe_plan(client, "s1", BurstProbe(4, 500 * MILLIS))
+        calls = run_probe_plan(client, "s1", BurstProbe(4, 500 * MILLIS))
         assert client._pending == {}
-        assert isinstance(run.calls[1].error, ReplyTimeout)
+        assert isinstance(calls[1].error, ReplyTimeout)
         assert len(dropped) == 1
         unmatched = client.unmatched_messages
         client.on_frame(dropped[0])
         assert client.unmatched_messages == unmatched + 1
-        assert run.calls[1].reply is None
+        assert calls[1].reply is None
         assert client.predictor("s1", "noop").sample_count == 3
-
-    def test_samples_keep_increasing_sequence(self):
-        loop, client, server = make_pair(ExecutionModel(base=5 * MILLIS))
-        run = run_probe_plan(client, "s1", BurstProbe(6, 200 * MILLIS))
-        seqs = [s.sequence_index for s in run.samples]
-        assert seqs == sorted(seqs)
-        assert len(set(seqs)) == len(seqs)
 
     def test_custom_operation_routes_its_own_type(self):
         loop, client, server = make_pair()
@@ -174,10 +160,16 @@ class TestSelectionConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             PeriodSelectionConfig(bursts=0)
+        with pytest.raises(ValueError, match="burst_size"):
+            PeriodSelectionConfig(burst_size=0)
+        with pytest.raises(ValueError, match="initial_period"):
+            PeriodSelectionConfig(initial_period=0)
         with pytest.raises(ValueError):
             PeriodSelectionConfig(alpha=0.0)
         with pytest.raises(ValueError):
             PeriodSelectionConfig(alpha=1.0)
+        with pytest.raises(ValueError, match="inter_burst_gap"):
+            PeriodSelectionConfig(inter_burst_gap=-1)
 
 
 class TestSelectionEndToEnd:
