@@ -14,7 +14,6 @@ from .protocol import (
     MICROS,
     MILLIS,
     SECONDS,
-    CancelSchedule,
     MalformedFrame,
     Message,
     MissingField,
@@ -72,7 +71,6 @@ __all__ = [
     "MICROS",
     "MILLIS",
     "SECONDS",
-    "CancelSchedule",
     "MalformedFrame",
     "Message",
     "MissingField",

@@ -36,7 +36,6 @@ from .protocol import (
     ERR_UNKNOWN_MESSAGE_ID,
     MILLIS,
     SECONDS,
-    CancelSchedule,
     Message,
     Operation,
     ProtocolError,
@@ -375,20 +374,11 @@ class Client:
         return call
 
     def submit_cancel(self, server_id: str, target_id: str) -> PendingCall:
-        send = self._send_to(server_id)
-        with self._lock:
-            mid = self._next_mid()
-            frame = encode(CancelSchedule(mid, target_id))
-            call = PendingCall(
-                server_id=server_id,
-                message_id=mid,
-                operation=Operation("cancel-schedule", {"target": target_id}),
-                scheduled_time=None,
-                get_time=False,
-                sent_at=self._driver.now(),
-            )
-            self._send(send, call, frame)
-        return call
+        """Send a cancel-schedule rpc withdrawing the rpc target_id."""
+        if not target_id:
+            raise ValueError("target-id must be a non-empty string")
+        operation = Operation("cancel-schedule", {"target-id": target_id})
+        return self.submit(server_id, operation)
 
     def _send(
         self, send: Callable[[bytes], None], call: PendingCall, frame: bytes

@@ -136,7 +136,11 @@ class ScenarioResult:
 
     @property
     def samples(self) -> dict[str, list[PendingCall]]:
-        """The same lists as outcomes; kept for bench/workloads.py."""
+        """The same lists as outcomes.
+
+        Kept for its two readers: bench/workloads.py and acceptance test 06
+        (tests/test_acceptance.py), which reads burst.samples["s1"].
+        """
         return self.outcomes
 
     @property

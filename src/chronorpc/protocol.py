@@ -16,15 +16,14 @@ Frame vocabulary::
 
     {"type": "notification", "message-id": str, "accepted": bool}
 
-    {"type": "cancel-schedule", "message-id": str, "target-id": str}
-
 ``scheduled-time`` is absent for execute-immediately rpcs. ``get-time``
 defaults to false and asks the server to report the operation's completion
 time; a reply carries ``execution-time`` only when the rpc asked for it and
 the status is "ok". Reply ``params`` is the return channel for operations
 that produce values (e.g. get-value). A notification acknowledges admission
-of a scheduled rpc before its scheduled time; ``target-id`` names the
-message-id a cancel-schedule rpc wants withdrawn.
+of a scheduled rpc before its scheduled time. Withdrawing a scheduled rpc is
+itself an rpc, op "cancel-schedule", whose params "target-id" names the
+message-id to withdraw.
 
 Canonical encoding, part of the wire contract: encode() writes the keys in
 the order listed above, optional ones only when present (error-detail only
@@ -40,13 +39,13 @@ regex per frame type, when the strings are printable ASCII without '"' or
 '\\' and the integers have at most 19 digits: an rpc, whose params object
 of string pairs becomes a dict with one findall; an ok reply with optional
 execution-time and params; an error reply with error-code and optional
-error-detail; a notification; a cancel-schedule. Any other frame (an error
+error-detail; a notification. Any other frame (an error
 reply carrying params, another writer's key order, whitespace or escapes)
 goes through json.loads, and the per-type decoders that check its fields are
 the one place errors are raised. Either path gives the same message for the
 same frame.
 
-The message records (Operation and the four message types) are built for
+The message records (Operation and the three message types) are built for
 every frame, so they are slotted but not frozen: a frozen __init__ sets
 each field through object.__setattr__, which costs several times as much.
 They are read-only by contract - nothing assigns to a field after
@@ -76,7 +75,6 @@ __all__ = [
     "RpcMessage",
     "RpcReply",
     "ScheduleNotification",
-    "CancelSchedule",
     "Message",
     "encode",
     "decode",
@@ -193,13 +191,7 @@ class ScheduleNotification:
     accepted: bool
 
 
-@dataclass(slots=True)
-class CancelSchedule:
-    message_id: str
-    target_id: str
-
-
-Message = RpcMessage | RpcReply | ScheduleNotification | CancelSchedule
+Message = RpcMessage | RpcReply | ScheduleNotification
 
 
 # Per-type encoders: each writes its frame straight into one string, in the
@@ -285,25 +277,11 @@ def _encode_notification(msg: ScheduleNotification) -> str:
     )
 
 
-def _encode_cancel(msg: CancelSchedule) -> str:
-    mid = msg.message_id
-    mid = _escape(mid) if type(mid) is str and mid else _quoted(mid, "message-id")
-    target = msg.target_id
-    target = (
-        _escape(target) if type(target) is str and target else _quoted(target, "target-id")
-    )
-    return (
-        f'{{"type":"cancel-schedule","message-id":{mid}'
-        f',"target-id":{target}}}\n'
-    )
-
-
 # In isinstance order, for subclasses that miss the exact-type lookup.
 _ENCODERS = {
     RpcMessage: _encode_rpc,
     RpcReply: _encode_reply,
     ScheduleNotification: _encode_notification,
-    CancelSchedule: _encode_cancel,
 }
 
 
@@ -407,16 +385,10 @@ def _decode_notification(obj: dict) -> ScheduleNotification:
     return ScheduleNotification(message_id, _bool_field(obj, "accepted"))
 
 
-def _decode_cancel(obj: dict) -> CancelSchedule:
-    message_id = _str_field(obj, "message-id")
-    return CancelSchedule(message_id, _str_field(obj, "target-id"))
-
-
 _DECODERS = {
     "rpc": _decode_rpc,
     "rpc-reply": _decode_reply,
     "notification": _decode_notification,
-    "cancel-schedule": _decode_cancel,
 }
 
 # The canonical layouts encode() writes, read without JSON. A string admits
@@ -460,10 +432,6 @@ def _canonical_notification(message_id, accepted):
     return ScheduleNotification(message_id.decode(), accepted == b"true")
 
 
-def _canonical_cancel(message_id, target_id):
-    return CancelSchedule(message_id.decode(), target_id.decode())
-
-
 # Keyed by frame[9:13], the first four bytes of the type after '{"type":"'.
 _CANONICAL = {
     b'rpc"': (
@@ -490,13 +458,6 @@ _CANONICAL = {
             + rb',"accepted":(true|false)\}\n'
         ).fullmatch,
         _canonical_notification,
-    ),
-    b"canc": (
-        re.compile(
-            rb'\{"type":"cancel-schedule","message-id":' + _STR
-            + rb',"target-id":' + _STR + rb"\}\n"
-        ).fullmatch,
-        _canonical_cancel,
     ),
 }
 

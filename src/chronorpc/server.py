@@ -17,6 +17,12 @@ Builtin operations:
 * commit      - atomically promotes the candidate store to the running store
 * get-value   - reads params "key" from the running store into the reply
 
+and one that acts on arrival and never enters the op table or the log:
+
+* cancel-schedule - withdraws the pending rpc whose message-id is params
+                "target-id"; one with no target-id or with a scheduled-time
+                answers invalid-params
+
 Timing is synthetic and drawn per op in a fixed order (wake jitter, run-time
 noise, spike coin) from the server's own seeded stream, so whole runs replay
 exactly from (seed, scenario). The server is sans-IO: it talks to the world
@@ -42,7 +48,6 @@ from .protocol import (
     ERR_UNKNOWN_MESSAGE_ID,
     ERR_UNKNOWN_OPERATION,
     MILLIS,
-    CancelSchedule,
     Operation,
     ProtocolError,
     RpcMessage,
@@ -226,8 +231,6 @@ class Server:
             return
         if isinstance(msg, RpcMessage):
             self._handle_rpc(msg)
-        elif isinstance(msg, CancelSchedule):
-            self._handle_cancel(msg)
         # Replies/notifications are client-bound; a server ignores them.
 
     def _reply(self, reply: RpcReply) -> None:
@@ -247,6 +250,9 @@ class Server:
             return
         operation = msg.operation
         if operation.name not in BUILTIN_OPS:
+            if operation.name == "cancel-schedule":
+                self._handle_cancel(msg)
+                return
             self._reply(RpcReply.make_error(mid, ERR_UNKNOWN_OPERATION, operation.name))
             return
 
@@ -277,32 +283,31 @@ class Server:
         self._send(encode(ScheduleNotification(mid, True)))
         self._sched.call_at(scheduled_time, self._on_due, op)
 
-    def _handle_cancel(self, msg: CancelSchedule) -> None:
-        if msg.message_id in self._seen_ids:
-            self._reply(RpcReply.make_error(msg.message_id, ERR_DUPLICATE_MESSAGE_ID))
+    def _handle_cancel(self, msg: RpcMessage) -> None:
+        # Admitted by _handle_rpc, which has already used up its id.
+        mid = msg.message_id
+        target_id = msg.operation.params.get("target-id")
+        if not target_id or msg.scheduled_time is not None:
+            detail = "cancel-schedule needs target-id and no scheduled-time"
+            self._reply(RpcReply.make_error(mid, ERR_INVALID_PARAMS, detail))
             return
-        self._seen_ids.add(msg.message_id)
-        target = self.ops.get(msg.target_id)
+        target = self.ops.get(target_id)
         if target is None:
-            if msg.target_id not in self._seen_ids:
-                self._cancelled_unseen.add(msg.target_id)
-            self._reply(
-                RpcReply.make_error(msg.message_id, ERR_UNKNOWN_MESSAGE_ID, msg.target_id)
-            )
+            if target_id not in self._seen_ids:
+                self._cancelled_unseen.add(target_id)
+            self._reply(RpcReply.make_error(mid, ERR_UNKNOWN_MESSAGE_ID, target_id))
             return
         if target.state is _PENDING:
             # Its heap entry stays and fires as a no-op in _on_due.
             target.state = _CANCELLED
-            self._reply(RpcReply.make_ok(msg.message_id))
+            self._reply(RpcReply.make_ok(mid))
             # Resolve the withdrawn rpc for its requester as well.
-            self._reply(RpcReply.make_error(msg.target_id, ERR_CANCELLED))
+            self._reply(RpcReply.make_error(target_id, ERR_CANCELLED))
             return
         if target.state is _CANCELLED:
-            self._reply(RpcReply.make_ok(msg.message_id))
+            self._reply(RpcReply.make_ok(mid))
             return
-        self._reply(
-            RpcReply.make_error(msg.message_id, ERR_ALREADY_EXECUTED, msg.target_id)
-        )
+        self._reply(RpcReply.make_error(mid, ERR_ALREADY_EXECUTED, target_id))
 
     # -- executor ---------------------------------------------------------
 

@@ -13,7 +13,6 @@ import random
 
 from chronorpc.protocol import (
     MAX_FRAME_BYTES,
-    CancelSchedule,
     MalformedFrame,
     Message,
     MissingField,
@@ -90,7 +89,7 @@ def random_message(rng: random.Random) -> Message:
         return reply
     if kind == 2:
         return ScheduleNotification(mid, accepted=rng.random() < 0.5)
-    return CancelSchedule(mid, target_id=_ident(rng))
+    return RpcMessage(mid, Operation("cancel-schedule", {"target-id": _ident(rng)}))
 
 
 # Reference codec: the dict + json.dumps encoder and the helper-based decoder
@@ -153,10 +152,6 @@ def ref_encode(msg: Message) -> bytes:
         obj["type"] = "notification"
         obj["message-id"] = _ref_check_str(msg.message_id, "message-id")
         obj["accepted"] = bool(msg.accepted)
-    elif isinstance(msg, CancelSchedule):
-        obj["type"] = "cancel-schedule"
-        obj["message-id"] = _ref_check_str(msg.message_id, "message-id")
-        obj["target-id"] = _ref_check_str(msg.target_id, "target-id")
     else:
         raise ValueError(f"not a protocol message: {msg!r}")
 
@@ -261,10 +256,5 @@ def ref_decode(data: bytes | bytearray | str) -> Message:
         return ScheduleNotification(
             message_id=_ref_str(obj, "message-id"),
             accepted=_ref_bool(obj, "accepted"),
-        )
-    if type_value == "cancel-schedule":
-        return CancelSchedule(
-            message_id=_ref_str(obj, "message-id"),
-            target_id=_ref_str(obj, "target-id"),
         )
     raise UnknownType(type_value)

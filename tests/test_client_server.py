@@ -17,7 +17,6 @@ from chronorpc.prediction import ALGORITHMS
 from chronorpc.protocol import (
     MILLIS,
     SECONDS,
-    CancelSchedule,
     Operation,
     RpcMessage,
     RpcReply,
@@ -219,6 +218,21 @@ class TestCancel:
         loop, client, server, _ = one_server()
         assert client.cancel("s1", "m999") is CancelResult.UNKNOWN
 
+    def test_cancel_is_an_rpc(self):
+        client = Client(EventLoop())
+        frames = []
+        client.connect("s1", frames.append)
+        call = client.submit_cancel("s1", "m7")
+        operation = Operation("cancel-schedule", {"target-id": "m7"})
+        assert call.operation == operation
+        assert [decode(f) for f in frames] == [RpcMessage(call.message_id, operation)]
+
+    def test_malformed_cancel_is_answered_before_the_timeout(self):
+        loop, client, server, _ = one_server()
+        out = client.schedule_raw("s1", Operation("cancel-schedule"))
+        assert out.reply.error_code == "invalid-params"
+        assert out.reply_at - out.sent_at < SECONDS
+
     def test_unmapped_error_raises_rpc_failure(self):
         # A server that answers every message duplicate-message-id, an error
         # a cancel has no CancelResult for.
@@ -255,7 +269,7 @@ class TestNotifications:
         [
             ScheduleNotification("m42", True),
             RpcMessage("m42", Operation("noop")),
-            CancelSchedule("m43", "m42"),
+            RpcMessage("m43", Operation("cancel-schedule", {"target-id": "m42"})),
         ],
         ids=["notification", "rpc", "cancel"],
     )

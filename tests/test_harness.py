@@ -445,8 +445,9 @@ def _coordinated_rounds() -> None:
     """Rounds shaped like the sim-coordinated benchmark, on two servers.
 
     Aligned set-value writes (one of an empty value), an accepted and a
-    refused atomic commit, and a snapshot after each: rpcs with params, ok
-    replies with params, error replies and cancel-schedules.
+    refused atomic commit, and a snapshot after each: rpcs with params
+    (cancel-schedule rpcs among them), ok replies with params and error
+    replies.
     """
     refusing = SchedulingRangeConfig(sched_max_future=1 * SECONDS)
     world = build_world(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from chronorpc.protocol import (
     MAX_FRAME_BYTES,
     SECONDS,
-    CancelSchedule,
     FrameSplitter,
     MalformedFrame,
     MissingField,
@@ -60,9 +59,10 @@ class TestFrozenFrames:
         assert frame == b'{"type":"notification","message-id":"m2","accepted":true}\n'
 
     def test_cancel(self):
-        frame = encode(CancelSchedule("m9", "m3"))
+        frame = encode(RpcMessage("m9", Operation("cancel-schedule", {"target-id": "m3"})))
         assert frame == (
-            b'{"type":"cancel-schedule","message-id":"m9","target-id":"m3"}\n'
+            b'{"type":"rpc","message-id":"m9","op":"cancel-schedule",'
+            b'"params":{"target-id":"m3"}}\n'
         )
 
     def test_error_reply(self):
@@ -113,6 +113,10 @@ class TestDecodeErrors:
         with pytest.raises(UnknownType) as exc:
             decode(b'{"type":"teleport","message-id":"m1"}\n')
         assert exc.value.type_value == "teleport"
+        # cancel-schedule is an rpc op, not a frame type.
+        with pytest.raises(UnknownType) as exc:
+            decode(b'{"type":"cancel-schedule","message-id":"m9","target-id":"m3"}\n')
+        assert exc.value.type_value == "cancel-schedule"
 
     def test_not_json(self):
         with pytest.raises(MalformedFrame):
@@ -123,7 +127,7 @@ class TestDecodeErrors:
             decode(b'{"type":"notification","message-id":"m1","accepted":true}')
 
     def test_two_frames_at_once(self):
-        one = encode(CancelSchedule("m1", "m2"))
+        one = encode(ScheduleNotification("m1", accepted=True))
         with pytest.raises(MalformedFrame):
             decode(one + one)
 
@@ -168,9 +172,9 @@ class TestDecodeErrors:
         assert exc.value.field_name == "accepted"
 
     def test_cancel_missing_target(self):
-        with pytest.raises(MissingField) as exc:
-            decode(b'{"type":"cancel-schedule","message-id":"m1"}\n')
-        assert exc.value.field_name == "target-id"
+        # Its params are the server's to check: it answers invalid-params.
+        msg = decode(b'{"type":"rpc","message-id":"m1","op":"cancel-schedule","params":{}}\n')
+        assert msg == RpcMessage("m1", Operation("cancel-schedule"))
 
 
 class TestEncodeValidation:
@@ -256,12 +260,11 @@ class TestStreamDecoder:
 
     def test_partial_frame_pends(self):
         splitter = FrameSplitter()
-        frame = encode(CancelSchedule("m1", "m2"))
+        cancel = RpcMessage("m1", Operation("cancel-schedule", {"target-id": "m2"}))
+        frame = encode(cancel)
         assert [decode(f) for f in splitter.feed(frame[:10])] == []
         assert splitter.pending_bytes == 10
-        assert [decode(f) for f in splitter.feed(frame[10:])] == [
-            CancelSchedule("m1", "m2")
-        ]
+        assert [decode(f) for f in splitter.feed(frame[10:])] == [cancel]
 
     def test_unterminated_overflow(self):
         splitter = FrameSplitter()
@@ -339,7 +342,6 @@ _messages = st.one_of(
     _rpcs,
     _replies,
     st.builds(ScheduleNotification, st.one_of(_ident, st.just("")), st.booleans()),
-    st.builds(CancelSchedule, _ident, st.one_of(_ident, st.just(""))),
 )
 _valid_messages = st.one_of(
     st.builds(RpcMessage, _ident, st.builds(Operation, _ident, _params), st.one_of(st.none(), _ints), st.booleans()),
@@ -351,13 +353,11 @@ _valid_messages = st.one_of(
     ),
     st.builds(RpcReply.make_error, _ident, _ident, _text),
     st.builds(ScheduleNotification, _ident, st.booleans()),
-    st.builds(CancelSchedule, _ident, _ident),
 )
 _OPTIONAL_FIELDS = {
     "rpc": ["scheduled-time", "get-time"],
     "rpc-reply": ["error-code", "error-detail", "execution-time", "params"],
     "notification": [],
-    "cancel-schedule": [],
 }
 # Wrong kinds for each field shape: a bool where an int goes, a float, an
 # empty string, a list or object where a string goes, non-string params.
@@ -421,12 +421,13 @@ def _outcome(fn, arg):
         )
 
 
-# One canonical frame of each layout decode() reads without JSON.
+# One canonical frame of each layout decode() reads without JSON, and a
+# cancel: an rpc with params and no scheduled-time.
 _RPC = b'{"type":"rpc","message-id":"m1","op":"noop","params":{},"scheduled-time":5,"get-time":true}\n'
 _REPLY = b'{"type":"rpc-reply","message-id":"m1","status":"ok","execution-time":7}\n'
 _ERROR = b'{"type":"rpc-reply","message-id":"m1","status":"error","error-code":"cancelled"}\n'
 _NOTIFY = b'{"type":"notification","message-id":"m1","accepted":true}\n'
-_CANCEL = b'{"type":"cancel-schedule","message-id":"m2","target-id":"m1"}\n'
+_CANCEL = b'{"type":"rpc","message-id":"m2","op":"cancel-schedule","params":{"target-id":"m1"}}\n'
 
 
 class TestReferenceEquivalence:
@@ -485,7 +486,6 @@ class TestReferenceEquivalence:
             RpcReply.make_ok("m2", execution_time=7, params={"value": "x"}),
             RpcReply.make_error("m3", "cancelled", "why"),
             ScheduleNotification("m4", True),
-            CancelSchedule("m5", "m1"),
         ]
 
         def check(obj: dict, changes: dict) -> None:

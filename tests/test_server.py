@@ -7,7 +7,6 @@ import pytest
 from chronorpc.protocol import (
     MILLIS,
     SECONDS,
-    CancelSchedule,
     Operation,
     RpcMessage,
     RpcReply,
@@ -71,6 +70,10 @@ def rpc(server, mid, op="noop", params=None, at=None, get_time=False):
             RpcMessage(mid, Operation(op, params or {}), at, get_time)
         )
     )
+
+
+def cancel(server, mid, target):
+    rpc(server, mid, op="cancel-schedule", params={"target-id": target})
 
 
 class TestImmediateExecution:
@@ -203,18 +206,19 @@ class TestCancellation:
         loop, server, wire = make_server()
         rpc(server, "m1", at=5 * SECONDS, get_time=True)
         loop.run_until(deadline=1 * SECONDS)
-        server.on_frame(encode(CancelSchedule("c1", "m1")))
+        cancel(server, "c1", "m1")
         loop.run_until(deadline=10 * SECONDS)
         assert wire.reply("c1").ok
         assert wire.reply("m1").error_code == "cancelled"
         assert server.log == []
         assert server.ops["m1"].state is OpState.CANCELLED
+        assert "c1" not in server.ops
 
     def test_cancel_cancelled_is_idempotent(self):
         loop, server, wire = make_server()
         rpc(server, "m1", at=5 * SECONDS)
-        server.on_frame(encode(CancelSchedule("c1", "m1")))
-        server.on_frame(encode(CancelSchedule("c2", "m1")))
+        cancel(server, "c1", "m1")
+        cancel(server, "c2", "m1")
         loop.run_until(deadline=10 * SECONDS)
         assert wire.reply("c1").ok
         assert wire.reply("c2").ok
@@ -225,7 +229,7 @@ class TestCancellation:
         loop, server, wire = make_server()
         rpc(server, "m1", at=1 * SECONDS)
         loop.run_until(deadline=2 * SECONDS)
-        server.on_frame(encode(CancelSchedule("c1", "m1")))
+        cancel(server, "c1", "m1")
         loop.run_until(deadline=3 * SECONDS)
         reply = wire.reply("c1")
         assert reply.error_code == "already-executed"
@@ -233,7 +237,7 @@ class TestCancellation:
 
     def test_cancel_unknown_target(self):
         loop, server, wire = make_server()
-        server.on_frame(encode(CancelSchedule("c1", "mX")))
+        cancel(server, "c1", "mX")
         reply = wire.reply("c1")
         assert reply.error_code == "unknown-message-id"
         assert "mX" in reply.error_detail
@@ -241,7 +245,7 @@ class TestCancellation:
     def test_cancel_message_id_shares_uniqueness_space(self):
         loop, server, wire = make_server()
         rpc(server, "m1", at=5 * SECONDS)
-        server.on_frame(encode(CancelSchedule("m1", "m1")))
+        cancel(server, "m1", "m1")
         assert wire.reply("m1").error_code == "duplicate-message-id" or any(
             r.error_code == "duplicate-message-id" for r in wire.replies("m1")
         )
@@ -250,7 +254,7 @@ class TestCancellation:
         # a rejected rpc was never stored, so cancelling it reports unknown
         loop, server, wire = make_server()
         rpc(server, "m1", at=60 * SECONDS)
-        server.on_frame(encode(CancelSchedule("c1", "m1")))
+        cancel(server, "c1", "m1")
         assert wire.reply("c1").error_code == "unknown-message-id"
 
     def test_rpc_after_its_cancel_is_refused_and_never_runs(self):
@@ -258,7 +262,7 @@ class TestCancellation:
         # committing client takes as a confirmed abort, so the late rpc must
         # be refused rather than run.
         loop, server, wire = make_server()
-        server.on_frame(encode(CancelSchedule("c1", "m1")))
+        cancel(server, "c1", "m1")
         assert wire.reply("c1").error_code == "unknown-message-id"
         rpc(server, "m1", op="set-value", params={"key": "k", "value": "v"},
             at=1 * SECONDS, get_time=True)
@@ -274,6 +278,41 @@ class TestCancellation:
         assert [r.error_code for r in wire.replies("m1")] == [
             "cancelled", "duplicate-message-id"
         ]
+
+    def test_cancel_after_its_own_cancel_does_not_act(self):
+        # c2 withdrew c1 before c1 arrived, and its unknown-message-id is a
+        # confirmed abort; so c1 is refused like any rpc and m1 still runs.
+        loop, server, wire = make_server()
+        rpc(server, "m1", at=1 * SECONDS)
+        cancel(server, "c2", "c1")
+        assert wire.reply("c2").error_code == "unknown-message-id"
+        cancel(server, "c1", "m1")
+        loop.run_until(deadline=2 * SECONDS)
+        assert wire.reply("c1").error_code == "cancelled"
+        assert wire.reply("m1").ok
+        assert [e.message_id for e in server.log] == ["m1"]
+        assert server._cancelled_unseen == set()
+
+    @pytest.mark.parametrize(
+        "params, at",
+        [({}, None), ({"target-id": ""}, None), ({"target-id": "m1"}, 2 * SECONDS)],
+        ids=["no-target", "empty-target", "scheduled"],
+    )
+    def test_malformed_cancel_is_answered_and_uses_its_id(self, params, at):
+        loop, server, wire = make_server()
+        rpc(server, "m1", at=1 * SECONDS)
+        rpc(server, "c1", op="cancel-schedule", params=params, at=at)
+        assert wire.reply("c1").error_code == "invalid-params"
+        assert wire.notifications("c1") == []
+        cancel(server, "c1", "m1")
+        assert [r.error_code for r in wire.replies("c1")] == [
+            "invalid-params", "duplicate-message-id"
+        ]
+        loop.run_until(deadline=2 * SECONDS)
+        assert wire.reply("m1").ok
+        assert [e.message_id for e in server.log] == ["m1"]
+        assert "c1" not in server.ops
+        assert server._cancelled_unseen == set()
 
 
 class TestBuiltins:
@@ -407,7 +446,7 @@ class TestExecutorLanes:
         assert server.ops["m1"].state is OpState.RUNNING
         assert server.ops["m2"].state is OpState.PENDING
         assert [op.message_id for op in server._ready] == ["m2", "m3"]
-        server.on_frame(encode(CancelSchedule("c1", "m2")))
+        cancel(server, "c1", "m2")
         loop.run_until(deadline=3 * SECONDS)
         assert wire.reply("c1").ok
         assert wire.reply("m2").error_code == "cancelled"
