@@ -42,12 +42,10 @@ from .prediction import (
 from .sim import EventLoop, Link, named_rng
 from .server import ExecutionModel, Server
 from .client import (
-    CancelResult,
     Client,
     ClientError,
     CommitOutcome,
     ReplyTimeout,
-    RpcFailure,
     ScheduleOutcome,
     ScheduleRejected,
 )
@@ -102,12 +100,10 @@ __all__ = [
     "ExecutionModel",
     "Server",
     # client
-    "CancelResult",
     "Client",
     "ClientError",
     "CommitOutcome",
     "ReplyTimeout",
-    "RpcFailure",
     "ScheduleOutcome",
     "ScheduleRejected",
     # probing

@@ -9,6 +9,9 @@ multi-server coordinators: same-instant operations, consistent snapshots,
 and an all-or-nothing scheduled commit that cancels everything if any
 participant fails to acknowledge in time.
 
+Every operation's outcome is its resolved PendingCall: a scheduled rpc, a
+cancel and each coordinator entry all read the server's reply off the call.
+
 The client is transport-agnostic. It talks to the world through a driver
 object providing now(), call_at(when, fn, *args) and
 wait_until(predicate, deadline) - the virtual-time event loop in simulation,
@@ -18,7 +21,6 @@ per connected server. Incoming frames enter via on_frame()/on_message().
 
 from __future__ import annotations
 
-import enum
 import threading
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -50,12 +52,9 @@ __all__ = [
     "ClientError",
     "ScheduleRejected",
     "ReplyTimeout",
-    "RpcFailure",
     "CommitWindowTooShort",
     "AbortFailed",
-    "CancelResult",
     "ScheduleOutcome",
-    "SnapshotEntry",
     "CommitOutcome",
     "PendingCall",
     "Client",
@@ -94,26 +93,12 @@ class ReplyTimeout(ClientError):
         self.deadline = deadline
 
 
-class RpcFailure(ClientError):
-    """The server answered with an unexpected error reply."""
-
-    def __init__(self, reply: RpcReply):
-        super().__init__(f"rpc {reply.message_id} failed: {reply.error_code}")
-        self.reply = reply
-
-
 class CommitWindowTooShort(ClientError):
     """The commit time leaves no room for acknowledgements plus cancellation."""
 
 
 class AbortFailed(ClientError):
     """A cancellation could not be confirmed before the commit time."""
-
-
-class CancelResult(enum.Enum):
-    CANCELLED = "cancelled"
-    ALREADY_EXECUTED = "already-executed"
-    UNKNOWN = "unknown"
 
 
 def operation_type(operation: Operation) -> str:
@@ -130,12 +115,6 @@ def probe_operation(target_type: str = "noop") -> Operation:
     if target_type == "noop":
         return Operation("noop")
     return Operation("noop", {"rpc-type": target_type})
-
-
-@dataclass(frozen=True)
-class SnapshotEntry:
-    value: str
-    execution_time: int | None
 
 
 @dataclass
@@ -204,6 +183,12 @@ class PendingCall:
     @property
     def params(self) -> dict[str, str] | None:
         return None if self.reply is None else self.reply.params
+
+    @property
+    def value(self) -> str | None:
+        """The value a get-value read; None for any other reply."""
+        params = self.params
+        return None if params is None else params.get("value")
 
     @property
     def ete(self) -> int | None:
@@ -420,17 +405,9 @@ class Client:
 
         Raises ReplyTimeout when no reply arrived, ScheduleRejected when the
         server refused the time as out of range; every other error reply is
-        returned as a non-ok call for the caller to inspect.
-        """
-        reply = self._reply_or_timeout(call)
-        if not reply.ok and reply.error_code == ERR_SCHEDULE_OUT_OF_RANGE:
-            raise ScheduleRejected(reply.error_detail)
-        return call
-
-    def _reply_or_timeout(self, call: PendingCall) -> RpcReply:
-        """The call's reply; without one the call times out and leaves _pending.
-
-        A reply that arrives after the timeout then counts as unmatched.
+        returned as a non-ok call for the caller to inspect. A call without
+        a reply times out and leaves _pending, so a later reply counts as
+        unmatched.
         """
         with self._lock:
             if call.error is None and call.reply is None:
@@ -438,7 +415,10 @@ class Client:
                 self._pending.pop(call.message_id, None)
         if call.error is not None:
             raise call.error
-        return call.reply
+        reply = call.reply
+        if not reply.ok and reply.error_code == ERR_SCHEDULE_OUT_OF_RANGE:
+            raise ScheduleRejected(reply.error_detail)
+        return call
 
     def resolve_soft(self, call: PendingCall) -> PendingCall | ClientError:
         try:
@@ -500,18 +480,16 @@ class Client:
         self.wait([call], self._reply_deadline(call))
         return self.resolve(call)
 
-    def cancel(self, server_id: str, target_id: str) -> CancelResult:
-        """Withdraw a previously scheduled rpc by its message id."""
+    def cancel(self, server_id: str, target_id: str) -> PendingCall:
+        """Withdraw a previously scheduled rpc by its message id.
+
+        Returns the resolved cancel call: ok when the target was withdrawn,
+        otherwise its error_code says why (`already-executed`,
+        `unknown-message-id`, ...). Raises ReplyTimeout without a reply.
+        """
         call = self.submit_cancel(server_id, target_id)
         self.wait([call], self._reply_deadline(call))
-        reply = self._reply_or_timeout(call)
-        if reply.ok:
-            return CancelResult.CANCELLED
-        if reply.error_code == ERR_ALREADY_EXECUTED:
-            return CancelResult.ALREADY_EXECUTED
-        if reply.error_code == ERR_UNKNOWN_MESSAGE_ID:
-            return CancelResult.UNKNOWN
-        raise RpcFailure(reply)
+        return self.resolve(call)
 
     # -- coordinators -----------------------------------------------------
 
@@ -545,23 +523,15 @@ class Client:
         server_ids: Iterable[str],
         key: str,
         at: int,
-    ) -> dict[str, SnapshotEntry | ClientError]:
-        """Read the same key on every server at the same scheduled instant."""
-        results = self.coordinated_operation(
-            server_ids,
-            Operation("get-value", {"key": key}),
-            at,
+    ) -> dict[str, PendingCall | ClientError]:
+        """Read the same key on every server at the same scheduled instant.
+
+        A coordinated get-value: each ok call's `value` is what its server
+        read at `at`, and a non-ok call keeps the server's error reply.
+        """
+        return self.coordinated_operation(
+            server_ids, Operation("get-value", {"key": key}), at
         )
-        snap: dict[str, SnapshotEntry | ClientError] = {}
-        for server_id, item in results.items():
-            if isinstance(item, ClientError):
-                snap[server_id] = item
-            elif not item.ok:
-                snap[server_id] = RpcFailure(item.reply)
-            else:
-                value = (item.params or {}).get("value", "")
-                snap[server_id] = SnapshotEntry(value, item.execution_time)
-        return snap
 
     def atomic_commit(
         self,
@@ -573,8 +543,12 @@ class Client:
         Every participant must acknowledge acceptance before
         commit_time - margin; otherwise the client cancels every participant
         that did not already reject, and those cancellations must all be
-        confirmed before the commit time (else AbortFailed). A server named
-        more than once takes part once, in first-seen order.
+        confirmed before the commit time (else AbortFailed). A send that
+        raises aborts the same way: no further commit rpc goes out, and a
+        cancel that cannot be sent is reported in AbortFailed while the
+        others still go out. A server named more than once takes part once,
+        in first-seen order; a server not connected raises ValueError before
+        any rpc is sent.
         """
         server_ids = list(dict.fromkeys(server_ids))
         margin = max(2 * self.rtt_bound, MIN_COMMIT_MARGIN)
@@ -584,31 +558,42 @@ class Client:
                 f"commit at {commit_time} leaves {commit_time - now} ns, "
                 f"need more than {self.rtt_bound + margin} ns"
             )
+        for server_id in server_ids:
+            self._send_to(server_id)
         result = CommitOutcome("committed", commit_time, margin)
         if not server_ids:
             return result
 
-        calls = {
-            server_id: self.submit(
-                server_id, Operation("commit"), commit_time, get_time=True
-            )
-            for server_id in server_ids
-        }
-        self._wait_all(calls.values(), "acknowledged", commit_time - margin)
+        calls: dict[str, PendingCall] = {}
+        unsent = ""
+        for server_id in server_ids:
+            try:
+                calls[server_id] = self.submit(
+                    server_id, Operation("commit"), commit_time, get_time=True
+                )
+            except Exception as exc:
+                # This server can never commit: abort now and send no more.
+                unsent = f"unsent: {server_id} ({exc})"
+                break
+        if not unsent:
+            self._wait_all(calls.values(), "acknowledged", commit_time - margin)
         rejected = {
             sid
             for sid, c in calls.items()
             if (c.notification is not None and not c.notification.accepted)
             or (c.reply is not None and not c.reply.ok)
         }
-        unacked = {sid for sid, c in calls.items() if not c.acknowledged}
+        # After a failed send nothing was waited for, so nothing is overdue.
+        unacked = set() if unsent else {
+            sid for sid, c in calls.items() if not c.acknowledged
+        }
         result.accept_times = {
             sid: c.notification_at
             for sid, c in calls.items()
             if c.notification is not None and c.notification.accepted
         }
 
-        if not rejected and not unacked:
+        if not unsent and not rejected and not unacked:
             self.wait(calls.values(), commit_time + self.reply_timeout)
             result.outcomes = {
                 sid: self.resolve_soft(c) for sid, c in calls.items()
@@ -616,7 +601,7 @@ class Client:
             return result
 
         # Abort: withdraw everything that has not already been refused.
-        reasons = []
+        reasons = [unsent] if unsent else []
         if rejected:
             reasons.append(f"rejected: {', '.join(sorted(rejected))}")
         if unacked:
@@ -625,15 +610,18 @@ class Client:
         result.reason = "; ".join(reasons)
 
         cancel_calls: dict[str, PendingCall] = {}
+        problems = []
         for server_id, call in calls.items():
             if server_id in rejected:
                 continue
-            cancel_calls[server_id] = self.submit_cancel(server_id, call.message_id)
+            try:
+                cancel_calls[server_id] = self.submit_cancel(server_id, call.message_id)
+            except Exception as exc:
+                problems.append(f"{server_id}: cancel unsent ({exc})")
         self.wait(
             list(calls.values()) + list(cancel_calls.values()), commit_time
         )
 
-        problems = []
         for server_id, cancel_call in cancel_calls.items():
             reply = cancel_call.reply
             if reply is not None and reply.error_code == ERR_ALREADY_EXECUTED:

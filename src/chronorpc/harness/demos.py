@@ -7,7 +7,7 @@ lines it wants printed. The cli exposes them under `chronorpc demo`.
 
 from __future__ import annotations
 
-from ..client import ClientError, PendingCall
+from ..client import PendingCall
 from ..protocol import MILLIS, SECONDS, Operation, SchedulingRangeConfig
 from ..server import ExecutionModel
 from .scenario import Scenario, ServerSpec
@@ -98,7 +98,7 @@ def demo_snapshot(seed: int = 0) -> list[str]:
     for sid in world.server_ids:
         entry = snap[sid]
         _require(
-            not isinstance(entry, ClientError),
+            isinstance(entry, PendingCall) and entry.ok,
             f"{sid}: snapshot failed: {entry!r}",
         )
         _require(

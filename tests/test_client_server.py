@@ -4,11 +4,9 @@ import pytest
 
 from chronorpc.client import (
     AbortFailed,
-    CancelResult,
     Client,
     CommitWindowTooShort,
     ReplyTimeout,
-    RpcFailure,
     ScheduleOutcome,
     ScheduleRejected,
 )
@@ -205,18 +203,21 @@ class TestCancel:
         loop, client, server, _ = one_server()
         call = client.submit("s1", Operation("noop"), client.now() + 5 * SECONDS)
         loop.run_until(deadline=client.now() + 100 * MILLIS)
-        assert client.cancel("s1", call.message_id) is CancelResult.CANCELLED
+        out = client.cancel("s1", call.message_id)
+        assert out.ok and out.operation.params == {"target-id": call.message_id}
         loop.run_until(deadline=10 * SECONDS)
         assert server.log == []
 
     def test_cancel_after_run(self):
         loop, client, server, _ = one_server()
         out = client.schedule_raw("s1", Operation("noop"), client.now() + SECONDS)
-        assert client.cancel("s1", out.message_id) is CancelResult.ALREADY_EXECUTED
+        cancel = client.cancel("s1", out.message_id)
+        assert not cancel.ok and cancel.error_code == "already-executed"
 
     def test_cancel_unknown(self):
         loop, client, server, _ = one_server()
-        assert client.cancel("s1", "m999") is CancelResult.UNKNOWN
+        cancel = client.cancel("s1", "m999")
+        assert not cancel.ok and cancel.error_code == "unknown-message-id"
 
     def test_cancel_is_an_rpc(self):
         client = Client(EventLoop())
@@ -233,9 +234,9 @@ class TestCancel:
         assert out.reply.error_code == "invalid-params"
         assert out.reply_at - out.sent_at < SECONDS
 
-    def test_unmapped_error_raises_rpc_failure(self):
-        # A server that answers every message duplicate-message-id, an error
-        # a cancel has no CancelResult for.
+    def test_any_error_reply_is_returned_as_the_call(self):
+        # A server that answers every message duplicate-message-id: the
+        # cancel's call carries that reply like any other.
         loop = EventLoop()
         client = Client(loop)
 
@@ -244,9 +245,10 @@ class TestCancel:
             loop.call_at(loop.now() + MILLIS, client.on_frame, encode(reply))
 
         client.connect("s1", answer)
-        with pytest.raises(RpcFailure) as exc:
-            client.cancel("s1", "m7")
-        assert exc.value.reply.error_code == "duplicate-message-id"
+        out = client.cancel("s1", "m7")
+        assert not out.ok and out.error_code == "duplicate-message-id"
+        assert out.operation == Operation("cancel-schedule", {"target-id": "m7"})
+        assert client._pending == {}
 
 
 class TestNotifications:
@@ -421,22 +423,28 @@ class TestSnapshot:
             "s1": "100", "s2": "200", "s3": "300"
         }
         for sid, entry in snap.items():
+            assert entry.ok and entry.params == {"value": entry.value}
             assert entry.execution_time == at + 10 * MILLIS
             assert servers[sid].log[-1].t_start == at
 
     def test_missing_key_surfaces_as_error(self):
         loop, client, servers, _ = make_world({"s1": {}})
+        servers["s1"].state.running["k"] = "7"
         snap = client.coordinated_snapshot(["s1"], "ghost", client.now() + SECONDS)
-        assert isinstance(snap["s1"], Exception)
+        assert isinstance(snap["s1"], ScheduleOutcome) and not snap["s1"].ok
+        assert snap["s1"].value is None
+        snap = client.coordinated_snapshot(["s1"], "k", client.now() + SECONDS)
+        assert snap["s1"].ok and snap["s1"].value == "7"
 
     def test_failure_keeps_the_servers_reply(self):
         loop, client, servers, _ = make_world({"s1": {}})
         snap = client.coordinated_snapshot(["s1"], "ghost", client.now() + SECONDS)
         failure = snap["s1"]
-        assert isinstance(failure, RpcFailure)
-        assert failure.reply.error_code == "unknown-key"
+        assert isinstance(failure, ScheduleOutcome) and not failure.ok
+        assert failure.error_code == "unknown-key"
         assert failure.reply.error_detail == "ghost"
-        assert failure.reply.message_id in servers["s1"].ops
+        assert failure.message_id in servers["s1"].ops
+        assert failure.value is None
 
 
 class TestAtomicCommit:
@@ -535,6 +543,58 @@ class TestAtomicCommit:
         with pytest.raises(AbortFailed) as exc:
             client.atomic_commit(["s1", "s2"], at)
         assert "s2" in str(exc.value)
+
+    @staticmethod
+    def commits_run(server):
+        return [op.message_id for op in server.log if op.operation.name == "commit"]
+
+    def test_unsendable_commit_aborts_the_rest(self):
+        # s2's down-link is closed, so its commit rpc cannot be sent: s1's
+        # commit is withdrawn before the instant and s3 is never asked.
+        specs = {f"s{i}": {"model": ExecutionModel(base=15 * MILLIS)} for i in (1, 2, 3)}
+        loop, client, servers, links = make_world(specs)
+        links["s2"][0].close()
+        at = client.now() + 2 * SECONDS
+        result = client.atomic_commit(["s1", "s2", "s3"], at)
+        assert result.status == "aborted"
+        assert "s2" in result.reason
+        assert list(result.cancel_times) == ["s1"]
+        assert result.cancel_times["s1"] < at
+        assert result.outcomes["s1"].error_code == "cancelled"
+        assert links["s3"][0].frames_sent == 0
+        loop.run_until(deadline=at + SECONDS)
+        for sid, server in servers.items():
+            assert self.commits_run(server) == [], sid
+        assert client._pending == {}
+
+    def test_unsendable_cancel_does_not_stop_the_others(self):
+        # s3 refuses the commit; s2's down-link closes after its commit rpc
+        # left, so only s2's cancel cannot be sent. s1 is still withdrawn.
+        specs = {
+            "s1": {"model": ExecutionModel(base=15 * MILLIS)},
+            "s2": {"model": ExecutionModel(base=15 * MILLIS)},
+            "s3": {"model": ExecutionModel(base=15 * MILLIS),
+                   "range": SchedulingRangeConfig(sched_max_future=1 * SECONDS)},
+        }
+        loop, client, servers, links = make_world(specs)
+        loop.call_at(client.now() + 500_000, links["s2"][0].close)
+        at = client.now() + 2 * SECONDS
+        with pytest.raises(AbortFailed) as exc:
+            client.atomic_commit(["s2", "s1", "s3"], at)
+        assert str(exc.value).startswith("s2: cancel unsent")
+        assert "s1" not in str(exc.value)
+        assert links["s1"][0].frames_sent == 2  # the commit and its cancel
+        loop.run_until(deadline=at + SECONDS)
+        assert self.commits_run(servers["s1"]) == []
+        assert self.commits_run(servers["s3"]) == []
+        assert servers["s3"].rejected_ids == {"m3"}
+
+    def test_unconnected_server_sends_nothing(self):
+        loop, client, servers, links = make_world({"s1": {}})
+        with pytest.raises(ValueError, match="not connected to 'ghost'"):
+            client.atomic_commit(["s1", "ghost"], client.now() + 2 * SECONDS)
+        assert links["s1"][0].frames_sent == 0
+        assert client._pending == {}
 
 
 def test_server_range_changed_at_runtime_is_enforced():

@@ -16,7 +16,6 @@ import warnings
 from types import SimpleNamespace
 
 from chronorpc import live
-from chronorpc.client import CancelResult
 from chronorpc.live import LiveClient, LiveDriver, LiveServer, ThreadScheduler
 from chronorpc.protocol import (
     MILLIS,
@@ -59,7 +58,8 @@ def test_cancel_over_tcp():
         )
         deadline = core.now() + 2 * SECONDS
         core.driver.wait_until(lambda: call.notification is not None, deadline)
-        assert core.cancel("live1", call.message_id) is CancelResult.CANCELLED
+        out = core.cancel("live1", call.message_id)
+        assert out.ok and out.error_code is None
         assert server.core.log == []
 
 
