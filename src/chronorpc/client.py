@@ -11,6 +11,9 @@ participant fails to acknowledge in time.
 
 Every operation's outcome is its resolved PendingCall: a scheduled rpc, a
 cancel and each coordinator entry all read the server's reply off the call.
+A call without a reply holds the error that ended it: a failed send's or a
+dropped link's TransportClosed or OSError, or ReplyTimeout. submit() raises
+only for an unconnected server or a message that cannot be encoded.
 
 The client is transport-agnostic. It talks to the world through a driver
 object providing now(), call_at(when, fn, *args) and
@@ -44,6 +47,7 @@ from .protocol import (
     RpcMessage,
     RpcReply,
     ScheduleNotification,
+    TransportClosed,
     decode,
     encode,
 )
@@ -123,7 +127,7 @@ class CommitOutcome:
     commit_time: int
     margin: int
     reason: str = ""
-    outcomes: dict[str, object] = field(default_factory=dict)
+    outcomes: dict[str, PendingCall] = field(default_factory=dict)
     accept_times: dict[str, int] = field(default_factory=dict)
     cancel_times: dict[str, int] = field(default_factory=dict)
 
@@ -139,6 +143,7 @@ class PendingCall:
     Once answered, the call is also the rpc's outcome: the properties below
     read the reply it holds. A call whose `ete` is set is a measured sample;
     an ok reply to a scheduled call pushes that offset to its predictor.
+    A call resolved without a reply holds its `error` instead.
     """
 
     server_id: str
@@ -153,7 +158,7 @@ class PendingCall:
     reply_at: int | None = None
     notification: ScheduleNotification | None = None
     notification_at: int | None = None
-    error: ClientError | None = None
+    error: Exception | None = None
 
     @property
     def resolved(self) -> bool:
@@ -161,7 +166,7 @@ class PendingCall:
 
     @property
     def acknowledged(self) -> bool:
-        """A notification or any reply has arrived."""
+        """A notification or any reply has arrived, or the call failed."""
         return self.notification is not None or self.resolved
 
     @property
@@ -232,6 +237,8 @@ class Client:
     ):
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm: {algorithm!r}")
+        if window < 1:
+            raise ValueError("window must be >= 1")
         self._driver = driver
         self.algorithm = algorithm
         self.window = window
@@ -258,6 +265,22 @@ class Client:
     def connect(self, server_id: str, send: Callable[[bytes], None]) -> None:
         with self._lock:
             self._sends[server_id] = send
+
+    def disconnect(self, server_id: str) -> None:
+        """The link to server_id is gone: its calls fail with TransportClosed.
+
+        Every call pending on it resolves now, and so does every later one:
+        the id stays connected, but its sends fail.
+        """
+
+        def closed(frame: bytes) -> None:
+            raise TransportClosed(f"link to {server_id!r} is closed")
+
+        with self._lock:
+            self._sends[server_id] = closed
+            for call in [c for c in self._pending.values() if c.server_id == server_id]:
+                del self._pending[call.message_id]
+                call.error = TransportClosed(f"link to {server_id!r} is closed")
 
     def _send_to(self, server_id: str) -> Callable[[bytes], None]:
         try:
@@ -337,9 +360,12 @@ class Client:
         prediction: Prediction | None = None,
         desired_completion: int | None = None,
     ) -> PendingCall:
-        """Send one rpc without waiting; the returned call resolves later."""
-        send = self._send_to(server_id)
+        """Send one rpc without waiting; the returned call resolves later,
+        or at once with the transport's error when the send fails. Raises
+        only for an unconnected server or a message that cannot be encoded.
+        """
         with self._lock:
+            send = self._send_to(server_id)
             now = self._driver.now()
             mid = self._next_mid()
             # Encoded before it is registered: a message that cannot be sent
@@ -369,14 +395,16 @@ class Client:
         self, send: Callable[[bytes], None], call: PendingCall, frame: bytes
     ) -> None:
         # Registered before the send, so a transport that delivers
-        # synchronously still finds the call; a send that raises leaves
+        # synchronously still finds the call; a send that fails leaves
         # nothing pending.
         self._pending[call.message_id] = call
         try:
             send(frame)
-        except BaseException:
+        except BaseException as exc:
             self._pending.pop(call.message_id, None)
-            raise
+            if not isinstance(exc, (TransportClosed, OSError)):
+                raise
+            call.error = exc
 
     def wait(self, calls: Iterable[PendingCall], deadline: int) -> bool:
         return self._wait_all(calls, "resolved", deadline)
@@ -400,31 +428,29 @@ class Client:
             base = call.scheduled_time
         return base + self.reply_timeout
 
+    def expire(self, calls: Iterable[PendingCall]) -> None:
+        """Fail each unresolved call with ReplyTimeout; a late reply is unmatched."""
+        with self._lock:
+            for call in calls:
+                if not call.resolved:
+                    call.error = ReplyTimeout(call.message_id, self._driver.now())
+                    self._pending.pop(call.message_id, None)
+
     def resolve(self, call: PendingCall) -> PendingCall:
         """Check a waited-on call and return it as its own outcome.
 
-        Raises ReplyTimeout when no reply arrived, ScheduleRejected when the
-        server refused the time as out of range; every other error reply is
-        returned as a non-ok call for the caller to inspect. A call without
-        a reply times out and leaves _pending, so a later reply counts as
-        unmatched.
+        Raises the call's error (ReplyTimeout when no reply arrived, or the
+        transport's), and ScheduleRejected when the server refused the time
+        as out of range; every other error reply is returned as a non-ok
+        call for the caller to inspect.
         """
-        with self._lock:
-            if call.error is None and call.reply is None:
-                call.error = ReplyTimeout(call.message_id, self._driver.now())
-                self._pending.pop(call.message_id, None)
+        self.expire((call,))
         if call.error is not None:
             raise call.error
         reply = call.reply
         if not reply.ok and reply.error_code == ERR_SCHEDULE_OUT_OF_RANGE:
             raise ScheduleRejected(reply.error_detail)
         return call
-
-    def resolve_soft(self, call: PendingCall) -> PendingCall | ClientError:
-        try:
-            return self.resolve(call)
-        except ClientError as exc:
-            return exc
 
     # -- single-server operations ----------------------------------------
 
@@ -500,14 +526,14 @@ class Client:
         at: int,
         *,
         align_completion: bool = False,
-    ) -> dict[str, PendingCall | ClientError]:
+    ) -> dict[str, PendingCall]:
         """Schedule the same operation on every server for the same instant.
 
         By default all servers *start* at `at`; with align_completion each
         call goes through submit_at_completion, so completions line up
         instead. A server named more than once gets one rpc, and the result
-        map keys each server once, in first-seen order. Per-server failures
-        come back in the result map rather than aborting the rest.
+        map keys each server once, in first-seen order, to its resolved call:
+        an error reply, failed send or timeout never stops the rest.
         """
         calls: dict[str, PendingCall] = {}
         for server_id in dict.fromkeys(server_ids):
@@ -516,14 +542,15 @@ class Client:
             else:
                 calls[server_id] = self.submit(server_id, operation, at, get_time=True)
         self.wait(calls.values(), at + self.reply_timeout)
-        return {sid: self.resolve_soft(call) for sid, call in calls.items()}
+        self.expire(calls.values())
+        return calls
 
     def coordinated_snapshot(
         self,
         server_ids: Iterable[str],
         key: str,
         at: int,
-    ) -> dict[str, PendingCall | ClientError]:
+    ) -> dict[str, PendingCall]:
         """Read the same key on every server at the same scheduled instant.
 
         A coordinated get-value: each ok call's `value` is what its server
@@ -544,11 +571,12 @@ class Client:
         commit_time - margin; otherwise the client cancels every participant
         that did not already reject, and those cancellations must all be
         confirmed before the commit time (else AbortFailed). A send that
-        raises aborts the same way: no further commit rpc goes out, and a
+        fails aborts the same way: no further commit rpc goes out, and a
         cancel that cannot be sent is reported in AbortFailed while the
-        others still go out. A server named more than once takes part once,
-        in first-seen order; a server not connected raises ValueError before
-        any rpc is sent.
+        others still go out. `outcomes` holds every commit call, unsent ones
+        too. A server named more than once takes part once, in first-seen
+        order; a server not connected raises ValueError before any rpc is
+        sent.
         """
         server_ids = list(dict.fromkeys(server_ids))
         margin = max(2 * self.rtt_bound, MIN_COMMIT_MARGIN)
@@ -565,15 +593,14 @@ class Client:
             return result
 
         calls: dict[str, PendingCall] = {}
-        unsent = ""
+        unsent: str | None = None
         for server_id in server_ids:
-            try:
-                calls[server_id] = self.submit(
-                    server_id, Operation("commit"), commit_time, get_time=True
-                )
-            except Exception as exc:
+            call = calls[server_id] = self.submit(
+                server_id, Operation("commit"), commit_time, get_time=True
+            )
+            if call.error is not None:
                 # This server can never commit: abort now and send no more.
-                unsent = f"unsent: {server_id} ({exc})"
+                unsent = server_id
                 break
         if not unsent:
             self._wait_all(calls.values(), "acknowledged", commit_time - margin)
@@ -584,8 +611,11 @@ class Client:
             or (c.reply is not None and not c.reply.ok)
         }
         # After a failed send nothing was waited for, so nothing is overdue.
+        # A call that failed unanswered (its link dropped) counts as unacked.
         unacked = set() if unsent else {
-            sid for sid, c in calls.items() if not c.acknowledged
+            sid
+            for sid, c in calls.items()
+            if c.notification is None and c.reply is None
         }
         result.accept_times = {
             sid: c.notification_at
@@ -595,13 +625,12 @@ class Client:
 
         if not unsent and not rejected and not unacked:
             self.wait(calls.values(), commit_time + self.reply_timeout)
-            result.outcomes = {
-                sid: self.resolve_soft(c) for sid, c in calls.items()
-            }
+            self.expire(calls.values())
+            result.outcomes = calls
             return result
 
-        # Abort: withdraw everything that has not already been refused.
-        reasons = [unsent] if unsent else []
+        # Abort: withdraw everything that was sent and not already refused.
+        reasons = [f"unsent: {unsent} ({calls[unsent].error})"] if unsent else []
         if rejected:
             reasons.append(f"rejected: {', '.join(sorted(rejected))}")
         if unacked:
@@ -612,12 +641,13 @@ class Client:
         cancel_calls: dict[str, PendingCall] = {}
         problems = []
         for server_id, call in calls.items():
-            if server_id in rejected:
+            if server_id in rejected or server_id == unsent:
                 continue
-            try:
-                cancel_calls[server_id] = self.submit_cancel(server_id, call.message_id)
-            except Exception as exc:
-                problems.append(f"{server_id}: cancel unsent ({exc})")
+            cancel_call = self.submit_cancel(server_id, call.message_id)
+            if cancel_call.error is not None:
+                problems.append(f"{server_id}: cancel unsent ({cancel_call.error})")
+            else:
+                cancel_calls[server_id] = cancel_call
         self.wait(
             list(calls.values()) + list(cancel_calls.values()), commit_time
         )
@@ -640,5 +670,6 @@ class Client:
         if problems:
             raise AbortFailed("; ".join(problems))
 
-        result.outcomes = {sid: self.resolve_soft(c) for sid, c in calls.items()}
+        self.expire(calls.values())
+        result.outcomes = calls
         return result

@@ -7,7 +7,6 @@ lines it wants printed. The cli exposes them under `chronorpc demo`.
 
 from __future__ import annotations
 
-from ..client import PendingCall
 from ..protocol import MILLIS, SECONDS, Operation, SchedulingRangeConfig
 from ..server import ExecutionModel
 from .scenario import Scenario, ServerSpec
@@ -54,10 +53,7 @@ def demo_coordinated(seed: int = 0) -> list[str]:
     lines = [f"coordinated start requested for t={target} ns on 3 servers"]
     for sid in world.server_ids:
         outcome = results[sid]
-        _require(
-            isinstance(outcome, PendingCall) and outcome.ok,
-            f"{sid}: coordinated operation failed: {outcome!r}",
-        )
+        _require(outcome.ok, f"{sid}: coordinated operation failed: {outcome!r}")
         log = world.servers[sid].log
         _require(len(log) == 1, f"{sid}: expected exactly one execution")
         offset = log[0].t_start - target
@@ -97,10 +93,7 @@ def demo_snapshot(seed: int = 0) -> list[str]:
     lines = [f"snapshot of 'counter' at t={snapshot_at} ns, write commits 1 s later"]
     for sid in world.server_ids:
         entry = snap[sid]
-        _require(
-            isinstance(entry, PendingCall) and entry.ok,
-            f"{sid}: snapshot failed: {entry!r}",
-        )
+        _require(entry.ok, f"{sid}: snapshot failed: {entry!r}")
         _require(
             entry.value == before[sid],
             f"{sid}: snapshot saw {entry.value!r}, expected pre-write {before[sid]!r}",
@@ -135,10 +128,7 @@ def demo_commit(seed: int = 0) -> list[str]:
     lines = [f"atomic commit at t={target} ns across 5 servers: {outcome.status}"]
     for sid in world.server_ids:
         per_server = outcome.outcomes[sid]
-        _require(
-            isinstance(per_server, PendingCall) and per_server.ok,
-            f"{sid}: commit rpc failed: {per_server!r}",
-        )
+        _require(per_server.ok, f"{sid}: commit rpc failed: {per_server!r}")
         entry = next(
             e for e in world.servers[sid].log if e.message_id == per_server.message_id
         )

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..client import Client, ClientError, PendingCall, operation_type, probe_operation
+from ..client import Client, PendingCall, operation_type, probe_operation
 # evaluate_stream is not called here, but bench/tracing.py wraps it here too.
 from ..prediction import Prediction, evaluate_stream
 from ..probing import BurstProbe, run_probe_plan
@@ -254,8 +254,10 @@ def _fan_out(result: ScenarioResult, op: Operation, desired: int, what: str) -> 
         result.world.servers, op, desired, align_completion=True
     )
     for sid, call in calls.items():
-        if isinstance(call, ClientError):
-            raise CheckFailed(f"{sid}: {what} failed: {call}")
+        try:
+            client.resolve(call)
+        except Exception as exc:  # the call's error, or ScheduleRejected
+            raise CheckFailed(f"{sid}: {what} failed: {exc}") from None
         if not call.ok:
             raise CheckFailed(f"{sid}: {what} failed with {call.error_code}")
         result.outcomes[sid].append(call)

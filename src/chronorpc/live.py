@@ -165,24 +165,29 @@ class LiveServer:
         lanes: int = 1,
     ):
         self._lock = threading.RLock()
-        self._sched = ThreadScheduler(lock=self._lock)
-        self._listener = socket.create_server((host, port))
-        self.address = self._listener.getsockname()
         self._conn: socket.socket | None = None
         self._closed = False
-        self.core = Server(
-            server_id,
-            scheduler=self._sched,
-            send=self._send,
-            model=model,
-            range_config=range_config,
-            rng=rng,
-            lanes=lanes,
-        )
-        self._accept_thread = threading.Thread(
-            target=self._serve, name=f"chronorpc-{server_id}", daemon=True
-        )
-        self._accept_thread.start()
+        # A step that raises closes what the earlier steps opened.
+        with contextlib.ExitStack() as opened:
+            self._sched = ThreadScheduler(lock=self._lock)
+            opened.callback(self._sched.close)
+            self._listener = socket.create_server((host, port))
+            opened.callback(self._listener.close)
+            self.address = self._listener.getsockname()
+            self.core = Server(
+                server_id,
+                scheduler=self._sched,
+                send=self._send,
+                model=model,
+                range_config=range_config,
+                rng=rng,
+                lanes=lanes,
+            )
+            self._accept_thread = threading.Thread(
+                target=self._serve, name=f"chronorpc-{server_id}", daemon=True
+            )
+            self._accept_thread.start()
+            opened.pop_all()
 
     def _send(self, frame: bytes) -> None:
         conn = self._conn
@@ -233,8 +238,10 @@ class LiveClient:
     """A scheduling client bound to the wall clock, one TCP link per server.
 
     Each link's reader thread feeds frames to the core under the client's
-    lock and wakes the waiters. There is no timer thread: a timer set on
-    `driver`, such as a probe plan's dispatch, fires inside a wait.
+    lock and wakes the waiters. When a link's reader ends, its pending and
+    later calls fail with TransportClosed at once. There is no timer thread:
+    a timer set on `driver`, such as a probe plan's dispatch, fires inside a
+    wait.
     """
 
     def __init__(self, **client_kwargs):
@@ -255,9 +262,13 @@ class LiveClient:
                 self.core.on_frame(frame)
             self.driver.wake()
 
+        def dropped() -> None:
+            self.core.disconnect(server_id)
+            self.driver.wake()
+
         thread = threading.Thread(
             target=_reader,
-            args=(sock, deliver, self.driver.wake),
+            args=(sock, deliver, dropped),
             name=f"chronorpc-reader-{server_id}",
             daemon=True,
         )

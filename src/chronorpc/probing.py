@@ -64,8 +64,9 @@ def run_probe_plan(
 
     Probes dispatch the client's `dispatch_lead` ahead of their scheduled
     times so transit delay never pushes them into the past. A call whose
-    `ete` is set measured an offset; a probe that is rejected or lost leaves
-    a gap (its call holds the error), and the remaining probes still run.
+    `ete` is set measured an offset; a probe that is rejected, unsent or
+    unanswered leaves a gap (its call holds the error, and a late reply
+    feeds no predictor), and the remaining probes still run.
     """
     count = plan.count
     op = operation if operation is not None else probe_operation()
@@ -85,11 +86,7 @@ def run_probe_plan(
     deadline = times[-1] + client.reply_timeout
     driver.wait_until(lambda: len(calls) == count, deadline)
     client.wait(calls, deadline)
-    for call in calls:
-        # An unanswered probe times out here and leaves the client's pending
-        # map, so a reply arriving later counts as unmatched instead of
-        # feeding the predictor.
-        client.resolve_soft(call)
+    client.expire(calls)
     return calls
 
 

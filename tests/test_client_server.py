@@ -335,13 +335,19 @@ class TestNotifications:
         assert client._pending == {}
 
     def test_failed_send_leaves_no_pending_call(self):
+        # A failed send is its call's failure, returned resolved, not raised.
         loop, client, server, (down, _) = one_server()
         down.close()
-        with pytest.raises(TransportClosed):
-            client.submit("s1", Operation("noop"), get_time=True)
-        with pytest.raises(TransportClosed):
-            client.submit_cancel("s1", "m1")
+        calls = [
+            client.submit("s1", Operation("noop"), get_time=True),
+            client.submit_cancel("s1", "m1"),
+        ]
+        for call in calls:
+            assert call.resolved and not call.ok and call.reply is None
+            assert isinstance(call.error, TransportClosed)
         assert client._pending == {}
+        with pytest.raises(TransportClosed):
+            client.resolve(calls[0])
 
 
 def test_unknown_algorithm_is_rejected_at_construction():
@@ -349,6 +355,13 @@ def test_unknown_algorithm_is_rejected_at_construction():
         Client(EventLoop(), algorithm="median")
     with pytest.raises(ValueError, match="unknown algorithm: 'median'"):
         LiveClient(algorithm="median")
+
+
+def test_window_below_one_is_rejected_at_construction():
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        Client(EventLoop(), window=0)
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        LiveClient(window=0)
 
 
 class TestCoordinatedOperation:
@@ -395,10 +408,27 @@ class TestCoordinatedOperation:
         at = client.now() + 2 * SECONDS
         results = client.coordinated_operation(["s1", "s2"], Operation("noop"), at)
         assert isinstance(results["s1"], ScheduleOutcome) and results["s1"].ok
-        assert isinstance(results["s2"], ScheduleRejected)
+        assert results["s2"].error_code == "schedule-out-of-range"
+        with pytest.raises(ScheduleRejected):
+            client.resolve(results["s2"])
         assert servers["s2"].rejected_ids == {"m2"}
         assert servers["s2"].log == []
         assert servers["s1"].log[0].t_start == at
+
+    def test_unsendable_server_fails_only_its_call(self):
+        # s2's down-link is closed: its call holds the transport's error,
+        # and s1 and s3 still run the operation.
+        specs = {f"s{i}": {} for i in (1, 2, 3)}
+        loop, client, servers, links = make_world(specs)
+        links["s2"][0].close()
+        at = client.now() + 2 * SECONDS
+        results = client.coordinated_operation(["s1", "s2", "s3"], Operation("noop"), at)
+        assert list(results) == ["s1", "s2", "s3"]
+        assert results["s1"].ok and results["s3"].ok
+        assert isinstance(results["s2"].error, TransportClosed)
+        assert results["s2"].reply is None
+        assert [len(servers[sid].log) for sid in specs] == [1, 0, 1]
+        assert client._pending == {}
 
     def test_repeated_server_runs_once(self):
         loop, client, servers, _ = make_world({"s1": {}})
@@ -588,6 +618,33 @@ class TestAtomicCommit:
         assert self.commits_run(servers["s1"]) == []
         assert self.commits_run(servers["s3"]) == []
         assert servers["s3"].rejected_ids == {"m3"}
+
+    def test_unsent_commit_is_reported_and_not_cancelled(self):
+        specs = {f"s{i}": {"model": ExecutionModel(base=15 * MILLIS)} for i in (1, 2)}
+        loop, client, servers, links = make_world(specs)
+        links["s2"][0].close()
+        result = client.atomic_commit(["s1", "s2"], client.now() + 2 * SECONDS)
+        assert result.reason.startswith("unsent: s2 (s2-down is closed)")
+        assert list(result.outcomes) == ["s1", "s2"]
+        assert isinstance(result.outcomes["s2"].error, TransportClosed)
+        assert list(result.cancel_times) == ["s1"]
+        # one commit rpc and one cancel, both to s1
+        assert links["s1"][0].frames_sent == 2 and links["s2"][0].frames_sent == 0
+
+    def test_link_dropped_before_acknowledgement_aborts(self):
+        # s2's link drops after its commit rpc left, before the server's
+        # acceptance arrives: s2 may or may not run it, so nothing commits
+        # silently; s1 is withdrawn and s2's cancel cannot be sent.
+        specs = {f"s{i}": {"model": ExecutionModel(base=15 * MILLIS)} for i in (1, 2)}
+        loop, client, servers, links = make_world(specs)
+        loop.call_at(client.now() + 500_000, client.disconnect, "s2")
+        at = client.now() + 2 * SECONDS
+        with pytest.raises(AbortFailed) as exc:
+            client.atomic_commit(["s1", "s2"], at)
+        assert str(exc.value).startswith("s2: cancel unsent (link to 's2' is closed)")
+        assert links["s1"][0].frames_sent == 2  # the commit and its cancel
+        loop.run_until(deadline=at + SECONDS)
+        assert self.commits_run(servers["s1"]) == []
 
     def test_unconnected_server_sends_nothing(self):
         loop, client, servers, links = make_world({"s1": {}})

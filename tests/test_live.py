@@ -15,6 +15,8 @@ import time
 import warnings
 from types import SimpleNamespace
 
+import pytest
+
 from chronorpc import live
 from chronorpc.live import LiveClient, LiveDriver, LiveServer, ThreadScheduler
 from chronorpc.protocol import (
@@ -24,6 +26,7 @@ from chronorpc.protocol import (
     Operation,
     RpcMessage,
     RpcReply,
+    TransportClosed,
     decode,
     encode,
 )
@@ -240,3 +243,45 @@ def test_server_closes_finished_connections():
         gc.collect()
     leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert leaks == []
+
+
+def test_dropped_connection_fails_calls_at_once():
+    # The server closes 50 ms into a 500 ms op: the call fails then, not
+    # after reply_timeout, and later sends on that link fail at once.
+    model = ExecutionModel(base=500 * MILLIS)
+    with LiveServer("live1", model=model) as server, LiveClient(
+        reply_timeout=2 * SECONDS
+    ) as client:
+        client.connect("live1", server.address)
+        core = client.core
+        core.driver.call_at(core.now() + 50 * MILLIS, server.close)
+        start = time.monotonic()
+        with pytest.raises(TransportClosed):
+            core.schedule_raw("live1", Operation("noop"))
+        assert time.monotonic() - start < 1.0
+        assert core._pending == {}
+        later = core.submit("live1", Operation("noop"))
+        assert isinstance(later.error, TransportClosed)
+        assert core._pending == {}
+
+
+def _assert_leaves_nothing(make) -> None:
+    """A make() that raises leaves no thread running and no socket unclosed."""
+    threads = threading.active_count()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises((OSError, ValueError)):
+            make()
+        gc.collect()
+    assert threading.active_count() == threads
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_server_on_a_busy_port_leaks_nothing():
+    with socket.create_server(("127.0.0.1", 0)) as busy:
+        port = busy.getsockname()[1]
+        _assert_leaves_nothing(lambda: LiveServer("live1", port=port))
+
+
+def test_server_with_bad_settings_leaks_nothing():
+    _assert_leaves_nothing(lambda: LiveServer("live1", lanes=0))

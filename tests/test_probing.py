@@ -11,7 +11,7 @@ from chronorpc.probing import (
     select_period_burst,
     select_period_periodic,
 )
-from chronorpc.protocol import MILLIS, SECONDS, Operation
+from chronorpc.protocol import MILLIS, SECONDS, Operation, TransportClosed
 from chronorpc.server import ExecutionModel, Server
 from chronorpc.sim import EventLoop, Link, named_rng
 
@@ -103,6 +103,17 @@ class TestRunProbePlan:
         assert client.unmatched_messages == unmatched + 1
         assert calls[1].reply is None
         assert client.predictor("s1", "noop").sample_count == 3
+
+    def test_unsent_probe_leaves_a_gap(self):
+        loop, client, server = make_pair()
+        down = client._sends["s1"].__self__
+        # closes after the first two of four dispatches, 500 ms apart
+        loop.call_at(client.now() + 600 * MILLIS, down.close)
+        calls = run_probe_plan(client, "s1", BurstProbe(4, 500 * MILLIS))
+        assert [c.ete is not None for c in calls] == [True, True, False, False]
+        assert all(isinstance(c.error, TransportClosed) for c in calls[2:])
+        assert client._pending == {}
+        assert client.predictor("s1", "noop").sample_count == 2
 
     def test_custom_operation_routes_its_own_type(self):
         loop, client, server = make_pair()
