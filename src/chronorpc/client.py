@@ -16,15 +16,15 @@ dropped link's TransportClosed or OSError, or ReplyTimeout. submit() raises
 only for an unconnected server or a message that cannot be encoded.
 
 The client is transport-agnostic. It talks to the world through a driver
-object providing now(), call_at(when, fn, *args) and
-wait_until(predicate, deadline) - the virtual-time event loop in simulation,
-a real-clock waiter for live TCP use - and through one frame-send callable
+object providing now(), call_at(when, fn, *args),
+wait_until(predicate, deadline) and the `lock` that serializes the client
+with its driver's waits - the virtual-time event loop in simulation, a
+real-clock waiter for live TCP use - and through one frame-send callable
 per connected server. Incoming frames enter via on_frame()/on_message().
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Iterable
@@ -233,7 +233,6 @@ class Client:
         reply_timeout: int = DEFAULT_REPLY_TIMEOUT,
         rtt_bound: int = DEFAULT_RTT_BOUND,
         dispatch_lead: int = DEFAULT_DISPATCH_LEAD,
-        lock: threading.RLock | None = None,
     ):
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm: {algorithm!r}")
@@ -245,7 +244,7 @@ class Client:
         self.reply_timeout = reply_timeout
         self.rtt_bound = rtt_bound
         self.dispatch_lead = dispatch_lead
-        self._lock = lock if lock is not None else threading.RLock()
+        self._lock = driver.lock
         self._sends: dict[str, Callable[[bytes], None]] = {}
         self._pending: dict[str, PendingCall] = {}
         self._predictors: dict[tuple[str, str], PredictorState] = {}

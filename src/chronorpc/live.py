@@ -8,7 +8,9 @@ LiveDriver.wait_until is the one wall-clock loop. As in the simulator, due
 timers fire on the thread that waits: a client's inside its own waits, a
 server's on the one thread of its ThreadScheduler, which waits until closed.
 Each LiveServer runs that thread and a connection thread; each LiveClient
-runs one socket reader per connected server.
+runs one socket reader per connected server. A core runs under its
+driver's lock: timers fire under it, the client core takes it, and frames
+from a socket reach a core under it.
 
 Timing here is at the mercy of the host scheduler, so expect millisecond
 jitter; the virtual-time harness is the place for exact assertions.
@@ -22,8 +24,8 @@ import threading
 import time
 
 from .client import Client
-from .protocol import FrameSplitter, SchedulingRangeConfig
-from .server import ExecutionModel, Server
+from .protocol import FrameSplitter
+from .server import Server
 from .sim import EventLoop
 
 __all__ = [
@@ -38,13 +40,14 @@ class LiveDriver(EventLoop):
     """An EventLoop whose clock is time.time_ns(), run by whoever waits.
 
     Timers fire only inside wait_until, on the waiting thread, while it
-    holds `lock` (a private one when none is given); so do predicates. A
-    raising callback is logged and later timers still fire.
+    holds `lock`; so do predicates. A core driven by this driver takes the
+    same lock, so a frame delivered from another thread never races a wait.
+    A raising callback is logged and later timers still fire.
     """
 
-    def __init__(self, lock=None):
+    def __init__(self):
         super().__init__(time.time_ns())
-        self._cond = threading.Condition(lock if lock is not None else threading.RLock())
+        self._cond = threading.Condition(self.lock)
         self._closed = False
 
     def now(self) -> int:
@@ -106,8 +109,8 @@ class ThreadScheduler(LiveDriver):
     That thread fires the live server's timers while no one else waits.
     """
 
-    def __init__(self, lock=None):
-        super().__init__(lock)
+    def __init__(self):
+        super().__init__()
         self._thread = threading.Thread(
             target=self.wait_until,
             args=(lambda: self._closed, None),
@@ -149,8 +152,9 @@ class LiveServer:
     """One protocol server listening on a TCP port.
 
     Handles one connection at a time on its connection thread. Frames from
-    that thread and timers from the ThreadScheduler's thread are serialised
-    through a single lock around the sans-io core.
+    that thread reach the core under its ThreadScheduler's lock, which the
+    scheduler's timers fire under, so the core takes its driver's lock for
+    both. `server_kwargs` go to Server as they are.
     """
 
     def __init__(
@@ -158,30 +162,19 @@ class LiveServer:
         server_id: str = "live",
         host: str = "127.0.0.1",
         port: int = 0,
-        *,
-        model: ExecutionModel | None = None,
-        range_config: SchedulingRangeConfig | None = None,
-        rng=None,
-        lanes: int = 1,
+        **server_kwargs,
     ):
-        self._lock = threading.RLock()
         self._conn: socket.socket | None = None
         self._closed = False
         # A step that raises closes what the earlier steps opened.
         with contextlib.ExitStack() as opened:
-            self._sched = ThreadScheduler(lock=self._lock)
+            self._sched = ThreadScheduler()
             opened.callback(self._sched.close)
             self._listener = socket.create_server((host, port))
             opened.callback(self._listener.close)
             self.address = self._listener.getsockname()
             self.core = Server(
-                server_id,
-                scheduler=self._sched,
-                send=self._send,
-                model=model,
-                range_config=range_config,
-                rng=rng,
-                lanes=lanes,
+                server_id, scheduler=self._sched, send=self._send, **server_kwargs
             )
             self._accept_thread = threading.Thread(
                 target=self._serve, name=f"chronorpc-{server_id}", daemon=True
@@ -208,12 +201,12 @@ class LiveServer:
             self._conn = conn
 
             def deliver(frame: bytes) -> None:
-                with self._lock:
+                with self._sched.lock:
                     self.core.on_frame(frame)
 
             _reader(conn, deliver)
             # Under the lock, so no timer callback is sending on it meanwhile.
-            with self._lock:
+            with self._sched.lock:
                 if self._conn is conn:
                     self._conn = None
                 conn.close()
@@ -237,17 +230,16 @@ class LiveServer:
 class LiveClient:
     """A scheduling client bound to the wall clock, one TCP link per server.
 
-    Each link's reader thread feeds frames to the core under the client's
-    lock and wakes the waiters. When a link's reader ends, its pending and
-    later calls fail with TransportClosed at once. There is no timer thread:
-    a timer set on `driver`, such as a probe plan's dispatch, fires inside a
-    wait.
+    The core takes the driver's lock, and each link's reader thread feeds
+    frames to it under that lock and wakes the waiters. When a link's reader
+    ends, its pending and later calls fail with TransportClosed at once.
+    There is no timer thread: a timer set on `driver`, such as a probe
+    plan's dispatch, fires inside a wait.
     """
 
     def __init__(self, **client_kwargs):
-        self._lock = threading.RLock()
-        self.driver = LiveDriver(self._lock)
-        self.core = Client(self.driver, lock=self._lock, **client_kwargs)
+        self.driver = LiveDriver()
+        self.core = Client(self.driver, **client_kwargs)
         self._socks: list[socket.socket] = []
         self._threads: list[threading.Thread] = []
 
@@ -258,7 +250,7 @@ class LiveClient:
         self.core.connect(server_id, sock.sendall)
 
         def deliver(frame: bytes) -> None:
-            with self._lock:
+            with self.driver.lock:
                 self.core.on_frame(frame)
             self.driver.wake()
 

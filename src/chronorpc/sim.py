@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import threading
 from typing import Callable
 
 from .protocol import TransportClosed
@@ -35,6 +36,8 @@ class EventLoop:
     """Virtual-time event loop ordered by (fire time, insertion order)."""
 
     def __init__(self, start: int = 0):
+        # The cores this loop drives take this lock; in simulation nothing contends.
+        self.lock = threading.RLock()
         self._now = start
         # (fire time, insertion number, callback, args)
         self._heap: list[tuple[int, int, Callable, tuple]] = []

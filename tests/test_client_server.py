@@ -349,6 +349,17 @@ class TestNotifications:
         with pytest.raises(TransportClosed):
             client.resolve(calls[0])
 
+    def test_send_error_other_than_transport_is_raised(self):
+        loop, client, server, _ = one_server()
+
+        def broken(frame: bytes) -> None:
+            raise RuntimeError("broken send")
+
+        client.connect("s1", broken)
+        with pytest.raises(RuntimeError, match="broken send"):
+            client.submit("s1", Operation("noop"))
+        assert client._pending == {}
+
 
 def test_unknown_algorithm_is_rejected_at_construction():
     with pytest.raises(ValueError, match="unknown algorithm: 'median'"):
@@ -645,6 +656,25 @@ class TestAtomicCommit:
         assert links["s1"][0].frames_sent == 2  # the commit and its cancel
         loop.run_until(deadline=at + SECONDS)
         assert self.commits_run(servers["s1"]) == []
+
+    def test_cancel_after_the_commit_ran_is_abort_failure(self):
+        # s2 refuses at once; s1's acceptance takes 200 ms to arrive, so the
+        # cancel leaves then and reaches s1 at the instant itself, just after
+        # its due timer fired: the abort fails loudly, never silently partial.
+        specs = {
+            "s1": {"model": ExecutionModel(base=15 * MILLIS)},
+            "s2": {"range": SchedulingRangeConfig(sched_max_future=100 * MILLIS)},
+        }
+        loop, client, servers, links = make_world(specs)
+        down, up = links["s1"]
+        down.delay, up.delay = 200 * MILLIS, 0
+        at = client.now() + 400 * MILLIS
+        with pytest.raises(AbortFailed) as exc:
+            client.atomic_commit(["s1", "s2"], at)
+        assert str(exc.value) == "s1: commit already executed"
+        loop.run_until(deadline=at + SECONDS)
+        [commit] = [op for op in servers["s1"].log if op.operation.name == "commit"]
+        assert commit.t_start == at
 
     def test_unconnected_server_sends_nothing(self):
         loop, client, servers, links = make_world({"s1": {}})

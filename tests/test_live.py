@@ -156,7 +156,7 @@ def test_thread_scheduler_concurrent_call_at():
 
 
 def test_driver_timer_wakes_waiter():
-    driver = LiveDriver(threading.RLock())
+    driver = LiveDriver()
     fired = []
     try:
         start = driver.now()
@@ -172,7 +172,7 @@ def test_driver_deadline_runs_on_the_monotonic_clock(monkeypatch):
     monkeypatch.setattr(
         live, "time", SimpleNamespace(time_ns=lambda: frozen, monotonic_ns=time.monotonic_ns)
     )
-    driver = LiveDriver(threading.RLock())
+    driver = LiveDriver()
     results = []
 
     def wait():
@@ -285,3 +285,17 @@ def test_server_on_a_busy_port_leaks_nothing():
 
 def test_server_with_bad_settings_leaks_nothing():
     _assert_leaves_nothing(lambda: LiveServer("live1", lanes=0))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1 part A: the server keeps seen message ids across "
+    "connections, so a second client's m1 is refused as duplicate-message-id",
+)
+def test_second_client_is_served_like_the_first():
+    with LiveServer("live1") as server:
+        for _ in range(2):
+            with LiveClient() as client:
+                client.connect("live1", server.address)
+                out = client.core.schedule_raw("live1", Operation("noop"))
+                assert out.ok, out.error_code

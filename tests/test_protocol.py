@@ -91,6 +91,7 @@ class TestRoundTrip:
     def test_str_input_accepted(self):
         msg = ScheduleNotification("m1", False)
         assert decode(encode(msg).decode("utf-8")) == msg
+        assert decode(memoryview(encode(msg))) == msg
 
 
 class TestDecodeErrors:
@@ -527,6 +528,12 @@ class TestReferenceEquivalence:
         assert encode(rpc) == ref_encode(rpc)
         reply = Reply("m1", "ok", execution_time=7)
         assert encode(reply) == ref_encode(reply)
+
+        class MessageId(str):
+            pass
+
+        named = RpcMessage(MessageId("m1"), Operation("noop"), scheduled_time=5)
+        assert encode(named) == encode(RpcMessage("m1", Operation("noop"), scheduled_time=5))
 
     def test_non_message_rejected(self):
         with pytest.raises(ValueError, match="not a protocol message"):

@@ -473,6 +473,8 @@ class TestExecutionModel:
             ExecutionModel(spike_mult=0.5)
         with pytest.raises(ValueError):
             ExecutionModel(load_penalty=-1)
+        with pytest.raises(ValueError):
+            ExecutionModel(load_recovery=-1)
 
     def test_effective_base_load_curve(self):
         m = ExecutionModel(base=100, load_penalty=0.5, load_recovery=1000)

@@ -155,6 +155,12 @@ class TestLink:
         with pytest.raises(TransportClosed):
             link.send(b"x\n")
 
+    def test_negative_delay_or_jitter_is_refused(self):
+        loop = EventLoop()
+        for bad in ({"delay": -1}, {"jitter": -1}):
+            with pytest.raises(ValueError):
+                Link(loop, lambda f: None, **bad)
+
     def test_frames_sent_counter(self):
         loop = EventLoop()
         link = Link(loop, lambda f: None, delay=10)
