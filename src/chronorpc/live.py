@@ -151,10 +151,13 @@ def _reader(sock: socket.socket, deliver, on_close=None) -> None:
 class LiveServer:
     """One protocol server listening on a TCP port.
 
-    Handles one connection at a time on its connection thread. Frames from
-    that thread reach the core under its ThreadScheduler's lock, which the
-    scheduler's timers fire under, so the core takes its driver's lock for
-    both. `server_kwargs` go to Server as they are.
+    Handles one connection at a time on its connection thread, and opens a
+    core session for each: message ids are unique per connection, and each
+    op replies on the connection it came on, or nowhere once that has
+    closed. Frames from that thread reach the core under its
+    ThreadScheduler's lock, which the scheduler's timers fire under, so the
+    core takes its driver's lock for both. `server_kwargs` go to Server as
+    they are.
     """
 
     def __init__(
@@ -173,23 +176,15 @@ class LiveServer:
             self._listener = socket.create_server((host, port))
             opened.callback(self._listener.close)
             self.address = self._listener.getsockname()
+            # No connection yet: each accepted one opens its own session.
             self.core = Server(
-                server_id, scheduler=self._sched, send=self._send, **server_kwargs
+                server_id, scheduler=self._sched, send=lambda frame: None, **server_kwargs
             )
             self._accept_thread = threading.Thread(
                 target=self._serve, name=f"chronorpc-{server_id}", daemon=True
             )
             self._accept_thread.start()
             opened.pop_all()
-
-    def _send(self, frame: bytes) -> None:
-        conn = self._conn
-        if conn is None:
-            return
-        try:
-            conn.sendall(frame)
-        except OSError:
-            pass
 
     def _serve(self) -> None:
         while not self._closed:
@@ -199,6 +194,16 @@ class LiveServer:
                 return
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._conn = conn
+
+            # conn is bound now: the next accept rebinds the loop's name.
+            def send(frame: bytes, conn=conn) -> None:
+                try:
+                    conn.sendall(frame)
+                except OSError:  # closed: an op outlived its connection
+                    pass
+
+            with self._sched.lock:
+                self.core.open_session(send)
 
             def deliver(frame: bytes) -> None:
                 with self._sched.lock:

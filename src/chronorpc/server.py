@@ -19,14 +19,20 @@ Builtin operations:
 
 and one that acts on arrival and never enters the op table or the log:
 
-* cancel-schedule - withdraws the pending rpc whose message-id is params
-                "target-id"; one with no target-id or with a scheduled-time
-                answers invalid-params
+* cancel-schedule - withdraws its own session's pending rpc whose
+                message-id is params "target-id"; one with no target-id or
+                with a scheduled-time answers invalid-params
+
+Rpcs arrive on a session, as NETCONF's do: a message-id is unique only
+within its session, and each session has its own reply sink. An op replies
+through the sink of the session it arrived on, whichever session is current
+when it completes.
 
 Timing is synthetic and drawn per op in a fixed order (wake jitter, run-time
 noise, spike coin) from the server's own seeded stream, so whole runs replay
 exactly from (seed, scenario). The server is sans-IO: it talks to the world
-through a scheduler (now/call_at), a frame-send callable, and on_frame().
+through a scheduler (now/call_at), each session's frame-send callable, and
+on_frame().
 """
 
 from __future__ import annotations
@@ -166,6 +172,7 @@ class PendingOp:
     operation: Operation
     scheduled_time: int | None
     get_time: bool
+    reply_to: Callable[[bytes], None]  # its session's sink
     state: OpState = OpState.PENDING
     t_start: int | None = None
     t_end: int | None = None
@@ -181,7 +188,16 @@ class ServerState:
 
 
 class Server:
-    """One managed server bound to a scheduler and an outbound frame sink."""
+    """One managed server bound to a scheduler, serving one session at a time.
+
+    `send` opens the first session, and open_session() starts each later
+    one. Frames reach the latest session. Each session has its own
+    message-id namespace, op table (`ops`), `rejected_ids` and reply sink;
+    the store, the executor lanes, the rng, `log` and `decode_errors` are
+    the device's and are shared by every session. An op whose session has
+    ended is not withdrawn: it runs when due and replies on its own
+    session's sink, never on a later session's.
+    """
 
     def __init__(
         self,
@@ -198,28 +214,36 @@ class Server:
             raise ValueError("lanes must be >= 1")
         self.server_id = server_id
         self._sched = scheduler
-        self._send = send
         self.model = model or ExecutionModel()
         self.range_config = range_config or SchedulingRangeConfig()
         self._rng = rng or random.Random(0)
         self.lanes = lanes
 
         self.state = ServerState()
-        # ops in completion order: the same objects as in `ops`
+        # ops of every session in completion order: the same objects as in
+        # each session's `ops`
         self.log: list[PendingOp] = []
-        self.rejected_ids: set[str] = set()
-        self.ops: dict[str, PendingOp] = {}
         self.decode_errors = 0
+        self._ready: deque[PendingOp] = deque()
+        self._active = 0
+        self._last_start: int | None = None
+        self.open_session(send)
 
+    def open_session(self, send: Callable[[bytes], None]) -> None:
+        """Start a session whose replies go to `send`; later frames arrive on it.
+
+        Its message ids, ops and rejected ids start empty. Ops of earlier
+        sessions keep running and reply on their own sinks.
+        """
+        self._send = send
+        self.ops: dict[str, PendingOp] = {}
+        self.rejected_ids: set[str] = set()
         self._seen_ids: set[str] = set()
         # Targets cancelled before their rpc arrived. The cancel answered
         # unknown-message-id, which the requester takes as a confirmed abort,
         # so the rpc must never run when it does arrive. Its entry goes once
         # the rpc is refused; _seen_ids then answers any repeat.
         self._cancelled_unseen: set[str] = set()
-        self._ready: deque[PendingOp] = deque()
-        self._active = 0
-        self._last_start: int | None = None
 
     # -- transport-facing -------------------------------------------------
 
@@ -257,7 +281,7 @@ class Server:
             return
 
         scheduled_time = msg.scheduled_time
-        op = PendingOp(mid, operation, scheduled_time, msg.get_time)
+        op = PendingOp(mid, operation, scheduled_time, msg.get_time, self._send)
         if scheduled_time is None:
             self.ops[mid] = op
             self._enqueue_ready(op)
@@ -349,10 +373,10 @@ class Server:
         self.log.append(op)
         op.state = _DONE
         if error_code is not None:
-            self._reply(RpcReply.make_error(op.message_id, error_code, detail))
+            op.reply_to(encode(RpcReply.make_error(op.message_id, error_code, detail)))
         else:
             execution_time = op.t_end if op.get_time else None
-            self._send(
+            op.reply_to(
                 encode(RpcReply(op.message_id, "ok", None, "", execution_time, params))
             )
         self._active -= 1
@@ -391,4 +415,9 @@ class Server:
     # -- introspection ----------------------------------------------------
 
     def executed_ids(self) -> set[str]:
+        """The message ids of every op that ran, in any session.
+
+        Ids are unique only per session, so with more than one session the
+        set can hold fewer ids than `log` holds ops.
+        """
         return {op.message_id for op in self.log}

@@ -297,7 +297,7 @@ class TestNotifications:
     def test_timed_out_call_leaves_pending(self):
         loop, client, server, _ = one_server()
         replies = []
-        server._send = replies.append  # the server's replies never arrive
+        server.open_session(replies.append)  # the server's replies never arrive
         call = client.submit("s1", Operation("noop"), get_time=True)
         client.wait([call], client.now() + SECONDS)
         assert replies and call.reply is None

@@ -287,11 +287,6 @@ def test_server_with_bad_settings_leaks_nothing():
     _assert_leaves_nothing(lambda: LiveServer("live1", lanes=0))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1 part A: the server keeps seen message ids across "
-    "connections, so a second client's m1 is refused as duplicate-message-id",
-)
 def test_second_client_is_served_like_the_first():
     with LiveServer("live1") as server:
         for _ in range(2):
@@ -299,3 +294,31 @@ def test_second_client_is_served_like_the_first():
                 client.connect("live1", server.address)
                 out = client.core.schedule_raw("live1", Operation("noop"))
                 assert out.ok, out.error_code
+
+
+def test_op_outlives_its_connection_and_replies_on_it():
+    # The first client's m1 is not withdrawn when it hangs up: it runs when
+    # due, and its reply goes to that closed connection, never to the second
+    # client's, whose own ids start again at m1.
+    with LiveServer("live1") as server:
+        with LiveClient() as first:
+            first.connect("live1", server.address)
+            core = first.core
+            call = core.submit("live1", Operation("noop"), core.now() + 300 * MILLIS)
+            core.driver.wait_until(lambda: call.notification is not None, core.now() + 2 * SECONDS)
+            assert call.message_id == "m1" and call.notification.accepted
+        with LiveClient() as second:
+            second.connect("live1", server.address)
+            core = second.core
+            out = core.schedule_raw("live1", Operation("noop"))
+            assert out.message_id == "m1"
+            assert out.ok, out.error_code
+            deadline = time.monotonic() + 2
+            while len(server.core.log) < 2:
+                assert time.monotonic() < deadline, "the first client's op never ran"
+                time.sleep(0.01)
+            # a stray reply would arrive within milliseconds of the op's end
+            core.driver.wait_until(lambda: core.unmatched_messages, core.now() + 100 * MILLIS)
+            assert core.unmatched_messages == 0
+        assert sorted(op.scheduled_time is None for op in server.core.log) == [False, True]
+        assert [op.message_id for op in server.core.log] == ["m1", "m1"]

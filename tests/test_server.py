@@ -315,6 +315,60 @@ class TestCancellation:
         assert server._cancelled_unseen == set()
 
 
+class TestSessions:
+    """Message ids, ops and tombstones are per session; the device is shared."""
+
+    def test_second_session_numbers_from_m1(self):
+        loop, server, first = make_server()
+        rpc(server, "m1")
+        rpc(server, "m2", at=60 * SECONDS)
+        loop.run_until(deadline=1 * SECONDS)
+        second = Wire(loop)
+        server.open_session(second.send)
+        assert (server.ops, server.rejected_ids) == ({}, set())
+        rpc(server, "m1", get_time=True)
+        loop.run_until(deadline=2 * SECONDS)
+        assert second.reply("m1").execution_time == 1 * SECONDS + 30 * MILLIS
+        assert first.reply("m1").execution_time is None
+        assert [op.message_id for op in server.log] == ["m1", "m1"]
+
+    def test_cancel_acts_only_within_its_session(self):
+        loop, server, first = make_server()
+        rpc(server, "m1", at=1 * SECONDS)
+        second = Wire(loop)
+        server.open_session(second.send)
+        cancel(server, "c1", "m1")
+        assert second.reply("c1").error_code == "unknown-message-id"
+        loop.run_until(deadline=2 * SECONDS)
+        # the first session's op ran when due and replied on its own sink
+        assert first.reply("m1").ok
+        assert second.replies("m1") == []
+        assert [(op.message_id, op.t_start) for op in server.log] == [("m1", 1 * SECONDS)]
+
+    def test_sessions_share_the_store(self):
+        loop, server, first = make_server()
+        rpc(server, "m1", op="set-value", params={"key": "k", "value": "v"})
+        rpc(server, "m2", op="commit")
+        loop.run_until(deadline=1 * SECONDS)
+        second = Wire(loop)
+        server.open_session(second.send)
+        rpc(server, "m1", op="get-value", params={"key": "k"})
+        loop.run_until(deadline=2 * SECONDS)
+        assert second.reply("m1").params == {"value": "v"}
+
+    def test_tombstone_never_refuses_a_later_session(self):
+        loop, server, first = make_server()
+        cancel(server, "c1", "m1")
+        assert first.reply("c1").error_code == "unknown-message-id"
+        second = Wire(loop)
+        server.open_session(second.send)
+        rpc(server, "m1", at=1 * SECONDS)
+        loop.run_until(deadline=2 * SECONDS)
+        assert second.reply("m1").ok
+        assert first.replies("m1") == []
+        assert [op.message_id for op in server.log] == ["m1"]
+
+
 class TestBuiltins:
     def test_set_value_targets_candidate(self):
         loop, server, wire = make_server()
