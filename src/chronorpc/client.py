@@ -568,14 +568,18 @@ class Client:
 
         Every participant must acknowledge acceptance before
         commit_time - margin; otherwise the client cancels every participant
-        that did not already reject, and those cancellations must all be
-        confirmed before the commit time (else AbortFailed). A send that
-        fails aborts the same way: no further commit rpc goes out, and a
-        cancel that cannot be sent is reported in AbortFailed while the
-        others still go out. `outcomes` holds every commit call, unsent ones
-        too. A server named more than once takes part once, in first-seen
-        order; a server not connected raises ValueError before any rpc is
-        sent.
+        that did not already reject. A cancel is confirmed only by an ok or
+        `unknown-message-id` reply that arrives strictly before commit_time;
+        one that lands at the instant itself, or never, leaves the abort
+        unconfirmed even if the server did withdraw the commit, and any
+        unconfirmed cancel raises AbortFailed. A send that fails aborts the
+        same way: no further commit rpc goes out, and a cancel that cannot
+        be sent is reported in AbortFailed while the others still go out.
+        `outcomes` holds every commit call, unsent ones too. Every exit
+        expires the calls it waited on, AbortFailed's too, so none is left
+        pending. A server named more than once takes part once, in
+        first-seen order; a server not connected raises ValueError before
+        any rpc is sent.
         """
         server_ids = list(dict.fromkeys(server_ids))
         margin = max(2 * self.rtt_bound, MIN_COMMIT_MARGIN)
@@ -588,10 +592,7 @@ class Client:
         for server_id in server_ids:
             self._send_to(server_id)
         result = CommitOutcome("committed", commit_time, margin)
-        if not server_ids:
-            return result
-
-        calls: dict[str, PendingCall] = {}
+        calls = result.outcomes
         unsent: str | None = None
         for server_id in server_ids:
             call = calls[server_id] = self.submit(
@@ -603,72 +604,51 @@ class Client:
                 break
         if not unsent:
             self._wait_all(calls.values(), "acknowledged", commit_time - margin)
-        rejected = {
-            sid
-            for sid, c in calls.items()
-            if (c.notification is not None and not c.notification.accepted)
-            or (c.reply is not None and not c.reply.ok)
-        }
-        # After a failed send nothing was waited for, so nothing is overdue.
-        # A call that failed unanswered (its link dropped) counts as unacked.
-        unacked = set() if unsent else {
-            sid
-            for sid, c in calls.items()
-            if c.notification is None and c.reply is None
-        }
-        result.accept_times = {
-            sid: c.notification_at
-            for sid, c in calls.items()
-            if c.notification is not None and c.notification.accepted
-        }
 
-        if not unsent and not rejected and not unacked:
+        refused, unacked = [], []
+        for server_id, call in calls.items():
+            note, reply = call.notification, call.reply
+            if note is not None and note.accepted:
+                result.accept_times[server_id] = call.notification_at
+            if not (note is None or note.accepted) or not (reply is None or reply.ok):
+                refused.append(server_id)
+            elif note is None and reply is None and unsent is None:
+                # Nothing arrived, or its link dropped. After a failed send
+                # nothing was waited for, so nothing is overdue.
+                unacked.append(server_id)
+        reasons = [f"unsent: {unsent} ({calls[unsent].error})"] if unsent else []
+        for label, group in ("rejected", refused), ("unacknowledged", unacked):
+            if group:
+                reasons.append(f"{label}: {', '.join(sorted(group))}")
+        if not reasons:
             self.wait(calls.values(), commit_time + self.reply_timeout)
             self.expire(calls.values())
-            result.outcomes = calls
             return result
 
         # Abort: withdraw everything that was sent and not already refused.
-        reasons = [f"unsent: {unsent} ({calls[unsent].error})"] if unsent else []
-        if rejected:
-            reasons.append(f"rejected: {', '.join(sorted(rejected))}")
-        if unacked:
-            reasons.append(f"unacknowledged: {', '.join(sorted(unacked))}")
         result.status = "aborted"
         result.reason = "; ".join(reasons)
-
-        cancel_calls: dict[str, PendingCall] = {}
+        cancels: dict[str, PendingCall] = {}
         problems = []
         for server_id, call in calls.items():
-            if server_id in rejected or server_id == unsent:
+            if server_id in refused or server_id == unsent:
                 continue
-            cancel_call = self.submit_cancel(server_id, call.message_id)
-            if cancel_call.error is not None:
-                problems.append(f"{server_id}: cancel unsent ({cancel_call.error})")
+            cancel = self.submit_cancel(server_id, call.message_id)
+            if cancel.error is not None:
+                problems.append(f"{server_id}: cancel unsent ({cancel.error})")
             else:
-                cancel_calls[server_id] = cancel_call
-        self.wait(
-            list(calls.values()) + list(cancel_calls.values()), commit_time
-        )
-
-        for server_id, cancel_call in cancel_calls.items():
-            reply = cancel_call.reply
-            if reply is not None and reply.error_code == ERR_ALREADY_EXECUTED:
+                cancels[server_id] = cancel
+        waited = [*calls.values(), *cancels.values()]
+        self.wait(waited, commit_time)
+        for server_id, cancel in cancels.items():
+            confirmed = cancel.ok or cancel.error_code == ERR_UNKNOWN_MESSAGE_ID
+            if cancel.error_code == ERR_ALREADY_EXECUTED:
                 problems.append(f"{server_id}: commit already executed")
-                continue
-            confirmed = (
-                reply is not None
-                and (reply.ok or reply.error_code == ERR_UNKNOWN_MESSAGE_ID)
-                and cancel_call.reply_at is not None
-                and cancel_call.reply_at < commit_time
-            )
-            if not confirmed:
+            elif confirmed and cancel.reply_at < commit_time:
+                result.cancel_times[server_id] = cancel.reply_at
+            else:
                 problems.append(f"{server_id}: cancel unconfirmed before commit time")
-                continue
-            result.cancel_times[server_id] = cancel_call.reply_at
+        self.expire(waited)
         if problems:
             raise AbortFailed("; ".join(problems))
-
-        self.expire(calls.values())
-        result.outcomes = calls
         return result

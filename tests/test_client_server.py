@@ -1,6 +1,8 @@
 """Client and server wired through simulated links."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronorpc.client import (
     AbortFailed,
@@ -585,6 +587,37 @@ class TestAtomicCommit:
             client.atomic_commit(["s1", "s2"], at)
         assert "s2" in str(exc.value)
 
+    def test_cancel_whose_link_drops_before_its_reply_is_unconfirmed(self):
+        # s2 refuses at once, so s1's cancel leaves at about +2 ms; s1's link
+        # drops at +3 ms, before the cancel's reply (+4 ms) can arrive. The
+        # server did withdraw the commit, but the client cannot know it.
+        specs = {
+            "s1": {"model": ExecutionModel(base=15 * MILLIS)},
+            "s2": {"range": SchedulingRangeConfig(sched_max_future=1 * SECONDS)},
+        }
+        loop, client, servers, _ = make_world(specs)
+        t0 = client.now()
+        loop.call_at(t0 + 3 * MILLIS, client.disconnect, "s1")
+        with pytest.raises(AbortFailed) as exc:
+            client.atomic_commit(["s1", "s2"], t0 + 2 * SECONDS)
+        assert str(exc.value) == "s1: cancel unconfirmed before commit time"
+
+    def test_failed_abort_leaves_no_call_pending(self):
+        # s1 refuses at once; s2's acceptance arrives at +400 ms, so its
+        # cancel reaches s2 at the instant and no reply can come back before
+        # it. The abort fails, and s2's commit and cancel calls end there, as
+        # every coordinator's calls do.
+        specs = {
+            "s1": {"range": SchedulingRangeConfig(sched_max_future=100 * MILLIS)},
+            "s2": {"delay": 200 * MILLIS,
+                   "model": ExecutionModel(base=15 * MILLIS)},
+        }
+        loop, client, servers, _ = make_world(specs)
+        with pytest.raises(AbortFailed) as exc:
+            client.atomic_commit(["s1", "s2"], client.now() + 600 * MILLIS)
+        assert str(exc.value) == "s2: cancel unconfirmed before commit time"
+        assert client._pending == {}
+
     @staticmethod
     def commits_run(server):
         return [op.message_id for op in server.log if op.operation.name == "commit"]
@@ -682,6 +715,48 @@ class TestAtomicCommit:
             client.atomic_commit(["s1", "ghost"], client.now() + 2 * SECONDS)
         assert links["s1"][0].frames_sent == 0
         assert client._pending == {}
+
+    link_delays = st.sampled_from([0, 1 * MILLIS, 50 * MILLIS, 150 * MILLIS, 300 * MILLIS])
+    commit_servers = st.fixed_dictionaries({
+        "down": link_delays,
+        "up": link_delays,
+        "max_future": st.sampled_from([1 * SECONDS, 15 * SECONDS]),
+    })
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        specs=st.lists(commit_servers, min_size=1, max_size=4),
+        drop=st.none() | st.tuples(st.integers(0, 3), st.integers(0, 2 * SECONDS)),
+        lead=st.integers(300 * MILLIS, 2 * SECONDS),
+    )
+    def test_commit_is_never_silently_partial(self, specs, drop, lead):
+        # The commit runs everywhere, or nowhere, or AbortFailed names every
+        # server that ran it; either way no call is left pending. Every lead
+        # exceeds rtt_bound + margin (250 ms), so the window is never short.
+        loop, client, servers, links = make_world({
+            f"s{i}": {"range": SchedulingRangeConfig(sched_max_future=spec["max_future"])}
+            for i, spec in enumerate(specs, 1)
+        })
+        for i, spec in enumerate(specs, 1):
+            down, up = links[f"s{i}"]
+            down.delay, up.delay = spec["down"], spec["up"]
+        t0 = client.now()
+        if drop is not None:
+            loop.call_at(t0 + drop[1], client.disconnect, f"s{drop[0] % len(specs) + 1}")
+        at = t0 + lead
+        named = None
+        try:
+            committed = client.atomic_commit(list(servers), at).committed
+        except AbortFailed as exc:
+            committed = False
+            named = {problem.split(":")[0] for problem in str(exc).split("; ")}
+        assert client._pending == {}
+        loop.run_until(deadline=at + SECONDS)
+        ran = {sid for sid, server in servers.items() if self.commits_run(server)}
+        if named is not None:
+            assert ran <= named
+        else:
+            assert ran == (set(servers) if committed else set())
 
 
 def test_server_range_changed_at_runtime_is_enforced():
