@@ -47,7 +47,6 @@ from .client import (
     CommitOutcome,
     ReplyTimeout,
     ScheduleOutcome,
-    ScheduleRejected,
 )
 from .probing import (
     BurstProbe,
@@ -105,7 +104,6 @@ __all__ = [
     "CommitOutcome",
     "ReplyTimeout",
     "ScheduleOutcome",
-    "ScheduleRejected",
     # probing
     "BurstProbe",
     "PeriodSelectionConfig",

@@ -10,10 +10,12 @@ and an all-or-nothing scheduled commit that cancels everything if any
 participant fails to acknowledge in time.
 
 Every operation's outcome is its resolved PendingCall: a scheduled rpc, a
-cancel and each coordinator entry all read the server's reply off the call.
+cancel and each coordinator entry all read the server's reply off the call,
+and an error reply, a refused scheduled time included, is a non-ok call.
 A call without a reply holds the error that ended it: a failed send's or a
-dropped link's TransportClosed or OSError, or ReplyTimeout. submit() raises
-only for an unconnected server or a message that cannot be encoded.
+dropped link's TransportClosed or OSError, or ReplyTimeout from a wait
+whose deadline came first; a wait ends every call it waits on. submit()
+raises only for an unconnected server or a message that cannot be encoded.
 
 The client is transport-agnostic. It talks to the world through a driver
 object providing now(), call_at(when, fn, *args),
@@ -37,7 +39,6 @@ from .prediction import (
 )
 from .protocol import (
     ERR_ALREADY_EXECUTED,
-    ERR_SCHEDULE_OUT_OF_RANGE,
     ERR_UNKNOWN_MESSAGE_ID,
     MILLIS,
     SECONDS,
@@ -54,7 +55,6 @@ from .protocol import (
 
 __all__ = [
     "ClientError",
-    "ScheduleRejected",
     "ReplyTimeout",
     "CommitWindowTooShort",
     "AbortFailed",
@@ -75,17 +75,6 @@ MIN_COMMIT_MARGIN = 200 * MILLIS
 
 class ClientError(Exception):
     pass
-
-
-class ScheduleRejected(ClientError):
-    """The server refused the scheduled time as outside its acceptable range.
-
-    Raised by resolve() on a `schedule-out-of-range` reply; the server is
-    the only judge of its range, so the rpc has always been sent.
-    """
-
-    def __init__(self, detail: str = ""):
-        super().__init__(detail or "schedule rejected")
 
 
 class ReplyTimeout(ClientError):
@@ -150,7 +139,6 @@ class PendingCall:
     message_id: str
     operation: Operation
     scheduled_time: int | None
-    get_time: bool
     sent_at: int
     prediction: Prediction | None = None
     desired_completion: int | None = None
@@ -375,7 +363,6 @@ class Client:
                 mid,
                 operation,
                 scheduled_time,
-                get_time,
                 now,
                 prediction,
                 desired_completion,
@@ -406,10 +393,30 @@ class Client:
             call.error = exc
 
     def wait(self, calls: Iterable[PendingCall], deadline: int) -> bool:
-        return self._wait_all(calls, "resolved", deadline)
+        """Wait until every call resolves; the wait ends each call it waited on.
 
-    def _wait_all(self, calls: Iterable[PendingCall], state: str, deadline: int) -> bool:
-        """Wait until every call's `state` property holds (it never reverts)."""
+        A call still unanswered at the deadline fails with ReplyTimeout and
+        leaves the pending map, so a late reply to it is unmatched. Returns
+        whether every call was answered or failed before the deadline.
+        """
+        left = self._wait_all(calls, "resolved", deadline)
+        if not left:
+            return True
+        with self._lock:
+            late = [call for call in left if not call.resolved]
+            for call in late:
+                call.error = ReplyTimeout(call.message_id, self._driver.now())
+                self._pending.pop(call.message_id, None)
+        return not late
+
+    def _wait_all(
+        self, calls: Iterable[PendingCall], state: str, deadline: int
+    ) -> list[PendingCall]:
+        """Wait until every call's `state` property holds (it never reverts).
+
+        Returns the calls not yet checked when the wait ended, empty when
+        every call reached the state.
+        """
         left = list(calls)
         reached = attrgetter(state)
 
@@ -419,7 +426,8 @@ class Client:
                 left.pop()
             return not left
 
-        return self._driver.wait_until(done, deadline)
+        self._driver.wait_until(done, deadline)
+        return left
 
     def _reply_deadline(self, call: PendingCall) -> int:
         base = call.sent_at
@@ -427,28 +435,18 @@ class Client:
             base = call.scheduled_time
         return base + self.reply_timeout
 
-    def expire(self, calls: Iterable[PendingCall]) -> None:
-        """Fail each unresolved call with ReplyTimeout; a late reply is unmatched."""
-        with self._lock:
-            for call in calls:
-                if not call.resolved:
-                    call.error = ReplyTimeout(call.message_id, self._driver.now())
-                    self._pending.pop(call.message_id, None)
-
     def resolve(self, call: PendingCall) -> PendingCall:
-        """Check a waited-on call and return it as its own outcome.
+        """Return the call as its own outcome once it has resolved.
 
-        Raises the call's error (ReplyTimeout when no reply arrived, or the
-        transport's), and ScheduleRejected when the server refused the time
-        as out of range; every other error reply is returned as a non-ok
-        call for the caller to inspect.
+        An unresolved call is waited on until its reply deadline. Raises the
+        call's error (ReplyTimeout when no reply arrived, or the
+        transport's); an error reply, `schedule-out-of-range` included, is
+        returned as a non-ok call for the caller to inspect.
         """
-        self.expire((call,))
+        if not call.resolved:
+            self.wait((call,), self._reply_deadline(call))
         if call.error is not None:
             raise call.error
-        reply = call.reply
-        if not reply.ok and reply.error_code == ERR_SCHEDULE_OUT_OF_RANGE:
-            raise ScheduleRejected(reply.error_detail)
         return call
 
     # -- single-server operations ----------------------------------------
@@ -462,9 +460,9 @@ class Client:
         get_time: bool = True,
     ) -> PendingCall:
         """Schedule at an explicit time (or immediately) and wait for the reply."""
-        call = self.submit(server_id, operation, scheduled_time, get_time=get_time)
-        self.wait([call], self._reply_deadline(call))
-        return self.resolve(call)
+        return self.resolve(
+            self.submit(server_id, operation, scheduled_time, get_time=get_time)
+        )
 
     def submit_at_completion(
         self,
@@ -497,13 +495,13 @@ class Client:
         """Schedule so the operation is expected to finish at desired_completion.
 
         Sends scheduled-time = desired - predicted offset with get-time set,
-        and feeds the reported completion back into the predictor. Raises
-        ScheduleRejected when the server refuses the computed time as
-        outside its acceptable range.
+        and feeds the reported completion back into the predictor. A
+        computed time outside the server's acceptable range comes back as a
+        non-ok call with error_code `schedule-out-of-range`.
         """
-        call = self.submit_at_completion(server_id, operation, desired_completion)
-        self.wait([call], self._reply_deadline(call))
-        return self.resolve(call)
+        return self.resolve(
+            self.submit_at_completion(server_id, operation, desired_completion)
+        )
 
     def cancel(self, server_id: str, target_id: str) -> PendingCall:
         """Withdraw a previously scheduled rpc by its message id.
@@ -512,9 +510,7 @@ class Client:
         otherwise its error_code says why (`already-executed`,
         `unknown-message-id`, ...). Raises ReplyTimeout without a reply.
         """
-        call = self.submit_cancel(server_id, target_id)
-        self.wait([call], self._reply_deadline(call))
-        return self.resolve(call)
+        return self.resolve(self.submit_cancel(server_id, target_id))
 
     # -- coordinators -----------------------------------------------------
 
@@ -541,7 +537,6 @@ class Client:
             else:
                 calls[server_id] = self.submit(server_id, operation, at, get_time=True)
         self.wait(calls.values(), at + self.reply_timeout)
-        self.expire(calls.values())
         return calls
 
     def coordinated_snapshot(
@@ -576,10 +571,10 @@ class Client:
         same way: no further commit rpc goes out, and a cancel that cannot
         be sent is reported in AbortFailed while the others still go out.
         `outcomes` holds every commit call, unsent ones too. Every exit
-        expires the calls it waited on, AbortFailed's too, so none is left
-        pending. A server named more than once takes part once, in
-        first-seen order; a server not connected raises ValueError before
-        any rpc is sent.
+        ends in a wait on the calls it sent, AbortFailed's too, and that
+        wait ends them, so none is left pending. A server named more than
+        once takes part once, in first-seen order; a server not connected
+        raises ValueError before any rpc is sent.
         """
         server_ids = list(dict.fromkeys(server_ids))
         margin = max(2 * self.rtt_bound, MIN_COMMIT_MARGIN)
@@ -622,7 +617,6 @@ class Client:
                 reasons.append(f"{label}: {', '.join(sorted(group))}")
         if not reasons:
             self.wait(calls.values(), commit_time + self.reply_timeout)
-            self.expire(calls.values())
             return result
 
         # Abort: withdraw everything that was sent and not already refused.
@@ -638,8 +632,7 @@ class Client:
                 problems.append(f"{server_id}: cancel unsent ({cancel.error})")
             else:
                 cancels[server_id] = cancel
-        waited = [*calls.values(), *cancels.values()]
-        self.wait(waited, commit_time)
+        self.wait([*calls.values(), *cancels.values()], commit_time)
         for server_id, cancel in cancels.items():
             confirmed = cancel.ok or cancel.error_code == ERR_UNKNOWN_MESSAGE_ID
             if cancel.error_code == ERR_ALREADY_EXECUTED:
@@ -648,7 +641,6 @@ class Client:
                 result.cancel_times[server_id] = cancel.reply_at
             else:
                 problems.append(f"{server_id}: cancel unconfirmed before commit time")
-        self.expire(waited)
         if problems:
             raise AbortFailed("; ".join(problems))
         return result

@@ -100,7 +100,6 @@ def demo_snapshot(seed: int = 0) -> list[str]:
         )
         lines.append(f"  {sid} read {entry.value} (completed at {entry.execution_time} ns)")
 
-    client.wait([commit_call], commit_at + client.reply_timeout)
     client.resolve(commit_call)
     _require(
         world.servers["s1"].state.running["counter"] == "999",

@@ -254,10 +254,8 @@ def _fan_out(result: ScenarioResult, op: Operation, desired: int, what: str) -> 
         result.world.servers, op, desired, align_completion=True
     )
     for sid, call in calls.items():
-        try:
-            client.resolve(call)
-        except Exception as exc:  # the call's error, or ScheduleRejected
-            raise CheckFailed(f"{sid}: {what} failed: {exc}") from None
+        if call.error is not None:
+            raise CheckFailed(f"{sid}: {what} failed: {call.error}")
         if not call.ok:
             raise CheckFailed(f"{sid}: {what} failed with {call.error_code}")
         result.outcomes[sid].append(call)

@@ -64,9 +64,11 @@ def run_probe_plan(
 
     Probes dispatch the client's `dispatch_lead` ahead of their scheduled
     times so transit delay never pushes them into the past. A call whose
-    `ete` is set measured an offset; a probe that is rejected, unsent or
-    unanswered leaves a gap (its call holds the error, and a late reply
-    feeds no predictor), and the remaining probes still run.
+    `ete` is set measured an offset; a probe that is refused, unsent or
+    unanswered leaves a gap, and the remaining probes still run. The plan's
+    one wait ends every call: a refused probe holds its error reply, an
+    unsent one the transport's error and one unanswered at the deadline
+    ReplyTimeout, so a late reply feeds no predictor.
     """
     count = plan.count
     op = operation if operation is not None else probe_operation()
@@ -86,7 +88,6 @@ def run_probe_plan(
     deadline = times[-1] + client.reply_timeout
     driver.wait_until(lambda: len(calls) == count, deadline)
     client.wait(calls, deadline)
-    client.expire(calls)
     return calls
 
 

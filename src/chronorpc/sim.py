@@ -86,9 +86,6 @@ class EventLoop:
     # Alias so the loop satisfies the client driver interface directly.
     wait_until = run_until
 
-    def pending(self) -> int:
-        return len(self._heap)
-
 
 class Link:
     """Unidirectional frame pipe with a per-link one-way delay distribution.

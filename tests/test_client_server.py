@@ -10,7 +10,6 @@ from chronorpc.client import (
     CommitWindowTooShort,
     ReplyTimeout,
     ScheduleOutcome,
-    ScheduleRejected,
 )
 from chronorpc.live import LiveClient
 from chronorpc.prediction import ALGORITHMS
@@ -80,10 +79,10 @@ class TestScheduleRaw:
         assert out.ete == 25 * MILLIS
         assert server.log[0].t_start == t_s
 
-    def test_remote_rejection_raises(self):
+    def test_remote_rejection_is_a_non_ok_call(self):
         loop, client, server, _ = one_server()
-        with pytest.raises(ScheduleRejected):
-            client.schedule_raw("s1", Operation("noop"), client.now() + 30 * SECONDS)
+        out = client.schedule_raw("s1", Operation("noop"), client.now() + 30 * SECONDS)
+        assert not out.ok and out.error_code == "schedule-out-of-range"
         assert server.log == []
 
     def test_resolved_call_is_its_own_outcome(self):
@@ -193,10 +192,10 @@ class TestScheduleAtCompletion:
 
     def test_out_of_range_is_refused_by_the_server(self):
         loop, client, server, _ = one_server()
-        with pytest.raises(ScheduleRejected):
-            client.schedule_at_completion(
-                "s1", Operation("noop"), client.now() + 30 * SECONDS
-            )
+        out = client.schedule_at_completion(
+            "s1", Operation("noop"), client.now() + 30 * SECONDS
+        )
+        assert out.error_code == "schedule-out-of-range"
         assert server.rejected_ids == {"m1"}
 
 
@@ -311,6 +310,28 @@ class TestNotifications:
         assert client.unmatched_messages == 1
         assert call.reply is None
 
+    def test_wait_ends_the_calls_it_waited_on(self):
+        loop, client, server, _ = one_server()
+        answered = client.submit("s1", Operation("noop"), get_time=True)
+        client.wait([answered], client.now() + SECONDS)
+        replies = []
+        server.open_session(replies.append)  # the server's replies never arrive
+        call = client.submit("s1", Operation("noop"), get_time=True)
+        deadline = client.now() + SECONDS
+        assert client.wait([answered, call], deadline) is False
+        assert isinstance(call.error, ReplyTimeout)
+        assert call.error.deadline == deadline
+        assert client._pending == {}
+        # an answered call is left as it was
+        assert answered.ok and answered.error is None
+
+    def test_resolve_waits_for_a_call_never_waited_on(self):
+        loop, client, server, _ = one_server(ExecutionModel(base=25 * MILLIS))
+        call = client.submit("s1", Operation("noop"), get_time=True)
+        assert client.resolve(call) is call
+        assert call.ok and call.execution_time is not None
+        assert client._pending == {}
+
     def test_submit_to_unconnected_server_is_refused(self):
         loop, client, server, (down, _) = one_server()
         with pytest.raises(ValueError, match="not connected to 's2'"):
@@ -422,8 +443,7 @@ class TestCoordinatedOperation:
         results = client.coordinated_operation(["s1", "s2"], Operation("noop"), at)
         assert isinstance(results["s1"], ScheduleOutcome) and results["s1"].ok
         assert results["s2"].error_code == "schedule-out-of-range"
-        with pytest.raises(ScheduleRejected):
-            client.resolve(results["s2"])
+        assert client.resolve(results["s2"]) is results["s2"]
         assert servers["s2"].rejected_ids == {"m2"}
         assert servers["s2"].log == []
         assert servers["s1"].log[0].t_start == at
@@ -765,8 +785,8 @@ def test_server_range_changed_at_runtime_is_enforced():
         range_config=SchedulingRangeConfig(sched_max_future=60 * SECONDS)
     )
     server.range_config = SchedulingRangeConfig(sched_max_future=1 * SECONDS)
-    with pytest.raises(ScheduleRejected):
-        client.schedule_at_completion(
-            "s1", Operation("noop"), client.now() + 5 * SECONDS
-        )
+    out = client.schedule_at_completion(
+        "s1", Operation("noop"), client.now() + 5 * SECONDS
+    )
+    assert out.error_code == "schedule-out-of-range"
     assert server.rejected_ids == {"m1"}

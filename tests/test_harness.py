@@ -298,7 +298,7 @@ class TestRunScenario:
         "kw, message",
         [
             # beyond the default 15 s sched_max_future: the server refuses it
-            ({"lead": 20 * SECONDS}, "s1: sample 0 failed: scheduled-time .* outside"),
+            ({"lead": 20 * SECONDS}, "s1: sample 0 failed with schedule-out-of-range"),
             ({"op": "does-not-exist"}, "s1: sample 0 failed with unknown-operation"),
         ],
         ids=["rejected", "error-reply"],

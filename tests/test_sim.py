@@ -60,7 +60,9 @@ class TestEventLoop:
         assert done
         assert seen == [10, 20]
         assert loop.now() == 20
-        assert loop.pending() == 1
+        # the event the predicate stopped before is still queued
+        loop.run_until(deadline=1000)
+        assert seen == [10, 20, 30]
 
     def test_run_until_deadline_result(self):
         loop = EventLoop()
