@@ -22,12 +22,16 @@ object providing now(), call_at(when, fn, *args),
 wait_until(predicate, deadline) and the `lock` that serializes the client
 with its driver's waits - the virtual-time event loop in simulation, a
 real-clock waiter for live TCP use - and through one frame-send callable
-per connected server. Incoming frames enter via on_frame()/on_message().
+per connected server. The client takes that lock itself at each entry
+point that touches its state, so incoming frames enter bare via
+on_frame()/on_message() from any thread.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from operator import attrgetter
 from typing import Callable, Iterable
 
@@ -235,7 +239,9 @@ class Client:
         self._lock = driver.lock
         self._sends: dict[str, Callable[[bytes], None]] = {}
         self._pending: dict[str, PendingCall] = {}
-        self._predictors: dict[tuple[str, str], PredictorState] = {}
+        self._predictors: defaultdict[tuple[str, str], PredictorState] = defaultdict(
+            partial(PredictorState, window)
+        )
         self._mid_counter = 0
         self.unmatched_messages = 0
         self.decode_errors = 0
@@ -278,13 +284,8 @@ class Client:
     # -- predictors -------------------------------------------------------
 
     def predictor(self, server_id: str, rpc_type: str = "noop") -> PredictorState:
-        key = (server_id, rpc_type)
         with self._lock:
-            state = self._predictors.get(key)
-            if state is None:
-                state = PredictorState(self.window)
-                self._predictors[key] = state
-            return state
+            return self._predictors[server_id, rpc_type]
 
     def reset_predictor(self, server_id: str, rpc_type: str) -> None:
         """Forget the pair's samples: its next use starts a fresh window."""
@@ -297,7 +298,8 @@ class Client:
         try:
             msg = decode(frame)
         except ProtocolError:
-            self.decode_errors += 1
+            with self._lock:
+                self.decode_errors += 1
             return
         self.on_message(msg)
 
@@ -317,10 +319,7 @@ class Client:
                     and call.scheduled_time is not None
                 ):
                     key = (call.server_id, operation_type(call.operation))
-                    state = self._predictors.get(key)
-                    if state is None:
-                        state = self.predictor(*key)
-                    state.push(msg.execution_time - call.scheduled_time)
+                    self._predictors[key].push(msg.execution_time - call.scheduled_time)
             elif isinstance(msg, ScheduleNotification):
                 call = self._pending.get(msg.message_id)
                 if call is None:
@@ -471,20 +470,17 @@ class Client:
         desired_completion: int,
     ) -> PendingCall:
         """Send one completion-targeted rpc without waiting for its reply."""
-        key = (server_id, operation_type(operation))
-        state = self._predictors.get(key)
-        if state is None:
-            state = self.predictor(*key)
-        prediction = state.predict(self.algorithm)
-        scheduled_time = desired_completion - prediction.value
-        return self.submit(
-            server_id,
-            operation,
-            scheduled_time,
-            get_time=True,
-            prediction=prediction,
-            desired_completion=desired_completion,
-        )
+        with self._lock:  # a reader thread pushes to the window under it
+            key = (server_id, operation_type(operation))
+            prediction = self._predictors[key].predict(self.algorithm)
+            return self.submit(
+                server_id,
+                operation,
+                desired_completion - prediction.value,
+                get_time=True,
+                prediction=prediction,
+                desired_completion=desired_completion,
+            )
 
     def schedule_at_completion(
         self,

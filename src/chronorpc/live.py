@@ -8,9 +8,10 @@ LiveDriver.wait_until is the one wall-clock loop. As in the simulator, due
 timers fire on the thread that waits: a client's inside its own waits, a
 server's on the one thread of its ThreadScheduler, which waits until closed.
 Each LiveServer runs that thread and a connection thread; each LiveClient
-runs one socket reader per connected server. A core runs under its
-driver's lock: timers fire under it, the client core takes it, and frames
-from a socket reach a core under it.
+runs one socket reader per connected server. Both cores see one scheduler
+interface, now/call_at/lock: timers fire under the driver's lock, and each
+core takes that lock itself at its entry points, so the readers here hand
+frames to a core bare.
 
 Timing here is at the mercy of the host scheduler, so expect millisecond
 jitter; the virtual-time harness is the place for exact assertions.
@@ -154,10 +155,10 @@ class LiveServer:
     Handles one connection at a time on its connection thread, and opens a
     core session for each: message ids are unique per connection, and each
     op replies on the connection it came on, or nowhere once that has
-    closed. Frames from that thread reach the core under its
-    ThreadScheduler's lock, which the scheduler's timers fire under, so the
-    core takes its driver's lock for both. `server_kwargs` go to Server as
-    they are.
+    closed. That thread hands frames to the core bare: the core takes its
+    ThreadScheduler's lock, which the scheduler's timers fire under.
+    close() stops that thread before the timers, so no frame already read
+    reaches a closed scheduler. `server_kwargs` go to Server as they are.
     """
 
     def __init__(
@@ -202,14 +203,8 @@ class LiveServer:
                 except OSError:  # closed: an op outlived its connection
                     pass
 
-            with self._sched.lock:
-                self.core.open_session(send)
-
-            def deliver(frame: bytes) -> None:
-                with self._sched.lock:
-                    self.core.on_frame(frame)
-
-            _reader(conn, deliver)
+            self.core.open_session(send)
+            _reader(conn, self.core.on_frame)
             # Under the lock, so no timer callback is sending on it meanwhile.
             with self._sched.lock:
                 if self._conn is conn:
@@ -222,8 +217,8 @@ class LiveServer:
         if conn is not None:
             _hang_up(conn)
         _hang_up(self._listener)
-        self._sched.close()
         self._accept_thread.join(timeout=1.0)
+        self._sched.close()
 
     def __enter__(self) -> "LiveServer":
         return self
@@ -235,8 +230,8 @@ class LiveServer:
 class LiveClient:
     """A scheduling client bound to the wall clock, one TCP link per server.
 
-    The core takes the driver's lock, and each link's reader thread feeds
-    frames to it under that lock and wakes the waiters. When a link's reader
+    Each link's reader thread feeds frames to the core, which takes the
+    driver's lock itself, and wakes the waiters. When a link's reader
     ends, its pending and later calls fail with TransportClosed at once.
     There is no timer thread: a timer set on `driver`, such as a probe
     plan's dispatch, fires inside a wait.
@@ -255,8 +250,7 @@ class LiveClient:
         self.core.connect(server_id, sock.sendall)
 
         def deliver(frame: bytes) -> None:
-            with self.driver.lock:
-                self.core.on_frame(frame)
+            self.core.on_frame(frame)
             self.driver.wake()
 
         def dropped() -> None:

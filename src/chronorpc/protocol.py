@@ -71,6 +71,7 @@ __all__ = [
     "UnknownType",
     "MissingField",
     "TransportClosed",
+    "FrameTooLarge",
     "Operation",
     "RpcMessage",
     "RpcReply",
@@ -140,6 +141,10 @@ class MissingField(ProtocolError):
 
 class TransportClosed(Exception):
     """Send or receive attempted on a closed transport."""
+
+
+class FrameTooLarge(ValueError):
+    """A message whose frame would exceed MAX_FRAME_BYTES."""
 
 
 @dataclass(slots=True)
@@ -292,7 +297,7 @@ def encode(msg: Message) -> bytes:
     that are not a dict of strings, a reply whose error-detail is not a
     string, an error reply whose error-code is not a string or that carries
     execution-time, an ok reply carrying an error-code or a non-empty
-    error-detail, or a frame over 64 KiB).
+    error-detail), and its subclass FrameTooLarge for a frame over 64 KiB.
     """
     encoder = _ENCODERS.get(type(msg))
     if encoder is None:
@@ -303,7 +308,7 @@ def encode(msg: Message) -> bytes:
             raise ValueError(f"not a protocol message: {msg!r}")
     frame = encoder(msg).encode()
     if len(frame) > MAX_FRAME_BYTES:
-        raise ValueError(f"frame exceeds {MAX_FRAME_BYTES} bytes")
+        raise FrameTooLarge(f"frame exceeds {MAX_FRAME_BYTES} bytes")
     return frame
 
 

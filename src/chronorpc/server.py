@@ -31,8 +31,12 @@ when it completes.
 Timing is synthetic and drawn per op in a fixed order (wake jitter, run-time
 noise, spike coin) from the server's own seeded stream, so whole runs replay
 exactly from (seed, scenario). The server is sans-IO: it talks to the world
-through a scheduler (now/call_at), each session's frame-send callable, and
-on_frame().
+through a scheduler (now/call_at/lock), each session's frame-send callable,
+and on_frame(). The scheduler's timers fire under its lock, and the server
+takes that lock itself in on_frame() and open_session(), so a transport
+calls both bare from any thread. A reply or notification too big to frame,
+such as an error that echoes a huge op name, is dropped and counted in
+`oversize_replies`; the server goes on serving.
 """
 
 from __future__ import annotations
@@ -54,6 +58,8 @@ from .protocol import (
     ERR_UNKNOWN_MESSAGE_ID,
     ERR_UNKNOWN_OPERATION,
     MILLIS,
+    FrameTooLarge,
+    Message,
     Operation,
     ProtocolError,
     RpcMessage,
@@ -193,10 +199,10 @@ class Server:
     `send` opens the first session, and open_session() starts each later
     one. Frames reach the latest session. Each session has its own
     message-id namespace, op table (`ops`), `rejected_ids` and reply sink;
-    the store, the executor lanes, the rng, `log` and `decode_errors` are
-    the device's and are shared by every session. An op whose session has
-    ended is not withdrawn: it runs when due and replies on its own
-    session's sink, never on a later session's.
+    the store, the executor lanes, the rng, `log`, `decode_errors` and
+    `oversize_replies` are the device's and are shared by every session.
+    An op whose session has ended is not withdrawn: it runs when due and
+    replies on its own session's sink, never on a later session's.
     """
 
     def __init__(
@@ -224,6 +230,7 @@ class Server:
         # each session's `ops`
         self.log: list[PendingOp] = []
         self.decode_errors = 0
+        self.oversize_replies = 0
         self._ready: deque[PendingOp] = deque()
         self._active = 0
         self._last_start: int | None = None
@@ -235,30 +242,41 @@ class Server:
         Its message ids, ops and rejected ids start empty. Ops of earlier
         sessions keep running and reply on their own sinks.
         """
-        self._send = send
-        self.ops: dict[str, PendingOp] = {}
-        self.rejected_ids: set[str] = set()
-        self._seen_ids: set[str] = set()
-        # Targets cancelled before their rpc arrived. The cancel answered
-        # unknown-message-id, which the requester takes as a confirmed abort,
-        # so the rpc must never run when it does arrive. Its entry goes once
-        # the rpc is refused; _seen_ids then answers any repeat.
-        self._cancelled_unseen: set[str] = set()
+        with self._sched.lock:
+            self._send = send
+            self.ops: dict[str, PendingOp] = {}
+            self.rejected_ids: set[str] = set()
+            self._seen_ids: set[str] = set()
+            # Targets cancelled before their rpc arrived. The cancel answered
+            # unknown-message-id, which the requester takes as a confirmed
+            # abort, so the rpc must never run when it does arrive. Its entry
+            # goes once the rpc is refused; _seen_ids then answers any repeat.
+            self._cancelled_unseen: set[str] = set()
 
     # -- transport-facing -------------------------------------------------
 
     def on_frame(self, frame: bytes) -> None:
-        try:
-            msg = decode(frame)
-        except ProtocolError:
-            self.decode_errors += 1
-            return
-        if isinstance(msg, RpcMessage):
-            self._handle_rpc(msg)
-        # Replies/notifications are client-bound; a server ignores them.
+        with self._sched.lock:
+            try:
+                msg = decode(frame)
+            except ProtocolError:
+                self.decode_errors += 1
+                return
+            if isinstance(msg, RpcMessage):
+                self._handle_rpc(msg)
+            # Replies/notifications are client-bound; a server ignores them.
 
-    def _reply(self, reply: RpcReply) -> None:
-        self._send(encode(reply))
+    def _write(self, send: Callable[[bytes], None], msg: Message) -> None:
+        # Every frame the server sends goes through here.
+        try:
+            frame = encode(msg)
+        except FrameTooLarge:
+            self.oversize_replies += 1
+            return
+        send(frame)
+
+    def _reply(self, msg: Message) -> None:
+        self._write(self._send, msg)
 
     # -- admission --------------------------------------------------------
 
@@ -290,7 +308,7 @@ class Server:
         verdict = validate_schedule(scheduled_time, self._sched.now(), self.range_config)
         if verdict is _REJECT:
             self.rejected_ids.add(mid)
-            self._send(encode(ScheduleNotification(mid, False)))
+            self._reply(ScheduleNotification(mid, False))
             self._reply(
                 RpcReply.make_error(
                     mid,
@@ -304,7 +322,7 @@ class Server:
             self._enqueue_ready(op)
             return
         # Accept: queue until due and acknowledge ahead of the scheduled time.
-        self._send(encode(ScheduleNotification(mid, True)))
+        self._reply(ScheduleNotification(mid, True))
         self._sched.call_at(scheduled_time, self._on_due, op)
 
     def _handle_cancel(self, msg: RpcMessage) -> None:
@@ -373,14 +391,15 @@ class Server:
         self.log.append(op)
         op.state = _DONE
         if error_code is not None:
-            op.reply_to(encode(RpcReply.make_error(op.message_id, error_code, detail)))
+            reply = RpcReply.make_error(op.message_id, error_code, detail)
         else:
             execution_time = op.t_end if op.get_time else None
-            op.reply_to(
-                encode(RpcReply(op.message_id, "ok", None, "", execution_time, params))
-            )
-        self._active -= 1
-        self._kick()
+            reply = RpcReply(op.message_id, "ok", None, "", execution_time, params)
+        try:
+            self._write(op.reply_to, reply)
+        finally:  # the lane is free whatever the sink does
+            self._active -= 1
+            self._kick()
 
     # -- builtin effects --------------------------------------------------
 

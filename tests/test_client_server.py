@@ -12,7 +12,7 @@ from chronorpc.client import (
     ScheduleOutcome,
 )
 from chronorpc.live import LiveClient
-from chronorpc.prediction import ALGORITHMS
+from chronorpc.prediction import ALGORITHMS, PredictorState
 from chronorpc.protocol import (
     MILLIS,
     SECONDS,
@@ -197,6 +197,20 @@ class TestScheduleAtCompletion:
         )
         assert out.error_code == "schedule-out-of-range"
         assert server.rejected_ids == {"m1"}
+
+    def test_window_is_read_under_the_driver_lock(self, monkeypatch):
+        # A live reader thread pushes to the window under the same lock.
+        loop, client, server, _ = one_server()
+        owned = []
+        predict = PredictorState.predict
+
+        def spy(state, algorithm):
+            owned.append(client.driver.lock._is_owned())
+            return predict(state, algorithm)
+
+        monkeypatch.setattr(PredictorState, "predict", spy)
+        client.submit_at_completion("s1", Operation("noop"), client.now() + SECONDS)
+        assert owned == [True]
 
 
 class TestCancel:

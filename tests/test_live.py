@@ -167,6 +167,26 @@ def test_driver_timer_wakes_waiter():
         driver.close()
 
 
+def test_closed_driver_refuses_timers():
+    driver = LiveDriver()
+    driver.close()
+    with pytest.raises(RuntimeError, match="scheduler is closed"):
+        driver.call_at(driver.now(), lambda: None)
+
+
+def test_server_close_stops_reading_before_its_timers():
+    # Frames already read when close() hangs up still reach the core; each
+    # schedules a timer, which a closed scheduler would refuse on the
+    # connection thread. An unhandled thread exception fails the test.
+    for _ in range(20):
+        with LiveServer("live1") as server, LiveClient() as client:
+            client.connect("live1", server.address)
+            core = client.core
+            for _ in range(50):
+                core.submit("live1", Operation("noop"), core.now() + 5 * MILLIS)
+            server.close()
+
+
 def test_driver_deadline_runs_on_the_monotonic_clock(monkeypatch):
     frozen = time.time_ns()
     monkeypatch.setattr(

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from chronorpc.protocol import (
+    MAX_FRAME_BYTES,
     MILLIS,
     SECONDS,
     Operation,
@@ -74,6 +75,12 @@ def rpc(server, mid, op="noop", params=None, at=None, get_time=False):
 
 def cancel(server, mid, target):
     rpc(server, mid, op="cancel-schedule", params={"target-id": target})
+
+
+def widest(make):
+    """The longest run of "x" that make() can wrap in one frame."""
+    overhead = len(encode(make("x"))) - 1
+    return "x" * (MAX_FRAME_BYTES - overhead)
 
 
 class TestImmediateExecution:
@@ -199,6 +206,40 @@ class TestAdmissionErrors:
         loop.run_until(deadline=1 * SECONDS)
         assert wire.events == []
         assert server.decode_errors == 0
+
+    def test_frame_is_handled_under_the_scheduler_lock(self, monkeypatch):
+        # A transport calls on_frame bare; the core takes its driver's lock.
+        loop, server, wire = make_server()
+        owned = []
+        handle = server._handle_rpc
+
+        def spy(msg):
+            owned.append(loop.lock._is_owned())
+            handle(msg)
+
+        monkeypatch.setattr(server, "_handle_rpc", spy)
+        rpc(server, "m1")
+        assert owned == [True]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda text: RpcMessage("m1", Operation(text)),
+            lambda text: RpcMessage("m1", Operation("cancel-schedule", {"target-id": text})),
+        ],
+        ids=["unknown-operation", "unknown-message-id"],
+    )
+    def test_error_echo_too_big_to_frame_is_dropped(self, make):
+        # The rpc fits in one frame; its error reply, which echoes the op
+        # name or the target id, does not.
+        frame = encode(make(widest(make)))
+        assert len(frame) == MAX_FRAME_BYTES
+        loop, server, wire = make_server()
+        server.on_frame(frame)
+        assert server.oversize_replies == 1 and wire.events == []
+        rpc(server, "m2")
+        loop.run_until(deadline=1 * SECONDS)
+        assert wire.reply("m2").ok
 
 
 class TestCancellation:
@@ -393,6 +434,39 @@ class TestBuiltins:
         assert wire.reply("m3").ok
         assert wire.reply("m3").params == {"value": "v"}
         assert server.state.running == {"k": "v"}
+
+    def test_value_too_big_to_frame_frees_its_lane(self):
+        # set-value fits in one frame; a get-value reply that carries the
+        # value and its execution time does not. It is dropped, and the
+        # lane it held serves the next op.
+        make = lambda text: RpcMessage(
+            "m1", Operation("set-value", {"key": "k", "value": text})
+        )
+        loop, server, wire = make_server()
+        server.on_frame(encode(make(widest(make))))
+        rpc(server, "m2", op="commit")
+        rpc(server, "m3", op="get-value", params={"key": "k"}, get_time=True)
+        rpc(server, "m4")
+        loop.run_until(deadline=1 * SECONDS)
+        assert server.oversize_replies == 1
+        assert [r.message_id for r in wire.replies()] == ["m1", "m2", "m4"]
+        assert [op.message_id for op in server.log] == ["m1", "m2", "m3", "m4"]
+
+    def test_raising_sink_frees_its_lane(self):
+        # m1's session has a sink that raises; m2 waits for the one lane.
+        loop, server, wire = make_server()
+
+        def gone(frame):
+            raise ConnectionError("sink gone")
+
+        server.open_session(gone)
+        rpc(server, "m1")
+        server.open_session(wire.send)
+        rpc(server, "m2")
+        with pytest.raises(ConnectionError):
+            loop.run_until(deadline=1 * SECONDS)
+        loop.run_until(deadline=1 * SECONDS)
+        assert [r.message_id for r in wire.replies()] == ["m2"]
 
     def test_set_value_missing_params(self):
         loop, server, wire = make_server()
