@@ -11,7 +11,9 @@ participant fails to acknowledge in time.
 
 Every operation's outcome is its resolved PendingCall: a scheduled rpc, a
 cancel and each coordinator entry all read the server's reply off the call,
-and an error reply, a refused scheduled time included, is a non-ok call.
+and an error reply, a refused scheduled time included, is a non-ok call. A
+scheduled call's `notification_at` is when the server's acceptance arrived;
+a refused call has none, only its error reply.
 A call without a reply holds the error that ended it: a failed send's or a
 dropped link's TransportClosed or OSError, or ReplyTimeout from a wait
 whose deadline came first; a wait ends every call it waits on. submit()
@@ -137,6 +139,8 @@ class PendingCall:
     read the reply it holds. A call whose `ete` is set is a measured sample;
     an ok reply to a scheduled call pushes that offset to its predictor.
     A call resolved without a reply holds its `error` instead.
+    `notification_at` is set when the server's acceptance notification
+    arrives, and only then: a refusal is an error reply alone.
     """
 
     server_id: str
@@ -148,7 +152,6 @@ class PendingCall:
     desired_completion: int | None = None
     reply: RpcReply | None = None
     reply_at: int | None = None
-    notification: ScheduleNotification | None = None
     notification_at: int | None = None
     error: Exception | None = None
 
@@ -158,8 +161,8 @@ class PendingCall:
 
     @property
     def acknowledged(self) -> bool:
-        """A notification or any reply has arrived, or the call failed."""
-        return self.notification is not None or self.resolved
+        """The server's acceptance or any reply has arrived, or the call failed."""
+        return self.notification_at is not None or self.resolved
 
     @property
     def status(self) -> str | None:
@@ -325,7 +328,6 @@ class Client:
                 if call is None:
                     self.unmatched_messages += 1
                     return
-                call.notification = msg
                 call.notification_at = now
             else:
                 self.unmatched_messages += 1
@@ -598,12 +600,12 @@ class Client:
 
         refused, unacked = [], []
         for server_id, call in calls.items():
-            note, reply = call.notification, call.reply
-            if note is not None and note.accepted:
-                result.accept_times[server_id] = call.notification_at
-            if not (note is None or note.accepted) or not (reply is None or reply.ok):
+            accepted_at, reply = call.notification_at, call.reply
+            if accepted_at is not None:
+                result.accept_times[server_id] = accepted_at
+            if reply is not None and not reply.ok:
                 refused.append(server_id)
-            elif note is None and reply is None and unsent is None:
+            elif accepted_at is None and reply is None and unsent is None:
                 # Nothing arrived, or its link dropped. After a failed send
                 # nothing was waited for, so nothing is overdue.
                 unacked.append(server_id)

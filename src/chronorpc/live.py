@@ -232,7 +232,8 @@ class LiveClient:
 
     Each link's reader thread feeds frames to the core, which takes the
     driver's lock itself, and wakes the waiters. When a link's reader
-    ends, its pending and later calls fail with TransportClosed at once.
+    ends, its pending and later calls fail with TransportClosed at once,
+    and only then can its server id connect again.
     There is no timer thread: a timer set on `driver`, such as a probe
     plan's dispatch, fires inside a wait.
     """
@@ -242,9 +243,21 @@ class LiveClient:
         self.core = Client(self.driver, **client_kwargs)
         self._socks: list[socket.socket] = []
         self._threads: list[threading.Thread] = []
+        self._live: set[str] = set()  # server ids whose reader runs
 
     def connect(self, server_id: str, address: tuple[str, int]) -> None:
-        sock = socket.create_connection(address)
+        """Open a link to server_id and start its reader.
+
+        Raises ValueError, and opens nothing, while the id's last link is
+        live: that link's end would fail the new one's calls. The check and
+        the connect hold the driver's lock, so no earlier link of the id
+        drops in between.
+        """
+        with self.driver.lock:
+            if server_id in self._live:
+                raise ValueError(f"link to {server_id!r} is still open")
+            sock = socket.create_connection(address)
+            self._live.add(server_id)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._socks.append(sock)
         self.core.connect(server_id, sock.sendall)
@@ -254,7 +267,10 @@ class LiveClient:
             self.driver.wake()
 
         def dropped() -> None:
-            self.core.disconnect(server_id)
+            # One hold of the lock: no reconnect slips in between.
+            with self.driver.lock:
+                self.core.disconnect(server_id)
+                self._live.discard(server_id)
             self.driver.wake()
 
         thread = threading.Thread(

@@ -14,16 +14,17 @@ Frame vocabulary::
      "error-code": str?, "error-detail": str?, "execution-time": int?,
      "params": {str: str}?}
 
-    {"type": "notification", "message-id": str, "accepted": bool}
+    {"type": "notification", "message-id": str}
 
 ``scheduled-time`` is absent for execute-immediately rpcs. ``get-time``
 defaults to false and asks the server to report the operation's completion
 time; a reply carries ``execution-time`` only when the rpc asked for it and
 the status is "ok". Reply ``params`` is the return channel for operations
-that produce values (e.g. get-value). A notification acknowledges admission
-of a scheduled rpc before its scheduled time. Withdrawing a scheduled rpc is
-itself an rpc, op "cancel-schedule", whose params "target-id" names the
-message-id to withdraw.
+that produce values (e.g. get-value). A notification means the server
+accepted a scheduled rpc and queued it, and comes before its scheduled time;
+a refused rpc gets only its error reply, as in RFC 7758. Withdrawing a
+scheduled rpc is itself an rpc, op "cancel-schedule", whose params
+"target-id" names the message-id to withdraw.
 
 Canonical encoding, part of the wire contract: encode() writes the keys in
 the order listed above, optional ones only when present (error-detail only
@@ -193,7 +194,6 @@ class RpcReply:
 @dataclass(slots=True)
 class ScheduleNotification:
     message_id: str
-    accepted: bool
 
 
 Message = RpcMessage | RpcReply | ScheduleNotification
@@ -276,10 +276,7 @@ def _encode_reply(msg: RpcReply) -> str:
 def _encode_notification(msg: ScheduleNotification) -> str:
     mid = msg.message_id
     mid = _escape(mid) if type(mid) is str and mid else _quoted(mid, "message-id")
-    return (
-        f'{{"type":"notification","message-id":{mid}'
-        f',"accepted":{"true" if msg.accepted else "false"}}}\n'
-    )
+    return f'{{"type":"notification","message-id":{mid}}}\n'
 
 
 # In isinstance order, for subclasses that miss the exact-type lookup.
@@ -333,12 +330,10 @@ def _int_field(obj: dict, key: str) -> int | None:
     raise MalformedFrame("field must be an integer", key)
 
 
-def _bool_field(obj: dict, key: str, default: bool | None = None) -> bool:
-    value = obj.get(key, default)
+def _bool_field(obj: dict, key: str) -> bool:
+    value = obj.get(key, False)  # the one bool field, get-time, is optional
     if type(value) is bool:
         return value
-    if key not in obj:
-        raise MissingField(key)
     raise MalformedFrame("field must be a boolean", key)
 
 
@@ -362,7 +357,7 @@ def _decode_rpc(obj: dict) -> RpcMessage:
         message_id,
         Operation(name, {} if params is None else params),
         _int_field(obj, "scheduled-time"),
-        _bool_field(obj, "get-time", False),
+        _bool_field(obj, "get-time"),
     )
 
 
@@ -386,8 +381,7 @@ def _decode_reply(obj: dict) -> RpcReply:
 
 
 def _decode_notification(obj: dict) -> ScheduleNotification:
-    message_id = _str_field(obj, "message-id")
-    return ScheduleNotification(message_id, _bool_field(obj, "accepted"))
+    return ScheduleNotification(_str_field(obj, "message-id"))
 
 
 _DECODERS = {
@@ -433,8 +427,8 @@ def _canonical_reply(message_id, execution_time, params, error_code, error_detai
     return RpcReply(message_id.decode(), "ok", None, "", execution_time, params)
 
 
-def _canonical_notification(message_id, accepted):
-    return ScheduleNotification(message_id.decode(), accepted == b"true")
+def _canonical_notification(message_id):
+    return ScheduleNotification(message_id.decode())
 
 
 # Keyed by frame[9:13], the first four bytes of the type after '{"type":"'.
@@ -459,8 +453,7 @@ _CANONICAL = {
     ),
     b"noti": (
         re.compile(
-            rb'\{"type":"notification","message-id":' + _STR
-            + rb',"accepted":(true|false)\}\n'
+            rb'\{"type":"notification","message-id":' + _STR + rb"\}\n"
         ).fullmatch,
         _canonical_notification,
     ),

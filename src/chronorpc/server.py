@@ -1,10 +1,13 @@
 """Managed server for time-triggered operations.
 
-The server admits each rpc against its acceptable scheduling range, queues
-accepted future ops until they fall due, runs them through a fixed number of
-executor lanes (one by default, so simultaneous due times serialize in
-arrival order), applies the builtin operation's effect, and replies at
-completion - carrying the completion timestamp when the rpc asked for it.
+The server admits each rpc against its acceptable scheduling range. It
+refuses a scheduled time outside it with one schedule-out-of-range error
+reply, as RFC 7758 does, and acknowledges each accepted future op with a
+notification and queues it until it falls due. It runs ops through a fixed
+number of executor lanes (one by default, so simultaneous due times
+serialize in arrival order), applies the builtin operation's effect, and
+replies at completion - carrying the completion timestamp when the rpc
+asked for it.
 
 Builtin operations:
 
@@ -308,7 +311,6 @@ class Server:
         verdict = validate_schedule(scheduled_time, self._sched.now(), self.range_config)
         if verdict is _REJECT:
             self.rejected_ids.add(mid)
-            self._reply(ScheduleNotification(mid, False))
             self._reply(
                 RpcReply.make_error(
                     mid,
@@ -322,7 +324,7 @@ class Server:
             self._enqueue_ready(op)
             return
         # Accept: queue until due and acknowledge ahead of the scheduled time.
-        self._reply(ScheduleNotification(mid, True))
+        self._reply(ScheduleNotification(mid))
         self._sched.call_at(scheduled_time, self._on_due, op)
 
     def _handle_cancel(self, msg: RpcMessage) -> None:

@@ -88,7 +88,8 @@ def random_message(rng: random.Random) -> Message:
             )
         return reply
     if kind == 2:
-        return ScheduleNotification(mid, accepted=rng.random() < 0.5)
+        rng.random()  # unused, kept so every later message of a seed stays the same
+        return ScheduleNotification(mid)
     return RpcMessage(mid, Operation("cancel-schedule", {"target-id": _ident(rng)}))
 
 
@@ -151,7 +152,6 @@ def ref_encode(msg: Message) -> bytes:
     elif isinstance(msg, ScheduleNotification):
         obj["type"] = "notification"
         obj["message-id"] = _ref_check_str(msg.message_id, "message-id")
-        obj["accepted"] = bool(msg.accepted)
     else:
         raise ValueError(f"not a protocol message: {msg!r}")
 
@@ -253,8 +253,5 @@ def ref_decode(data: bytes | bytearray | str) -> Message:
             params = _ref_params(obj, "params")
         return RpcReply(message_id, status, error_code, error_detail, execution_time, params)
     if type_value == "notification":
-        return ScheduleNotification(
-            message_id=_ref_str(obj, "message-id"),
-            accepted=_ref_bool(obj, "accepted"),
-        )
+        return ScheduleNotification(_ref_str(obj, "message-id"))
     raise UnknownType(type_value)

@@ -272,8 +272,7 @@ class TestNotifications:
         t_s = client.now() + 2 * SECONDS
         call = client.submit("s1", Operation("noop"), t_s, get_time=True)
         client.wait([call], t_s + SECONDS)
-        assert call.notification is not None
-        assert call.notification.accepted
+        assert call.notification_at is not None
         assert call.notification_at < t_s
 
     def test_unmatched_reply_is_counted(self):
@@ -284,7 +283,7 @@ class TestNotifications:
     @pytest.mark.parametrize(
         "msg",
         [
-            ScheduleNotification("m42", True),
+            ScheduleNotification("m42"),
             RpcMessage("m42", Operation("noop")),
             RpcMessage("m43", Operation("cancel-schedule", {"target-id": "m42"})),
         ],
@@ -571,6 +570,23 @@ class TestAtomicCommit:
         for sid in ["s1", "s2", "s3", "s4"]:
             assert result.cancel_times[sid] < at
         assert "s5" not in result.cancel_times
+
+    def test_refusing_participant_records_no_acceptance(self):
+        # s2 refuses the commit with its error reply alone: nothing marks it
+        # accepted, while s1's acceptance is recorded before its reply.
+        tight = {"s2": {
+            "model": ExecutionModel(base=15 * MILLIS),
+            "range": SchedulingRangeConfig(sched_max_future=1 * SECONDS),
+        }}
+        loop, client, servers = self.staged_world(1, extra=tight)
+        at = client.now() + 2 * SECONDS
+        result = client.atomic_commit(["s1", "s2"], at)
+        refused = result.outcomes["s2"]
+        assert refused.error_code == "schedule-out-of-range"
+        assert refused.notification_at is None
+        assert list(result.accept_times) == ["s1"]
+        assert result.accept_times["s1"] == result.outcomes["s1"].notification_at
+        assert result.reason == "rejected: s2"
 
     def test_repeated_server_takes_part_once(self):
         tight = {"s2": {

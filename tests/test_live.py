@@ -60,7 +60,7 @@ def test_cancel_over_tcp():
             "live1", Operation("noop"), core.now() + 5 * SECONDS
         )
         deadline = core.now() + 2 * SECONDS
-        core.driver.wait_until(lambda: call.notification is not None, deadline)
+        core.driver.wait_until(lambda: call.notification_at is not None, deadline)
         out = core.cancel("live1", call.message_id)
         assert out.ok and out.error_code is None
         assert server.core.log == []
@@ -297,6 +297,30 @@ def _assert_leaves_nothing(make) -> None:
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+def test_live_link_id_refuses_a_second_link():
+    # A second link under s would fail when the first one ends, so connect
+    # refuses it and opens nothing; once that link drops, s connects again.
+    threads = threading.active_count()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with LiveServer("a") as a, LiveServer("b") as b, LiveClient() as client:
+            client.connect("s", a.address)
+            core = client.core
+            call = core.submit("s", Operation("noop"), core.now() + 5 * SECONDS)
+            with pytest.raises(ValueError):
+                client.connect("s", b.address)
+            assert len(client._socks) == 1
+            a.close()
+            core.wait([call], core.now() + 2 * SECONDS)
+            assert isinstance(call.error, TransportClosed)
+            client.connect("s", b.address)
+            assert core.schedule_raw("s", Operation("noop")).ok
+            assert len(b.core.log) == 1
+        gc.collect()
+    assert threading.active_count() == threads
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 def test_server_on_a_busy_port_leaks_nothing():
     with socket.create_server(("127.0.0.1", 0)) as busy:
         port = busy.getsockname()[1]
@@ -325,8 +349,8 @@ def test_op_outlives_its_connection_and_replies_on_it():
             first.connect("live1", server.address)
             core = first.core
             call = core.submit("live1", Operation("noop"), core.now() + 300 * MILLIS)
-            core.driver.wait_until(lambda: call.notification is not None, core.now() + 2 * SECONDS)
-            assert call.message_id == "m1" and call.notification.accepted
+            core.driver.wait_until(lambda: call.notification_at is not None, core.now() + 2 * SECONDS)
+            assert call.message_id == "m1" and call.notification_at is not None
         with LiveClient() as second:
             second.connect("live1", server.address)
             core = second.core

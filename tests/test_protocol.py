@@ -55,8 +55,8 @@ class TestFrozenFrames:
         )
 
     def test_notification(self):
-        frame = encode(ScheduleNotification("m2", accepted=True))
-        assert frame == b'{"type":"notification","message-id":"m2","accepted":true}\n'
+        frame = encode(ScheduleNotification("m2"))
+        assert frame == b'{"type":"notification","message-id":"m2"}\n'
 
     def test_cancel(self):
         frame = encode(RpcMessage("m9", Operation("cancel-schedule", {"target-id": "m3"})))
@@ -89,7 +89,7 @@ class TestRoundTrip:
         assert decode(encode(msg)) == msg
 
     def test_str_input_accepted(self):
-        msg = ScheduleNotification("m1", False)
+        msg = ScheduleNotification("m1")
         assert decode(encode(msg).decode("utf-8")) == msg
         assert decode(memoryview(encode(msg))) == msg
 
@@ -125,10 +125,10 @@ class TestDecodeErrors:
 
     def test_no_trailing_newline(self):
         with pytest.raises(MalformedFrame):
-            decode(b'{"type":"notification","message-id":"m1","accepted":true}')
+            decode(b'{"type":"notification","message-id":"m1"}')
 
     def test_two_frames_at_once(self):
-        one = encode(ScheduleNotification("m1", accepted=True))
+        one = encode(ScheduleNotification("m1"))
         with pytest.raises(MalformedFrame):
             decode(one + one)
 
@@ -167,10 +167,11 @@ class TestDecodeErrors:
             decode(b'{"type":"rpc-reply","message-id":"m1","status":"error"}\n')
         assert exc.value.field_name == "error-code"
 
-    def test_notification_missing_accepted(self):
-        with pytest.raises(MissingField) as exc:
-            decode(b'{"type":"notification","message-id":"m1"}\n')
-        assert exc.value.field_name == "accepted"
+    def test_notification_extra_key_decodes_by_id(self):
+        # A writer that still adds "accepted" misses the canonical layout;
+        # JSON reads the frame, and the notification is its message id alone.
+        frame = b'{"type":"notification","message-id":"m1","accepted":true}\n'
+        assert decode(frame) == ref_decode(frame) == ScheduleNotification("m1")
 
     def test_cancel_missing_target(self):
         # Its params are the server's to check: it answers invalid-params.
@@ -342,7 +343,7 @@ _replies = st.builds(
 _messages = st.one_of(
     _rpcs,
     _replies,
-    st.builds(ScheduleNotification, st.one_of(_ident, st.just("")), st.booleans()),
+    st.builds(ScheduleNotification, st.one_of(_ident, st.just(""))),
 )
 _valid_messages = st.one_of(
     st.builds(RpcMessage, _ident, st.builds(Operation, _ident, _params), st.one_of(st.none(), _ints), st.booleans()),
@@ -353,7 +354,7 @@ _valid_messages = st.one_of(
         params=st.one_of(st.none(), _params),
     ),
     st.builds(RpcReply.make_error, _ident, _ident, _text),
-    st.builds(ScheduleNotification, _ident, st.booleans()),
+    st.builds(ScheduleNotification, _ident),
 )
 _OPTIONAL_FIELDS = {
     "rpc": ["scheduled-time", "get-time"],
@@ -427,7 +428,7 @@ def _outcome(fn, arg):
 _RPC = b'{"type":"rpc","message-id":"m1","op":"noop","params":{},"scheduled-time":5,"get-time":true}\n'
 _REPLY = b'{"type":"rpc-reply","message-id":"m1","status":"ok","execution-time":7}\n'
 _ERROR = b'{"type":"rpc-reply","message-id":"m1","status":"error","error-code":"cancelled"}\n'
-_NOTIFY = b'{"type":"notification","message-id":"m1","accepted":true}\n'
+_NOTIFY = b'{"type":"notification","message-id":"m1"}\n'
 _CANCEL = b'{"type":"rpc","message-id":"m2","op":"cancel-schedule","params":{"target-id":"m1"}}\n'
 
 
@@ -486,7 +487,7 @@ class TestReferenceEquivalence:
             RpcMessage("m1", Operation("op", {"k": "v"}), scheduled_time=5, get_time=True),
             RpcReply.make_ok("m2", execution_time=7, params={"value": "x"}),
             RpcReply.make_error("m3", "cancelled", "why"),
-            ScheduleNotification("m4", True),
+            ScheduleNotification("m4"),
         ]
 
         def check(obj: dict, changes: dict) -> None:

@@ -117,7 +117,7 @@ class TestScheduledExecution:
         rpc(server, "m1", at=t_s, get_time=True)
         loop.run_until(deadline=5 * SECONDS)
         [(notified_at, note)] = wire.notifications("m1")
-        assert note.accepted
+        assert note == ScheduleNotification("m1")
         assert notified_at < t_s
         entry = server.log[0]
         assert entry is server.ops["m1"]
@@ -148,11 +148,14 @@ class TestScheduledExecution:
         loop, server, wire = make_server()
         rpc(server, "m1", at=16 * SECONDS, get_time=True)
         loop.run_until(deadline=60 * SECONDS)
-        [(_, note)] = wire.notifications("m1")
-        assert not note.accepted
-        reply = wire.reply("m1")
-        assert not reply.ok
-        assert reply.error_code == "schedule-out-of-range"
+        # As in RFC 7758, the refusal is one frame: the error reply.
+        [(sent_at, reply)] = wire.events
+        assert sent_at == 0
+        assert reply == RpcReply.make_error(
+            "m1",
+            "schedule-out-of-range",
+            f"scheduled-time {16 * SECONDS} outside acceptable range",
+        )
         assert "m1" in server.rejected_ids
         assert server.log == []
         assert "m1" not in server.ops
