@@ -11,7 +11,9 @@ Each LiveServer runs that thread and a connection thread; each LiveClient
 runs one socket reader per connected server. Both cores see one scheduler
 interface, now/call_at/lock: timers fire under the driver's lock, and each
 core takes that lock itself at its entry points, so the readers here hand
-frames to a core bare.
+frames to a core bare. A connection is closed once, by the reader that saw
+it end, under that same lock, which every send on it holds too; close() on
+either side only shuts sockets down to wake their readers, and joins them.
 
 Timing here is at the mercy of the host scheduler, so expect millisecond
 jitter; the virtual-time harness is the place for exact assertions.
@@ -125,28 +127,33 @@ class ThreadScheduler(LiveDriver):
         self._thread.join(timeout=1.0)
 
 
-def _hang_up(sock: socket.socket) -> None:
-    # shutdown wakes a reader blocked in recv; close alone does not
-    with contextlib.suppress(OSError):
+def _shut(sock: socket.socket, lock) -> None:
+    # shutdown wakes the thread reading sock, which closes it under `lock`
+    with lock, contextlib.suppress(OSError):
         sock.shutdown(socket.SHUT_RDWR)
-    with contextlib.suppress(OSError):
-        sock.close()
 
 
-def _reader(sock: socket.socket, deliver, on_close=None) -> None:
+def _reader(sock: socket.socket, deliver, driver: LiveDriver, on_close=None) -> None:
+    """Hand sock's frames to deliver until sock ends, then close it.
+
+    on_close and the close run in one hold of the driver's lock, which
+    every send on sock holds too: no send meets a descriptor closed under
+    it, and whoever sees sock open under that lock sees the link live.
+    Then the driver's waiters wake, since the end may have ended a call.
+    """
     splitter = FrameSplitter()
     try:
-        while True:
-            data = sock.recv(65536)
-            if not data:
-                break
+        while data := sock.recv(65536):
             for frame in splitter.feed(data):
                 deliver(frame)
     except OSError:
         pass
     finally:
-        if on_close is not None:
-            on_close()
+        with driver.lock:
+            if on_close is not None:
+                on_close()
+            sock.close()
+        driver.wake()
 
 
 class LiveServer:
@@ -156,9 +163,12 @@ class LiveServer:
     core session for each: message ids are unique per connection, and each
     op replies on the connection it came on, or nowhere once that has
     closed. That thread hands frames to the core bare: the core takes its
-    ThreadScheduler's lock, which the scheduler's timers fire under.
-    close() stops that thread before the timers, so no frame already read
-    reaches a closed scheduler. `server_kwargs` go to Server as they are.
+    ThreadScheduler's lock, which the scheduler's timers fire under. Under
+    that lock too, the thread closes each connection when it ends. close()
+    only shuts the connection and the listener down and joins the thread;
+    then it closes the listener and stops the timers, so no frame already
+    read reaches a closed scheduler. `server_kwargs` go to Server as they
+    are.
     """
 
     def __init__(
@@ -188,13 +198,19 @@ class LiveServer:
             opened.pop_all()
 
     def _serve(self) -> None:
-        while not self._closed:
+        while True:
             try:
                 conn, _ = self._listener.accept()
-            except OSError:
+            except OSError:  # close() shut the listener down
                 return
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._conn = conn
+            # One hold with close(): it either finds conn here to shut down,
+            # or has shut the listener down, so the next accept fails.
+            with self._sched.lock:
+                if self._closed:
+                    conn.close()
+                    continue
+                self._conn = conn
 
             # conn is bound now: the next accept rebinds the loop's name.
             def send(frame: bytes, conn=conn) -> None:
@@ -204,20 +220,16 @@ class LiveServer:
                     pass
 
             self.core.open_session(send)
-            _reader(conn, self.core.on_frame)
-            # Under the lock, so no timer callback is sending on it meanwhile.
-            with self._sched.lock:
-                if self._conn is conn:
-                    self._conn = None
-                conn.close()
+            _reader(conn, self.core.on_frame, self._sched)
 
     def close(self) -> None:
-        self._closed = True
-        conn = self._conn
-        if conn is not None:
-            _hang_up(conn)
-        _hang_up(self._listener)
+        with self._sched.lock:
+            self._closed = True
+            _shut(self._listener, self._sched.lock)
+            if self._conn is not None:
+                _shut(self._conn, self._sched.lock)
         self._accept_thread.join(timeout=1.0)
+        self._listener.close()
         self._sched.close()
 
     def __enter__(self) -> "LiveServer":
@@ -232,8 +244,11 @@ class LiveClient:
 
     Each link's reader thread feeds frames to the core, which takes the
     driver's lock itself, and wakes the waiters. When a link's reader
-    ends, its pending and later calls fail with TransportClosed at once,
-    and only then can its server id connect again.
+    ends, it fails the link's pending and later calls with TransportClosed
+    and closes the link's socket, in one hold of that lock. Only then can
+    the server id connect again, and that connect joins the old reader,
+    so a client holds one socket and one thread per server id however
+    often it reconnects. Connecting one server never blocks the others.
     There is no timer thread: a timer set on `driver`, such as a probe
     plan's dispatch, fires inside a wait.
     """
@@ -241,53 +256,53 @@ class LiveClient:
     def __init__(self, **client_kwargs):
         self.driver = LiveDriver()
         self.core = Client(self.driver, **client_kwargs)
-        self._socks: list[socket.socket] = []
-        self._threads: list[threading.Thread] = []
-        self._live: set[str] = set()  # server ids whose reader runs
+        # server id -> (socket, reader thread) of its latest link, which
+        # is live while its socket is open
+        self._links: dict[str, tuple[socket.socket, threading.Thread]] = {}
 
     def connect(self, server_id: str, address: tuple[str, int]) -> None:
         """Open a link to server_id and start its reader.
 
         Raises ValueError, and opens nothing, while the id's last link is
-        live: that link's end would fail the new one's calls. The check and
-        the connect hold the driver's lock, so no earlier link of the id
-        drops in between.
+        live: that link's end would fail the new one's calls. The TCP
+        handshake runs without the driver's lock, so the other links and
+        the waits go on meanwhile. A connect that another connect of the
+        same id overtook in the meantime closes its socket and raises
+        ValueError too.
         """
         with self.driver.lock:
-            if server_id in self._live:
+            last = self._links.get(server_id)
+            if last is not None and last[0].fileno() != -1:
                 raise ValueError(f"link to {server_id!r} is still open")
-            sock = socket.create_connection(address)
-            self._live.add(server_id)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._socks.append(sock)
-        self.core.connect(server_id, sock.sendall)
+        if last is not None:
+            last[1].join()  # closing its socket was its last step
 
         def deliver(frame: bytes) -> None:
             self.core.on_frame(frame)
             self.driver.wake()
 
-        def dropped() -> None:
-            # One hold of the lock: no reconnect slips in between.
+        with contextlib.ExitStack() as opened:
+            sock = opened.enter_context(socket.create_connection(address))
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            reader = threading.Thread(
+                target=_reader,
+                args=(sock, deliver, self.driver, lambda: self.core.disconnect(server_id)),
+                name=f"chronorpc-reader-{server_id}",
+                daemon=True,
+            )
             with self.driver.lock:
-                self.core.disconnect(server_id)
-                self._live.discard(server_id)
-            self.driver.wake()
-
-        thread = threading.Thread(
-            target=_reader,
-            args=(sock, deliver, dropped),
-            name=f"chronorpc-reader-{server_id}",
-            daemon=True,
-        )
-        thread.start()
-        self._threads.append(thread)
+                if self._links.get(server_id) is not last:
+                    raise ValueError(f"{server_id!r} was connected meanwhile")
+                reader.start()
+                self.core.connect(server_id, sock.sendall)
+                self._links[server_id] = (sock, reader)
+            opened.pop_all()
 
     def close(self) -> None:
-        for sock in self._socks:
-            _hang_up(sock)
+        for sock, reader in self._links.values():
+            _shut(sock, self.driver.lock)
+            reader.join(timeout=1.0)
         self.driver.close()
-        for thread in self._threads:
-            thread.join(timeout=1.0)
 
     def __enter__(self) -> "LiveClient":
         return self

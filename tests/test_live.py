@@ -7,6 +7,7 @@ virtual-time suites.
 
 import gc
 import logging
+import os
 import random
 import socket
 import sys
@@ -83,7 +84,8 @@ def test_both_ends_disable_nagle():
     with LiveServer("live1") as server, LiveClient() as client:
         client.connect("live1", server.address)
         client.core.schedule_raw("live1", Operation("noop"))
-        for sock in (client._socks[0], server._conn):
+        client_sock, _ = client._links["live1"]
+        for sock in (client_sock, server._conn):
             assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
 
@@ -285,15 +287,28 @@ def test_dropped_connection_fails_calls_at_once():
         assert core._pending == {}
 
 
+def _open_fds() -> int:
+    """How many descriptors this process holds open.
+
+    A socket that something still references raises no ResourceWarning,
+    so only a count of descriptors shows one left open.
+    """
+    try:
+        return len(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        pytest.skip("no /proc/self/fd to count descriptors in")
+
+
 def _assert_leaves_nothing(make) -> None:
     """A make() that raises leaves no thread running and no socket unclosed."""
-    threads = threading.active_count()
+    threads, fds = threading.active_count(), _open_fds()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         with pytest.raises((OSError, ValueError)):
             make()
         gc.collect()
     assert threading.active_count() == threads
+    assert _open_fds() == fds
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
@@ -307,9 +322,10 @@ def test_live_link_id_refuses_a_second_link():
             client.connect("s", a.address)
             core = client.core
             call = core.submit("s", Operation("noop"), core.now() + 5 * SECONDS)
+            fds = _open_fds()
             with pytest.raises(ValueError):
                 client.connect("s", b.address)
-            assert len(client._socks) == 1
+            assert _open_fds() == fds
             a.close()
             core.wait([call], core.now() + 2 * SECONDS)
             assert isinstance(call.error, TransportClosed)
@@ -319,6 +335,98 @@ def test_live_link_id_refuses_a_second_link():
         gc.collect()
     assert threading.active_count() == threads
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_reconnect_rounds_leak_nothing():
+    # Each round's link drops with its server. Its socket closes as its
+    # calls fail, and the next connect of s joins its reader, so the
+    # client holds one link's worth however often s reconnects.
+    threads, fds = threading.active_count(), _open_fds()
+    with LiveClient() as client:
+        core = client.core
+        for _ in range(5):
+            with LiveServer("a") as server:
+                client.connect("s", server.address)
+                # the server's timer and connection threads, and one reader
+                assert threading.active_count() == threads + 3
+                call = core.submit("s", Operation("noop"), core.now() + 5 * SECONDS)
+            core.wait([call], core.now() + 2 * SECONDS)
+            assert isinstance(call.error, TransportClosed)
+            assert _open_fds() == fds
+    assert threading.active_count() == threads
+
+
+def test_connect_leaves_the_lock_free_during_the_handshake(monkeypatch):
+    # Every other link's reader and every wait take the driver's lock, so
+    # a slow handshake must not hold it.
+    create_connection = socket.create_connection
+    lock_free = []
+
+    def try_the_lock():
+        got = client.driver.lock.acquire(timeout=1)
+        if got:
+            client.driver.lock.release()
+        lock_free.append(got)
+
+    def handshake(*args, **kwargs):
+        other = threading.Thread(target=try_the_lock)
+        other.start()
+        other.join(timeout=5)
+        return create_connection(*args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", handshake)
+    with LiveServer("live1") as server, LiveClient() as client:
+        client.connect("live1", server.address)
+        assert lock_free == [True]
+        assert client.core.schedule_raw("live1", Operation("noop")).ok
+
+
+def test_connect_overtaken_during_its_handshake_closes_its_socket(monkeypatch):
+    # A second connect of the same id completes while the first is in its
+    # handshake: the first must not replace that live link.
+    create_connection = socket.create_connection
+    made = []
+
+    def handshake(*args, **kwargs):
+        monkeypatch.setattr(socket, "create_connection", create_connection)
+        client.connect("live1", server.address)
+        made.append(create_connection(*args, **kwargs))
+        return made[0]
+
+    with LiveServer("live1") as server, LiveClient() as client:
+        monkeypatch.setattr(socket, "create_connection", handshake)
+        with pytest.raises(ValueError):
+            client.connect("live1", server.address)
+        assert made[0].fileno() == -1
+        assert client.core.schedule_raw("live1", Operation("noop")).ok
+
+
+def test_server_close_racing_an_accept_leaves_nothing(monkeypatch):
+    # close() runs after accept() returns, before the server takes the
+    # connection in: the connection thread still ends, and closes it.
+    server = LiveServer("live1")
+    accepted, closers = [], []
+    setsockopt = socket.socket.setsockopt
+
+    def close_first(sock, *args):
+        if threading.current_thread() is server._accept_thread:
+            accepted.append(sock)
+            closers.append(threading.Thread(target=server.close))
+            closers[0].start()
+            closers[0].join(timeout=0.2)  # close() runs on to its join of us
+        setsockopt(sock, *args)
+
+    monkeypatch.setattr(socket.socket, "setsockopt", close_first)
+    try:
+        with socket.create_connection(server.address, timeout=5):
+            server._accept_thread.join(timeout=2)
+            assert not server._accept_thread.is_alive()
+            [conn] = accepted
+            assert conn.fileno() == -1
+        closers[0].join(timeout=2)
+        assert not closers[0].is_alive()
+    finally:
+        server.close()
 
 
 def test_server_on_a_busy_port_leaks_nothing():
