@@ -199,7 +199,7 @@ def _cmd_experiment(args) -> int:
     if args.trials is not None:
         kwargs["trials"] = args.trials
     run = getattr(experiments, f"experiment_{name}")
-    report, _ = run(args.seed, **kwargs)
+    report = run(args.seed, **kwargs)
     if args.out is not None:
         report.write(args.out)
     sys.stdout.write(report.csv_text())

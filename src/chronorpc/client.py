@@ -406,7 +406,7 @@ class Client:
         with self._lock:
             late = [call for call in left if not call.resolved]
             for call in late:
-                call.error = ReplyTimeout(call.message_id, self._driver.now())
+                call.error = ReplyTimeout(call.message_id, deadline)
                 self._pending.pop(call.message_id, None)
         return not late
 

@@ -8,6 +8,12 @@ Three experiments, mirroring the questions the framework is meant to answer:
   stress     - occasional execution-time spikes: error inside the windows
                that follow a spike vs. quiet stretches
 
+Each study is a list of runs, each one server built by _one_server() and
+run to completion in turn. A run is scored by ScenarioResult.rule_rows(),
+one row per rule under the run's labels, so the report's count, mean and
+max read as chronorpc run's summary does. Only the report is returned: a
+run's world is dropped once it is scored.
+
 Every experiment derives per-scenario seeds from its root seed through
 named substreams, so reports are reproducible and individual scenarios can
 be re-run in isolation.
@@ -24,7 +30,7 @@ from ..protocol import MILLIS, SECONDS
 from ..server import ExecutionModel
 from ..sim import named_rng
 from .scenario import Scenario, ServerSpec
-from .runner import ScenarioResult, run_scenario
+from .runner import error_score, run_scenario
 
 __all__ = [
     "ExperimentReport",
@@ -70,34 +76,26 @@ PLATFORM_PROFILES: tuple[tuple[str, ExecutionModel], ...] = (
 )
 
 
-def experiment_platforms(
-    seed: int = 1,
-    *,
-    samples: int = 300,
-) -> tuple[ExperimentReport, dict[str, ScenarioResult]]:
+def _one_server(name: str, seed: int, model: ExecutionModel, **settings) -> Scenario:
+    """A run of one server executing under `model`; `settings` are the
+    remaining Scenario fields."""
+    return Scenario(name=name, seed=seed, servers=(ServerSpec(model=model),), **settings)
+
+
+def experiment_platforms(seed: int = 1, *, samples: int = 300) -> ExperimentReport:
     rows = []
-    results: dict[str, ScenarioResult] = {}
     for profile, model in PLATFORM_PROFILES:
-        scenario = Scenario(
-            name=f"platforms-{profile}",
-            seed=_sub_seed(seed, "platforms", profile),
-            probe="periodic",
-            period=8 * SECONDS,
-            samples=samples,
-            servers=(ServerSpec(model=model),),
-        )
-        result = run_scenario(scenario)
-        results[profile] = result
+        result = run_scenario(_one_server(
+            f"platforms-{profile}", _sub_seed(seed, "platforms", profile), model,
+            period=8 * SECONDS, samples=samples,
+        ))
         mean_ete = f"{result.mean_ete('s1'):.3f}"
-        for algo in scenario.algorithms:
-            count, mean, worst = result.error_stats("s1", algo)
-            rows.append((profile, algo, count, f"{mean:.3f}", worst, mean_ete))
-    report = ExperimentReport(
+        rows += [row + (mean_ete,) for row in result.rule_rows("s1", profile)]
+    return ExperimentReport(
         "platforms",
         ("profile", "algorithm", "count", "mean_abs_error_ns", "max_abs_error_ns", "mean_ete_ns"),
         tuple(rows),
     )
-    return report, results
 
 
 def experiment_probing(
@@ -105,48 +103,31 @@ def experiment_probing(
     *,
     samples: int = 200,
     trials: int = 80,
-) -> tuple[ExperimentReport, dict[str, ScenarioResult]]:
+) -> ExperimentReport:
     model = ExecutionModel(base=30 * MILLIS, sigma=3 * MILLIS)
+    # (mode, period_ns, burst_size) labels each run's rows
+    runs = [
+        (("periodic", period, 0), _one_server(
+            f"probing-periodic-{period}", _sub_seed(seed, "probing", "periodic", period),
+            model, period=period, samples=samples,
+        ))
+        for period in (1 * SECONDS, 2 * SECONDS, 4 * SECONDS, 8 * SECONDS)
+    ] + [
+        (("burst", 1 * SECONDS, size), _one_server(
+            f"probing-burst-{size}", _sub_seed(seed, "probing", "burst", size), model,
+            probe="burst", period=1 * SECONDS, burst_size=size, trials=trials,
+        ))
+        for size in (1, 2, 4, 8)
+    ]
     rows = []
-    results: dict[str, ScenarioResult] = {}
-    for period in (1 * SECONDS, 2 * SECONDS, 4 * SECONDS, 8 * SECONDS):
-        scenario = Scenario(
-            name=f"probing-periodic-{period}",
-            seed=_sub_seed(seed, "probing", "periodic", period),
-            probe="periodic",
-            period=period,
-            samples=samples,
-            servers=(ServerSpec(model=model),),
-        )
-        result = run_scenario(scenario)
-        results[scenario.name] = result
-        for algo in scenario.algorithms:
-            count, mean, worst = result.error_stats("s1", algo)
-            rows.append(("periodic", period, 0, algo, count, f"{mean:.3f}", worst))
-    for size in (1, 2, 4, 8):
-        scenario = Scenario(
-            name=f"probing-burst-{size}",
-            seed=_sub_seed(seed, "probing", "burst", size),
-            probe="burst",
-            period=1 * SECONDS,
-            burst_size=size,
-            trials=trials,
-            servers=(ServerSpec(model=model),),
-        )
-        result = run_scenario(scenario)
-        results[scenario.name] = result
-        for algo in scenario.algorithms:
-            count, mean, worst = result.error_stats("s1", algo)
-            rows.append(
-                ("burst", scenario.period, size, algo, count, f"{mean:.3f}", worst)
-            )
-    report = ExperimentReport(
+    for labels, scenario in runs:
+        rows += run_scenario(scenario).rule_rows("s1", *labels)
+    return ExperimentReport(
         "probing",
         ("mode", "period_ns", "burst_size", "algorithm", "count",
          "mean_abs_error_ns", "max_abs_error_ns"),
         tuple(rows),
     )
-    return report, results
 
 
 def spike_window_split(
@@ -166,39 +147,26 @@ def spike_window_split(
     return inside, outside
 
 
-def experiment_stress(
-    seed: int = 1,
-    *,
-    samples: int = 1000,
-) -> tuple[ExperimentReport, ScenarioResult]:
+def experiment_stress(seed: int = 1, *, samples: int = 1000) -> ExperimentReport:
     model = ExecutionModel(
         base=30 * MILLIS, sigma=3 * MILLIS, spike_p=0.02, spike_mult=10.0
     )
-    scenario = Scenario(
-        name="stress-spikes",
-        seed=_sub_seed(seed, "stress"),
-        probe="periodic",
-        period=1 * SECONDS,
-        samples=samples,
-        servers=(ServerSpec(model=model),),
+    scenario = _one_server(
+        "stress-spikes", _sub_seed(seed, "stress"), model,
+        period=1 * SECONDS, samples=samples,
     )
     result = run_scenario(scenario)
     inside, outside = spike_window_split(
         result.spike_indices["s1"], samples, scenario.window
     )
     rows = []
-    for algo in scenario.algorithms:
+    for algo, *overall in result.rule_rows("s1"):
         errors = result.errors("s1", algo)
         for region, indices in (("spike-window", inside), ("quiet", outside)):
-            picked = [errors[i] for i in indices]
-            mean = sum(picked) / len(picked) if picked else 0.0
-            worst = max(picked) if picked else 0
-            rows.append((algo, region, len(picked), f"{mean:.3f}", worst))
-        count, mean, worst = result.error_stats("s1", algo)
-        rows.append((algo, "overall", count, f"{mean:.3f}", worst))
-    report = ExperimentReport(
+            rows.append((algo, region, *error_score([errors[i] for i in indices])))
+        rows.append((algo, "overall", *overall))
+    return ExperimentReport(
         "stress",
         ("algorithm", "region", "count", "mean_abs_error_ns", "max_abs_error_ns"),
         tuple(rows),
     )
-    return report, result

@@ -40,6 +40,7 @@ __all__ = [
     "ScenarioResult",
     "run_scenario",
     "check_world",
+    "error_score",
     "CSV_HEADER",
 ]
 
@@ -121,6 +122,13 @@ def build_world(scenario: Scenario, seed: int | None = None) -> World:
     return World(loop, client, servers, scenario)
 
 
+def error_score(errors: list[int]) -> tuple[int, str, int]:
+    """Count, mean (to three decimals) and max of a list of absolute errors;
+    all zero when it is empty. Every report scores a rule with this."""
+    mean = sum(errors) / len(errors) if errors else 0.0
+    return len(errors), f"{mean:.3f}", max(errors, default=0)
+
+
 @dataclass
 class ScenarioResult:
     """One run: per server, the measured calls in sample order, each rule's
@@ -162,12 +170,13 @@ class ScenarioResult:
             for p, call in zip(preds, self.outcomes[server_id])
         ]
 
-    def error_stats(self, server_id: str, algorithm: str) -> tuple[int, float, int]:
-        """Count, mean and max of errors(); all zero when there are none."""
-        errors = self.errors(server_id, algorithm)
-        if not errors:
-            return 0, 0.0, 0
-        return len(errors), sum(errors) / len(errors), max(errors)
+    def rule_rows(self, server_id: str, *labels: object) -> list[tuple]:
+        """One row per scored rule: the labels, the rule, then error_score()
+        of its errors on this server."""
+        return [
+            (*labels, algo, *error_score(self.errors(server_id, algo)))
+            for algo in self.scenario.algorithms
+        ]
 
     def mean_ete(self, server_id: str) -> float:
         calls = self.outcomes[server_id]
@@ -202,9 +211,7 @@ class ScenarioResult:
             "# server algorithm count mean_abs_error_ns max_abs_error_ns",
         ]
         for sid, calls in self.outcomes.items():
-            for algo in s.algorithms:
-                count, mean, worst = self.error_stats(sid, algo)
-                lines.append(f"{sid} {algo} {count} {mean:.3f} {worst}")
+            lines += [" ".join(map(str, row)) for row in self.rule_rows(sid, sid)]
             lines.append(f"{sid} mean-ete {len(calls)} {self.mean_ete(sid):.3f} -")
         return "\n".join(lines) + "\n"
 

@@ -68,8 +68,10 @@ def run_probe_plan(
     unanswered leaves a gap, and the remaining probes still run. The plan's
     one wait ends every call: a refused probe holds its error reply, an
     unsent one the transport's error and one unanswered at the deadline
-    ReplyTimeout, so a late reply feeds no predictor.
+    ReplyTimeout, so a late reply feeds no predictor. A server the client
+    is not connected to raises ValueError before any probe is timed.
     """
+    client._send_to(server_id)
     count = plan.count
     op = operation if operation is not None else probe_operation()
     lead = client.dispatch_lead

@@ -107,6 +107,8 @@ class Link:
     ):
         if delay < 0 or jitter < 0:
             raise ValueError("delay and jitter must be non-negative")
+        if jitter and rng is None:
+            raise ValueError("jitter needs an rng to draw it from")
         self._loop = loop
         self._deliver = deliver
         self.delay = delay
@@ -121,7 +123,7 @@ class Link:
         if self._closed:
             raise TransportClosed(f"{self.name} is closed")
         at = self._loop.now() + self.delay
-        if self.jitter and self._rng:
+        if self.jitter:
             at += int(self._rng.random() * self.jitter)
         if at < self._last_delivery:
             at = self._last_delivery

@@ -337,6 +337,14 @@ class TestNotifications:
         assert client._pending == {}
         # an answered call is left as it was
         assert answered.ok and answered.error is None
+        # a deadline already past ends the call at once, and the error
+        # names that deadline, not the clock
+        past = client.now() - SECONDS
+        late = client.submit("s1", Operation("noop"), get_time=True)
+        assert client.wait([late], past) is False
+        assert late.error.deadline == past
+        assert str(late.error) == f"no reply for {late.message_id} by {past}"
+        assert client._pending == {}
 
     def test_resolve_waits_for_a_call_never_waited_on(self):
         loop, client, server, _ = one_server(ExecutionModel(base=25 * MILLIS))

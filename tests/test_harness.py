@@ -31,6 +31,7 @@ from chronorpc.harness import (
     run_scenario,
     spike_window_split,
 )
+from chronorpc.harness.runner import error_score
 from chronorpc import protocol
 from chronorpc.prediction import EteSample, PredictorState, evaluate_stream
 from chronorpc.protocol import MICROS, MILLIS, SECONDS, Operation, SchedulingRangeConfig
@@ -229,6 +230,16 @@ class TestRunScenario:
             assert errs[0] == 20 * MILLIS  # nothing known yet
             assert errs[1:] == [0] * 11
         assert result.errors("s1", "baseline") == [20 * MILLIS] * 12
+
+    def test_rule_rows_score_each_rule_after_its_labels(self):
+        result = run_scenario(small_scenario())
+        # eleven exact predictions after one of 0 ns: mean 20 ms / 12
+        learned = (12, "1666666.667", 20 * MILLIS)
+        assert result.rule_rows("s1", "x", 7) == [
+            ("x", 7, "baseline", 12, "20000000.000", 20 * MILLIS),
+            *(("x", 7, algo, *learned) for algo in ("average", "ft-average", "kalman")),
+        ]
+        assert error_score([]) == (0, "0.000", 0)
 
     def test_same_seed_same_bytes(self):
         a = run_scenario(small_scenario(seed=9))
@@ -627,9 +638,9 @@ def _sha256(text: str) -> str:
 
 def test_experiments_and_demos_match_golden_digests():
     reports = {
-        "platforms": experiment_platforms(seed=1, samples=60)[0],
-        "probing": experiment_probing(seed=1, samples=40, trials=20)[0],
-        "stress": experiment_stress(seed=1, samples=300)[0],
+        "platforms": experiment_platforms(seed=1, samples=60),
+        "probing": experiment_probing(seed=1, samples=40, trials=20),
+        "stress": experiment_stress(seed=1, samples=300),
     }
     for name, digest in EXPERIMENT_DIGESTS.items():
         assert _sha256(reports[name].csv_text()) == digest, name
@@ -640,21 +651,20 @@ def test_experiments_and_demos_match_golden_digests():
 
 class TestExperiments:
     def test_platforms(self):
-        report, results = experiment_platforms(seed=3, samples=20)
+        report = experiment_platforms(seed=3, samples=20)
         assert report.header[0] == "profile"
         profiles = {row[0] for row in report.rows}
         assert profiles == {"fast", "standard", "loaded"}
         assert all(row[2] == 20 for row in report.rows)
-        assert set(results) == profiles
 
     def test_probing(self):
-        report, results = experiment_probing(seed=3, samples=10, trials=4)
+        report = experiment_probing(seed=3, samples=10, trials=4)
         modes = {row[0] for row in report.rows}
         assert modes == {"periodic", "burst"}
         assert len(report.rows) > 0
 
     def test_stress_regions(self):
-        report, result = experiment_stress(seed=3, samples=120)
+        report = experiment_stress(seed=3, samples=120)
         regions = {row[1] for row in report.rows}
         assert regions == {"spike-window", "quiet", "overall"}
         for algo in ("baseline", "average", "ft-average", "kalman"):
@@ -662,7 +672,7 @@ class TestExperiments:
             assert len(rows) == 3
 
     def test_csv_round_trip(self, tmp_path):
-        report, _ = experiment_platforms(seed=3, samples=5)
+        report = experiment_platforms(seed=3, samples=5)
         path = report.write(tmp_path)
         assert path == tmp_path / "experiment_platforms.csv"
         rows = list(csv.reader(path.read_text().splitlines()))

@@ -20,6 +20,7 @@ import pytest
 
 from chronorpc import live
 from chronorpc.live import LiveClient, LiveDriver, LiveServer, ThreadScheduler
+from chronorpc.probing import BurstProbe, run_probe_plan
 from chronorpc.protocol import (
     MILLIS,
     SECONDS,
@@ -120,6 +121,19 @@ def test_thread_scheduler_survives_raising_callback(caplog):
         assert record.exc_info[0] is ValueError
     finally:
         sched.close()
+
+
+def test_probe_plan_to_an_unconnected_server_raises_at_once(caplog):
+    with LiveClient(reply_timeout=1 * SECONDS) as client:
+        core = client.core
+        start = time.monotonic()
+        with caplog.at_level(logging.ERROR, logger="chronorpc.live"):
+            with pytest.raises(ValueError, match="not connected to 'live1'"):
+                run_probe_plan(core, "live1", BurstProbe(3, 10 * MILLIS))
+            # a wait past the plan's slots would run any probe it had timed
+            core.driver.wait_until(None, core.now() + 100 * MILLIS)
+        assert time.monotonic() - start < 0.5
+        assert caplog.records == []
 
 
 def test_thread_scheduler_concurrent_call_at():

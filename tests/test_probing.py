@@ -124,6 +124,14 @@ class TestRunProbePlan:
         assert client.predictor("s1", "edit-config").sample_count == 3
         assert client.predictor("s1", "noop").sample_count == 0
 
+    def test_unconnected_server_raises_before_any_probe_is_timed(self):
+        loop, client, server = make_pair()
+        with pytest.raises(ValueError, match="not connected to 's2'"):
+            run_probe_plan(client, "s2", BurstProbe(3, 500 * MILLIS))
+        assert loop._heap == []
+        assert loop.run_until() is False
+        assert client._pending == {}
+
 
 class TestChoosers:
     def test_burst_picks_double_of_best(self):

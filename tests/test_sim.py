@@ -159,7 +159,8 @@ class TestLink:
 
     def test_negative_delay_or_jitter_is_refused(self):
         loop = EventLoop()
-        for bad in ({"delay": -1}, {"jitter": -1}):
+        # jitter with no rng would never be drawn: refused too
+        for bad in ({"delay": -1}, {"jitter": -1}, {"jitter": 1}):
             with pytest.raises(ValueError):
                 Link(loop, lambda f: None, **bad)
 
