@@ -103,6 +103,8 @@ class Scenario:
                 bad("algorithms", f"unknown algorithm {name!r}")
         if not self.algorithms:
             bad("algorithms", "need at least one")
+        if len(set(self.algorithms)) < len(self.algorithms):
+            bad("algorithms", "each algorithm may be named once")
         if self.delay < 0:
             bad("delay", "must be non-negative")
         if self.delay_jitter < 0:

@@ -94,7 +94,8 @@ class LiveDriver(EventLoop):
                 if self._heap:
                     head = self._heap[0][0] - now
                     left = head if left is None else min(left, head)
-                self._cond.wait(None if left is None else left / 1e9)
+                # Condition.wait overflows past TIMEOUT_MAX; the loop re-checks
+                self._cond.wait(None if left is None else min(left / 1e9, threading.TIMEOUT_MAX))
 
     def wake(self) -> None:
         with self._cond:

@@ -193,6 +193,7 @@ class TestScenarioText:
         ("delay_jitter", -1),
         ("lead", 1 * MILLIS),  # not above the default 1 ms link delay
         ("servers", ()),
+        ("algorithms", ("average", "average")),
     ],
 )
 def test_scenario_checks_each_field_on_construction(field_name, value):
@@ -589,6 +590,27 @@ def test_set_up_import_leaves_experiments_demos_logging_and_csv_unloaded():
         "    getattr(chronorpc.harness, name)\n"
     )
     assert _fresh_python(code) == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "module, layers",
+    [
+        ("protocol", []),
+        ("prediction", []),
+        ("sim", ["protocol"]),
+        ("server", ["protocol"]),
+        ("client", ["prediction", "protocol"]),
+    ],
+)
+def test_each_core_loads_only_the_layers_below_it(module, layers):
+    # The server core never needs the simulator or the client, and the
+    # client core never needs the server or the simulator.
+    code = (
+        f"import sys, chronorpc.{module}\n"
+        "print(sorted(m for m in sys.modules if m.startswith('chronorpc.')))\n"
+    )
+    expected = sorted(f"chronorpc.{name}" for name in [module, *layers])
+    assert _fresh_python(code) == f"{expected}\n"
 
 
 def test_cli_run_and_replay_leave_experiments_and_demos_unloaded(tmp_path):

@@ -123,6 +123,17 @@ def test_thread_scheduler_survives_raising_callback(caplog):
         sched.close()
 
 
+def test_a_hold_past_timeout_max_leaves_the_free_lane_running():
+    # The toast's end timer lies some 3 000 years out, past what
+    # Condition.wait accepts; the timer thread must live on to run the noop.
+    with LiveServer("live1", lanes=2) as server, LiveClient() as client:
+        client.connect("live1", server.address)
+        core = client.core
+        core.submit("live1", Operation("toast", {"duration-ns": "1" + "0" * 20}))
+        out = core.schedule_raw("live1", Operation("noop"), core.now() + 100 * MILLIS)
+        assert out.ok
+
+
 def test_probe_plan_to_an_unconnected_server_raises_at_once(caplog):
     with LiveClient(reply_timeout=1 * SECONDS) as client:
         core = client.core
