@@ -44,8 +44,8 @@ EXPERIMENTS = {
     "stress": "stress",
 }
 
-# sorted(harness.DEMOS), spelled out so that parsing the command line does
-# not load the demos; a test holds the two equal.
+# sorted(harness.demos.DEMOS), spelled out so that parsing the command line
+# does not load the demos; a test holds the two equal.
 DEMO_NAMES = ("commit", "commit-abort", "coordinated", "snapshot")
 
 REPLAY_INPUT_FIELDS = ("sequence", "scheduled_time_ns", "execution_time_ns")

@@ -26,7 +26,7 @@ with its driver's waits - the virtual-time event loop in simulation, a
 real-clock waiter for live TCP use - and through one frame-send callable
 per connected server. The client takes that lock itself at each entry
 point that touches its state, so incoming frames enter bare via
-on_frame()/on_message() from any thread.
+on_frame() from any thread.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .protocol import (
     ERR_UNKNOWN_MESSAGE_ID,
     MILLIS,
     SECONDS,
-    Message,
     Operation,
     ProtocolError,
     RpcMessage,
@@ -133,7 +132,7 @@ class CommitOutcome:
 
 @dataclass(slots=True)
 class PendingCall:
-    """One rpc's client-side record, resolved by on_message().
+    """One rpc's client-side record, resolved by on_frame().
 
     Once answered, the call is also the rpc's outcome: the properties below
     read the reply it holds. A call whose `ete` is set is a measured sample;
@@ -266,13 +265,15 @@ class Client:
         """The link to server_id is gone: its calls fail with TransportClosed.
 
         Every call pending on it resolves now, and so does every later one:
-        the id stays connected, but its sends fail.
+        the id stays connected, but its sends fail. Raises ValueError for
+        an id that was never connected.
         """
 
         def closed(frame: bytes) -> None:
             raise TransportClosed(f"link to {server_id!r} is closed")
 
         with self._lock:
+            self._send_to(server_id)  # refuses an id never connected
             self._sends[server_id] = closed
             for call in [c for c in self._pending.values() if c.server_id == server_id]:
                 del self._pending[call.message_id]
@@ -301,12 +302,7 @@ class Client:
         try:
             msg = decode(frame)
         except ProtocolError:
-            with self._lock:
-                self.decode_errors += 1
-            return
-        self.on_message(msg)
-
-    def on_message(self, msg: Message) -> None:
+            msg = None
         with self._lock:
             now = self._driver.now()
             if isinstance(msg, RpcReply):
@@ -329,14 +325,12 @@ class Client:
                     self.unmatched_messages += 1
                     return
                 call.notification_at = now
+            elif msg is None:
+                self.decode_errors += 1
             else:
                 self.unmatched_messages += 1
 
     # -- submission primitives -------------------------------------------
-
-    def _next_mid(self) -> str:
-        self._mid_counter += 1
-        return f"m{self._mid_counter}"
 
     def submit(
         self,
@@ -354,8 +348,8 @@ class Client:
         """
         with self._lock:
             send = self._send_to(server_id)
-            now = self._driver.now()
-            mid = self._next_mid()
+            self._mid_counter += 1
+            mid = f"m{self._mid_counter}"
             # Encoded before it is registered: a message that cannot be sent
             # leaves no call pending.
             frame = encode(RpcMessage(mid, operation, scheduled_time, get_time))
@@ -364,11 +358,21 @@ class Client:
                 mid,
                 operation,
                 scheduled_time,
-                now,
+                self._driver.now(),
                 prediction,
                 desired_completion,
             )
-            self._send(send, call, frame)
+            # Registered before the send, so a transport that delivers
+            # synchronously still finds the call; a send that fails leaves
+            # nothing pending.
+            self._pending[mid] = call
+            try:
+                send(frame)
+            except BaseException as exc:
+                self._pending.pop(mid, None)
+                if not isinstance(exc, (TransportClosed, OSError)):
+                    raise
+                call.error = exc
         return call
 
     def submit_cancel(self, server_id: str, target_id: str) -> PendingCall:
@@ -377,21 +381,6 @@ class Client:
             raise ValueError("target-id must be a non-empty string")
         operation = Operation("cancel-schedule", {"target-id": target_id})
         return self.submit(server_id, operation)
-
-    def _send(
-        self, send: Callable[[bytes], None], call: PendingCall, frame: bytes
-    ) -> None:
-        # Registered before the send, so a transport that delivers
-        # synchronously still finds the call; a send that fails leaves
-        # nothing pending.
-        self._pending[call.message_id] = call
-        try:
-            send(frame)
-        except BaseException as exc:
-            self._pending.pop(call.message_id, None)
-            if not isinstance(exc, (TransportClosed, OSError)):
-                raise
-            call.error = exc
 
     def wait(self, calls: Iterable[PendingCall], deadline: int) -> bool:
         """Wait until every call resolves; the wait ends each call it waited on.

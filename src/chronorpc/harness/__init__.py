@@ -1,11 +1,8 @@
 """Deterministic evaluation harness: scenario files, runner, experiments, demos.
 
-The experiments and demos load on first use (PEP 562 module __getattr__):
-a scenario run never calls them, and every set-up would otherwise pay to
-import them.
+The package re-exports the scenario and runner names. Experiments and demos
+are imported from their own modules, so a scenario run never loads them.
 """
-
-import importlib
 
 from .scenario import (
     Scenario,
@@ -25,22 +22,6 @@ from .runner import (
     run_scenario,
 )
 
-# name -> the submodule that defines it, imported when the name is first read
-_LAZY = {
-    "ExperimentReport": "experiments",
-    "PLATFORM_PROFILES": "experiments",
-    "experiment_platforms": "experiments",
-    "experiment_probing": "experiments",
-    "experiment_stress": "experiments",
-    "spike_window_split": "experiments",
-    "DEMOS": "demos",
-    "DemoFailure": "demos",
-    "demo_commit": "demos",
-    "demo_commit_abort": "demos",
-    "demo_coordinated": "demos",
-    "demo_snapshot": "demos",
-}
-
 __all__ = [
     "Scenario",
     "ScenarioInvalid",
@@ -55,14 +36,4 @@ __all__ = [
     "build_world",
     "check_world",
     "run_scenario",
-    *_LAZY,
 ]
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value

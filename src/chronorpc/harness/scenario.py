@@ -270,7 +270,10 @@ def parse_scenario_text(text: str) -> Scenario:
     for i in range(1, server_count + 1):
         merged = dict(base_server)
         merged.update(overrides.get(i, {}))
-        servers.append(_build_server(merged))
+        try:
+            servers.append(_build_server(merged))
+        except ValueError as exc:  # values that pass alone but not together
+            raise ScenarioInvalid(f"server{i}", str(exc)) from exc
 
     return Scenario(servers=tuple(servers), **scenario_values)
 

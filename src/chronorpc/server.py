@@ -138,10 +138,14 @@ class ExecutionModel:
             raise ValueError("load_penalty must be finite and non-negative")
         if self.load_recovery < 0:
             raise ValueError("load_recovery must be non-negative")
-
-    def draw_jitter(self, rng: random.Random) -> int:
-        draw = rng.random()  # always consumed, keeps the stream aligned
-        return int(draw * self.jitter)
+        # random.gauss never strays 9 sigma from its mean, so this bounds
+        # every run time the model can draw.
+        try:
+            longest = (self.base * (1.0 + self.load_penalty) + 9.0 * self.sigma) * self.spike_mult
+        except OverflowError:  # a base beyond float range
+            longest = math.inf
+        if longest == math.inf:
+            raise ValueError("base, load_penalty, sigma and spike_mult allow an infinite run")
 
     def effective_base(self, gap: int | None) -> float:
         if self.load_recovery <= 0 or gap is None or gap >= self.load_recovery:
@@ -149,13 +153,17 @@ class ExecutionModel:
         shortfall = 1.0 - gap / self.load_recovery
         return self.base * (1.0 + self.load_penalty * shortfall)
 
-    def draw_run(self, rng: random.Random, gap: int | None) -> tuple[int, bool]:
+    def draw(self, rng: random.Random, now: int, last_start: int | None) -> tuple[int, int, bool]:
+        """Start, run time and spike flag of an op runnable at `now`."""
+        # The jitter draw is taken even with no jitter: it keeps the stream aligned.
+        t_start = now + int(rng.random() * self.jitter)
         noise = rng.gauss(0.0, self.sigma)
         spiked = rng.random() < self.spike_p
+        gap = None if last_start is None else t_start - last_start
         run = max(0.0, self.effective_base(gap) + noise)
         if spiked:
             run *= self.spike_mult
-        return int(round(run)), spiked
+        return t_start, int(round(run)), spiked
 
 
 class OpState(enum.Enum):
@@ -302,26 +310,23 @@ class Server:
             return
 
         scheduled_time = msg.scheduled_time
-        op = PendingOp(mid, operation, scheduled_time, msg.get_time, self._send)
-        if scheduled_time is None:
-            self.ops[mid] = op
-            self._enqueue_ready(op)
-            return
-
-        verdict = validate_schedule(scheduled_time, self._sched.now(), self.range_config)
-        if verdict is _REJECT:
-            self.rejected_ids.add(mid)
-            self._reply(
-                RpcReply.make_error(
-                    mid,
-                    ERR_SCHEDULE_OUT_OF_RANGE,
-                    f"scheduled-time {scheduled_time} outside acceptable range",
+        verdict = _ACCEPT_RUN_NOW  # an rpc without a scheduled time runs now
+        if scheduled_time is not None:
+            verdict = validate_schedule(scheduled_time, self._sched.now(), self.range_config)
+            if verdict is _REJECT:
+                self.rejected_ids.add(mid)
+                self._reply(
+                    RpcReply.make_error(
+                        mid,
+                        ERR_SCHEDULE_OUT_OF_RANGE,
+                        f"scheduled-time {scheduled_time} outside acceptable range",
+                    )
                 )
-            )
-            return
-        self.ops[mid] = op
+                return
+        op = self.ops[mid] = PendingOp(mid, operation, scheduled_time, msg.get_time, self._send)
         if verdict is _ACCEPT_RUN_NOW:
-            self._enqueue_ready(op)
+            self._ready.append(op)
+            self._kick()
             return
         # Accept: queue until due and acknowledge ahead of the scheduled time.
         self._reply(ScheduleNotification(mid))
@@ -357,36 +362,25 @@ class Server:
 
     def _on_due(self, op: PendingOp) -> None:
         if op.state is _PENDING:
-            self._enqueue_ready(op)
-
-    def _enqueue_ready(self, op: PendingOp) -> None:
-        self._ready.append(op)
-        self._kick()
+            self._ready.append(op)
+            self._kick()
 
     def _kick(self) -> None:
         while self._active < self.lanes and self._ready:
             op = self._ready.popleft()
             if op.state is not _PENDING:
                 continue
-            self._begin(op)
-
-    def _begin(self, op: PendingOp) -> None:
-        now = self._sched.now()
-        t_start = now + self.model.draw_jitter(self._rng)
-        gap = None if self._last_start is None else t_start - self._last_start
-        run, op.spiked = self.model.draw_run(self._rng, gap)
-        run += self._extra_time(op.operation)
-        op.state = _RUNNING
-        op.t_start = t_start
-        op.t_end = t_start + run
-        self._last_start = t_start
-        self._active += 1
-        self._sched.call_at(op.t_end, self._complete, op)
-
-    def _extra_time(self, operation: Operation) -> int:
-        if operation.name != "toast":
-            return 0
-        return _toast_hold(operation.params) or 0
+            t_start, run, op.spiked = self.model.draw(
+                self._rng, self._sched.now(), self._last_start
+            )
+            if op.operation.name == "toast":
+                run += _toast_hold(op.operation.params) or 0
+            op.state = _RUNNING
+            op.t_start = t_start
+            op.t_end = t_start + run
+            self._last_start = t_start
+            self._active += 1
+            self._sched.call_at(op.t_end, self._complete, op)
 
     def _complete(self, op: PendingOp) -> None:
         params, error_code, detail = self._apply(op.operation)

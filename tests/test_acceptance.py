@@ -18,8 +18,8 @@ from chronorpc.harness import (
     Scenario,
     ServerSpec,
     run_scenario,
-    spike_window_split,
 )
+from chronorpc.harness.experiments import spike_window_split
 from chronorpc.prediction import EteSample, evaluate_stream
 from chronorpc.probing import (
     PeriodSelectionConfig,

@@ -291,7 +291,7 @@ class TestNotifications:
     )
     def test_unmatched_or_unhandled_message_is_counted(self, msg):
         loop, client, server, _ = one_server()
-        client.on_message(msg)
+        client.on_frame(encode(msg))
         assert client.unmatched_messages == 1
         assert client._pending == {}
 
@@ -359,6 +359,17 @@ class TestNotifications:
             client.submit("s2", Operation("noop"))
         assert client._pending == {}
         assert down.frames_sent == 0
+
+    def test_disconnect_of_unconnected_server_is_refused(self):
+        # It connects nothing: the id stays unknown to submit and atomic_commit.
+        loop, client, server, _ = one_server()
+        with pytest.raises(ValueError, match="not connected to 'nope'"):
+            client.disconnect("nope")
+        with pytest.raises(ValueError, match="not connected to 'nope'"):
+            client.submit("nope", Operation("noop"))
+        with pytest.raises(ValueError, match="not connected to 'nope'"):
+            client.atomic_commit(["s1", "nope"], client.now() + 2 * SECONDS)
+        assert client._pending == {}
 
     def test_garbage_frame_is_counted(self):
         loop, client, server, _ = one_server()

@@ -14,21 +14,22 @@ import pytest
 from chronorpc.cli import DEMO_NAMES, main
 from chronorpc.harness import (
     CSV_HEADER,
-    DEMOS,
     CheckFailed,
-    DemoFailure,
     Scenario,
     ScenarioInvalid,
     ServerSpec,
     build_world,
     check_world,
-    experiment_platforms,
-    experiment_probing,
-    experiment_stress,
     load_scenario,
     parse_duration,
     parse_scenario_text,
     run_scenario,
+)
+from chronorpc.harness.demos import DEMOS, DemoFailure
+from chronorpc.harness.experiments import (
+    experiment_platforms,
+    experiment_probing,
+    experiment_stress,
     spike_window_split,
 )
 from chronorpc.harness.runner import error_score
@@ -157,6 +158,7 @@ class TestScenarioText:
             ("servers = 2\nserver2.lanes = -1\n", "server2.lanes"),
             ("jitter = -1ms\n", "jitter"),
             ("servers = 2\nserver1.spike_p = 2\n", "server1.spike_p"),
+            ("base = 1e290s\nspike_mult = 1e10\n", "server1"),
         ],
     )
     def test_bad_server_value_names_its_key(self, text, key):
@@ -787,6 +789,9 @@ class TestCli:
             ("spike_p = 1\nspike_mult = nan\n", "spike_mult"),
             ("load_recovery = 1s\nload_penalty = nan\n", "load_penalty"),
             ("load_penalty = inf\n", "load_penalty"),
+            ("spike_p = 1\nspike_mult = 1e308\n", "spike_mult"),
+            ("load_recovery = 1s\nload_penalty = 1e308\n", "load_penalty"),
+            ("sigma = 1e308\n", "sigma"),
         ],
     )
     def test_run_refuses_non_finite_numbers(self, tmp_path, capsys, text, key):

@@ -606,6 +606,48 @@ class TestExecutionModel:
             ExecutionModel(load_penalty=-1)
         with pytest.raises(ValueError):
             ExecutionModel(load_recovery=-1)
+        # values fine alone whose longest run is not finite together, or a
+        # base beyond float range
+        with pytest.raises(ValueError, match="infinite run"):
+            ExecutionModel(base=10**299, spike_mult=1e10)
+        with pytest.raises(ValueError, match="infinite run"):
+            ExecutionModel(base=10**400)
+
+    def test_draw_order_matches_a_hand_run_stream(self):
+        # Each op draws wake jitter, then run-time noise, then the spike coin,
+        # and its load gap runs from the previous op's drawn start.
+        model = ExecutionModel(
+            base=10 * MILLIS,
+            sigma=1 * MILLIS,
+            jitter=2 * MILLIS,
+            spike_p=0.3,
+            spike_mult=4.0,
+            load_penalty=0.5,
+            load_recovery=150 * MILLIS,
+        )
+        loop, server, wire = make_server(model=model, seed=31)
+        due = [1 * SECONDS + i * 100 * MILLIS for i in range(30)]
+        for i, t_s in enumerate(due):
+            rpc(server, f"m{i}", at=t_s)
+        loop.run_until(deadline=5 * SECONDS)
+
+        rng = named_rng(31, "server", "s1")
+        expected, last = [], None
+        for t_s in due:
+            start = t_s + int(rng.random() * model.jitter)
+            noise = rng.gauss(0.0, model.sigma)
+            spiked = rng.random() < model.spike_p
+            base = float(model.base)
+            if last is not None and start - last < model.load_recovery:
+                shortfall = 1.0 - (start - last) / model.load_recovery
+                base = model.base * (1.0 + model.load_penalty * shortfall)
+            run = max(0.0, base + noise)
+            if spiked:
+                run *= model.spike_mult
+            expected.append((start, start + round(run), spiked))
+            last = start
+        assert [(op.t_start, op.t_end, op.spiked) for op in server.log] == expected
+        assert 0 < sum(spiked for *_, spiked in expected) < len(expected)
 
     def test_effective_base_load_curve(self):
         m = ExecutionModel(base=100, load_penalty=0.5, load_recovery=1000)
