@@ -42,6 +42,7 @@ from .prediction import (
     DEFAULT_WINDOW,
     Prediction,
     PredictorState,
+    check_window,
 )
 from .protocol import (
     ERR_ALREADY_EXECUTED,
@@ -230,8 +231,7 @@ class Client:
     ):
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm: {algorithm!r}")
-        if window < 1:
-            raise ValueError("window must be >= 1")
+        check_window(window)
         self._driver = driver
         self.algorithm = algorithm
         self.window = window

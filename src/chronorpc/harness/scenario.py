@@ -26,10 +26,11 @@ ServerSpec or Scenario when it is built.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from ..prediction import ALGORITHMS, DEFAULT_WINDOW
+from ..prediction import ALGORITHMS, DEFAULT_WINDOW, check_window
 from ..protocol import MILLIS, SECONDS, MICROS, SchedulingRangeConfig
 from ..server import ExecutionModel
 
@@ -94,8 +95,10 @@ class Scenario:
             bad("burst_size", "must be >= 1")
         if self.trials < 1:
             bad("trials", "must be >= 1")
-        if self.window < 1:
-            bad("window", "must be >= 1")
+        try:
+            check_window(self.window)
+        except ValueError as exc:
+            bad("window", str(exc))
         if self.algorithm not in ALGORITHMS:
             bad("algorithm", f"must be one of {ALGORITHMS}")
         for name in self.algorithms:
@@ -107,8 +110,8 @@ class Scenario:
             bad("algorithms", "each algorithm may be named once")
         if self.delay < 0:
             bad("delay", "must be non-negative")
-        if self.delay_jitter < 0:
-            bad("delay_jitter", "must be non-negative")
+        if not 0 <= self.delay_jitter <= sys.float_info.max:  # a link scales a float by it
+            bad("delay_jitter", "must be non-negative and within float range")
         if self.lead <= self.delay + self.delay_jitter:
             bad("lead", "must exceed the link delay bound")
         if not self.servers:

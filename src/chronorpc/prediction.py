@@ -42,6 +42,7 @@ field). They are read-only by contract and, being mutable, not hashable.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -54,11 +55,19 @@ __all__ = [
     "EteSample",
     "Prediction",
     "PredictorState",
+    "check_window",
     "evaluate_stream",
 ]
 
 ALGORITHMS = ("baseline", "average", "ft-average", "kalman")
 DEFAULT_WINDOW = 8
+
+
+def check_window(window: int) -> None:
+    """The window rule, for every holder of a window: from 1 to sys.maxsize,
+    the longest deque there is."""
+    if not 1 <= window <= sys.maxsize:
+        raise ValueError(f"window must be >= 1 and <= {sys.maxsize}")
 
 
 class PredictionError(Exception):
@@ -126,8 +135,7 @@ class PredictorState:
     """
 
     def __init__(self, window: int = DEFAULT_WINDOW):
-        if window < 1:
-            raise ValueError("window must be >= 1")
+        check_window(window)
         self.window = window
         self.offsets: deque[int] = deque(maxlen=window)
         self.total = 0

@@ -35,6 +35,12 @@ json.dumps(obj, separators=(",", ":")) writes for the same dict. The
 per-type encoders below reproduce it without building the dict, and
 tests/test_protocol.py holds them to a json.dumps reference.
 
+The codec's contract: decode() takes bytes (any other type raises
+TypeError) and, whatever the bytes, returns a message record or raises a
+ProtocolError; encode() takes a record of exactly one of the three message
+types and returns bytes or raises ValueError. A peer's frame can therefore
+cost a core only a counted decode error, never its reader thread.
+
 decode() reads the frames the cores write straight off their bytes, one
 regex per frame type, when the strings are printable ASCII without '"' or
 '\\' and the integers have at most 19 digits: an rpc, whose params object
@@ -42,9 +48,9 @@ of string pairs becomes a dict with one findall; an ok reply with optional
 execution-time and params; an error reply with error-code and optional
 error-detail; a notification. Any other frame (an error
 reply carrying params, another writer's key order, whitespace or escapes)
-goes through json.loads, and the per-type decoders that check its fields are
-the one place errors are raised. Either path gives the same message for the
-same frame.
+goes through _decode_json(), json.loads and the per-type decoders that check
+its fields, the one place errors are raised. Either path gives the same
+message for the same frame.
 
 The message records (Operation and the three message types) are built for
 every frame, so they are slotted but not frozen: a frozen __init__ sets
@@ -279,7 +285,6 @@ def _encode_notification(msg: ScheduleNotification) -> str:
     return f'{{"type":"notification","message-id":{mid}}}\n'
 
 
-# In isinstance order, for subclasses that miss the exact-type lookup.
 _ENCODERS = {
     RpcMessage: _encode_rpc,
     RpcReply: _encode_reply,
@@ -288,21 +293,20 @@ _ENCODERS = {
 
 
 def encode(msg: Message) -> bytes:
-    """Serialize one message to a newline-terminated frame.
+    """Serialize one message record to a newline-terminated frame.
 
-    Raises ValueError for structurally invalid messages (empty id, params
-    that are not a dict of strings, a reply whose error-detail is not a
-    string, an error reply whose error-code is not a string or that carries
-    execution-time, an ok reply carrying an error-code or a non-empty
-    error-detail), and its subclass FrameTooLarge for a frame over 64 KiB.
+    Takes an RpcMessage, RpcReply or ScheduleNotification of exactly that
+    type, and returns bytes or raises ValueError. Anything else, a subclass
+    included, is "not a protocol message". The other ValueErrors are for
+    structurally invalid messages (empty id, params that are not a dict of
+    strings, a reply whose error-detail is not a string, an error reply
+    whose error-code is not a string or that carries execution-time, an ok
+    reply carrying an error-code or a non-empty error-detail), and its
+    subclass FrameTooLarge for a frame over 64 KiB.
     """
     encoder = _ENCODERS.get(type(msg))
     if encoder is None:
-        for cls, encoder in _ENCODERS.items():
-            if isinstance(msg, cls):
-                break
-        else:
-            raise ValueError(f"not a protocol message: {msg!r}")
+        raise ValueError(f"not a protocol message: {msg!r}")
     frame = encoder(msg).encode()
     if len(frame) > MAX_FRAME_BYTES:
         raise FrameTooLarge(f"frame exceeds {MAX_FRAME_BYTES} bytes")
@@ -460,23 +464,29 @@ _CANONICAL = {
 }
 
 
-def decode(data: bytes | bytearray | str) -> Message:
-    """Parse one complete newline-terminated frame into a message.
+def decode(data: bytes) -> Message:
+    """Parse one complete newline-terminated frame into a message record.
 
-    Raises MalformedFrame for framing/syntax/shape problems, UnknownType for
-    an unrecognized "type", MissingField when a required field is absent.
+    Takes bytes and nothing else: any other type raises TypeError. For any
+    bytes it returns a record or raises a ProtocolError: MalformedFrame for
+    framing/syntax/shape problems, UnknownType for an unrecognized "type",
+    MissingField when a required field is absent.
     """
     if type(data) is not bytes:
-        if isinstance(data, str):
-            data = data.encode("utf-8")
-        elif not isinstance(data, bytearray):
-            data = bytes(data)
-    elif len(data) <= MAX_FRAME_BYTES:
+        raise TypeError(f"decode takes bytes, not {type(data).__name__}")
+    if len(data) <= MAX_FRAME_BYTES:
         canonical = _CANONICAL.get(data[9:13])
         if canonical is not None:
             match = canonical[0](data)
             if match is not None:
                 return canonical[1](*match.groups())
+    return _decode_json(data)
+
+
+def _decode_json(data: bytes) -> Message:
+    """decode()'s JSON path: json.loads, then one check per field. decode()
+    takes it for every frame outside the canonical layouts; on a canonical
+    frame it gives the record the regex path gives."""
     size = len(data)
     if size > MAX_FRAME_BYTES:
         raise MalformedFrame(f"frame exceeds {MAX_FRAME_BYTES} bytes")
@@ -484,9 +494,11 @@ def decode(data: bytes | bytearray | str) -> Message:
         if data.endswith(b"\n"):
             raise MalformedFrame("more than one frame supplied")
         raise MalformedFrame("frame is not newline-terminated")
+    # ValueError covers bad UTF-8, bad JSON and an integer longer than
+    # sys.get_int_max_str_digits(); RecursionError, nesting too deep to parse.
     try:
         obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedFrame(f"bad frame syntax ({exc})") from exc
     if type(obj) is not dict:
         raise MalformedFrame("frame is not a JSON object")

@@ -47,6 +47,7 @@ from __future__ import annotations
 import enum
 import math
 import random
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
@@ -128,8 +129,8 @@ class ExecutionModel:
             raise ValueError("base must be non-negative")
         if not (0.0 <= self.sigma < math.inf):
             raise ValueError("sigma must be finite and non-negative")
-        if self.jitter < 0:
-            raise ValueError("jitter must be non-negative")
+        if not 0 <= self.jitter <= sys.float_info.max:  # draw() scales a float by it
+            raise ValueError("jitter must be non-negative and within float range")
         if not 0.0 <= self.spike_p <= 1.0:
             raise ValueError("spike_p must be in [0, 1]")
         if not (1.0 <= self.spike_mult < math.inf):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import sys
 import threading
 from typing import Callable
 
@@ -105,8 +106,8 @@ class Link:
         rng: random.Random | None = None,
         name: str = "link",
     ):
-        if delay < 0 or jitter < 0:
-            raise ValueError("delay and jitter must be non-negative")
+        if delay < 0 or not 0 <= jitter <= sys.float_info.max:  # send() scales a float by jitter
+            raise ValueError("delay and jitter must be non-negative, and jitter within float range")
         if jitter and rng is None:
             raise ValueError("jitter needs an rng to draw it from")
         self._loop = loop

@@ -206,10 +206,7 @@ def _ref_params(obj: dict, key: str) -> dict[str, str]:
     return value
 
 
-def ref_decode(data: bytes | bytearray | str) -> Message:
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    data = bytes(data)
+def ref_decode(data: bytes) -> Message:
     if len(data) > MAX_FRAME_BYTES:
         raise MalformedFrame(f"frame exceeds {MAX_FRAME_BYTES} bytes")
     if not data.endswith(b"\n"):
@@ -219,7 +216,7 @@ def ref_decode(data: bytes | bytearray | str) -> Message:
         raise MalformedFrame("more than one frame supplied")
     try:
         obj = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, a huge int, deep nesting
         raise MalformedFrame(f"bad frame syntax ({exc})") from exc
     if not isinstance(obj, dict):
         raise MalformedFrame("frame is not a JSON object")

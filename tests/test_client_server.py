@@ -1,5 +1,7 @@
 """Client and server wired through simulated links."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -428,6 +430,9 @@ def test_window_below_one_is_rejected_at_construction():
         Client(EventLoop(), window=0)
     with pytest.raises(ValueError, match="window must be >= 1"):
         LiveClient(window=0)
+    # a deque holds no more than sys.maxsize
+    with pytest.raises(ValueError, match="window must be >= 1 and <= "):
+        Client(EventLoop(), window=sys.maxsize + 1)
 
 
 class TestCoordinatedOperation:

@@ -196,6 +196,8 @@ class TestScenarioText:
         ("lead", 1 * MILLIS),  # not above the default 1 ms link delay
         ("servers", ()),
         ("algorithms", ("average", "average")),
+        ("window", sys.maxsize + 1),
+        pytest.param("delay_jitter", 10**400, id="delay_jitter-10**400"),
     ],
 )
 def test_scenario_checks_each_field_on_construction(field_name, value):
@@ -792,6 +794,7 @@ class TestCli:
             ("spike_p = 1\nspike_mult = 1e308\n", "spike_mult"),
             ("load_recovery = 1s\nload_penalty = 1e308\n", "load_penalty"),
             ("sigma = 1e308\n", "sigma"),
+            pytest.param("jitter = " + "9" * 400 + "\n", "jitter", id="jitter-400-nines"),
         ],
     )
     def test_run_refuses_non_finite_numbers(self, tmp_path, capsys, text, key):
@@ -800,6 +803,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {key}: bad value ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("window = 99999999999999999999\n", "window"),
+            ("delay_jitter = " + "9" * 400 + "\nlead = 1" + "0" * 400 + "\n", "delay_jitter"),
+        ],
+        ids=["window", "delay_jitter"],
+    )
+    def test_run_refuses_a_value_beyond_what_a_run_can_hold(self, tmp_path, capsys, text, key):
+        path = self.write_scenario(tmp_path, "samples = 5\n" + text)
+        assert main(["run", "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ")
+        assert err.count("\n") == 1
 
     def test_burst_with_every_probe_refused_fails_the_run(self, tmp_path, capsys):
         # probes start lead = 500ms ahead, beyond the 100ms the server accepts
@@ -960,6 +978,16 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["replay", "--csv", str(src), "--window", "0"])
         assert exc.value.code == 2
+
+    def test_replay_window_beyond_a_deque_is_refused(self, tmp_path, capsys):
+        src = tmp_path / "samples.csv"
+        src.write_text(
+            "sequence,scheduled_time_ns,execution_time_ns\n0,1000,31000\n",
+            encoding="utf-8",
+        )
+        assert main(["replay", "--csv", str(src), "--window", "99999999999999999999"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {src}: window must be >= 1 and <= {sys.maxsize}\n"
 
     def test_demo(self, capsys):
         assert main(["demo", "commit", "--seed", "1"]) == 0

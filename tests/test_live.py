@@ -262,6 +262,26 @@ def test_server_decodes_each_frame_of_one_segment():
         assert server.core.decode_errors == 1
 
 
+@pytest.mark.parametrize(
+    "frame",
+    [
+        b"[" * 60000 + b"\n",
+        b'{"type":"rpc","message-id":"m1","op":"noop","params":{},"scheduled-time":'
+        + b"1" * 5000
+        + b"}\n",
+    ],
+    ids=["deep-nesting", "long-integer"],
+)
+def test_server_keeps_serving_after_a_frame_json_cannot_parse(frame):
+    with LiveServer("live1") as server:
+        with socket.create_connection(server.address, timeout=5) as raw:
+            raw.sendall(frame)
+        with LiveClient(reply_timeout=2 * SECONDS) as client:
+            client.connect("live1", server.address)
+            assert client.core.schedule_raw("live1", Operation("noop")).ok
+        assert server.core.decode_errors == 1
+
+
 def test_frame_splitter_reassembles():
     splitter = FrameSplitter()
     assert splitter.feed(b'{"a":1}\n{"b"') == [b'{"a":1}\n']

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -251,8 +252,9 @@ class TestSampleWindow:
         assert list(state.offsets) == [9]
 
     def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            PredictorState(0)
+        for window in (0, sys.maxsize + 1):
+            with pytest.raises(ValueError):
+                PredictorState(window)
 
 
 class TestEteSample:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from chronorpc.protocol import (
     MalformedFrame,
     MissingField,
     Operation,
+    ProtocolError,
     RpcMessage,
     RpcReply,
     ScheduleNotification,
@@ -23,6 +25,7 @@ from chronorpc.protocol import (
     encode,
     validate_schedule,
 )
+from chronorpc.protocol import _decode_json
 
 from _wire import random_message, ref_decode, ref_encode
 
@@ -88,13 +91,14 @@ class TestRoundTrip:
         msg = RpcReply.make_ok("m1", params={"value": "42"})
         assert decode(encode(msg)) == msg
 
-    def test_str_input_accepted(self):
-        msg = ScheduleNotification("m1")
-        assert decode(encode(msg).decode("utf-8")) == msg
-        assert decode(memoryview(encode(msg))) == msg
-
 
 class TestDecodeErrors:
+    def test_only_bytes_are_decoded(self):
+        frame = encode(ScheduleNotification("m1"))
+        for data in (frame.decode(), bytearray(frame), memoryview(frame)):
+            with pytest.raises(TypeError, match="decode takes bytes"):
+                decode(data)
+
     def test_missing_message_id(self):
         with pytest.raises(MissingField) as exc:
             decode(b'{"type":"rpc"}\n')
@@ -340,6 +344,12 @@ _replies = st.builds(
     st.one_of(st.none(), _ints),
     st.one_of(st.none(), _any_params),
 )
+
+
+class _MessageId(str):
+    pass
+
+
 _messages = st.one_of(
     _rpcs,
     _replies,
@@ -430,6 +440,36 @@ _REPLY = b'{"type":"rpc-reply","message-id":"m1","status":"ok","execution-time":
 _ERROR = b'{"type":"rpc-reply","message-id":"m1","status":"error","error-code":"cancelled"}\n'
 _NOTIFY = b'{"type":"notification","message-id":"m1"}\n'
 _CANCEL = b'{"type":"rpc","message-id":"m2","op":"cancel-schedule","params":{"target-id":"m1"}}\n'
+_DEEP = b"[" * 60000 + b"\n"
+
+
+class TestDecodeContract:
+    """For any bytes, decode() returns a record or raises a ProtocolError."""
+
+    @settings(max_examples=300)
+    @given(data=st.one_of(st.binary(max_size=64), _mutated_frames()))
+    @example(data=_DEEP)
+    @example(data=_REPLY.replace(b":7}", b":" + b"1" * 5000 + b"}"))
+    def test_any_bytes_give_a_record_or_a_protocol_error(self, data):
+        try:
+            msg = decode(data)
+        except ProtocolError:
+            return
+        assert type(msg) in (RpcMessage, RpcReply, ScheduleNotification)
+
+    def test_nesting_too_deep_to_parse_is_malformed(self):
+        with pytest.raises(MalformedFrame, match="recursion"):
+            decode(_DEEP)
+
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int digit limit")
+    def test_integer_longer_than_the_digit_limit_is_malformed(self):
+        digits = b"1" * (sys.get_int_max_str_digits() + 1)
+        for frame in (
+            _RPC.replace(b":5,", b":" + digits + b","),
+            _REPLY.replace(b":7}", b":" + digits + b"}"),
+        ):
+            with pytest.raises(MalformedFrame, match="digits"):
+                decode(frame)
 
 
 class TestReferenceEquivalence:
@@ -443,40 +483,43 @@ class TestReferenceEquivalence:
     @example(msg=RpcReply("m1", "ok", None, None, 5))
     # An ok reply refuses an error-detail, which decode() would drop.
     @example(msg=RpcReply("m1", "ok", None, "note", 5))
+    # A str subclass is escaped as its str.
+    @example(msg=RpcMessage(_MessageId("m1"), Operation("noop"), 5))
     def test_encode_matches_reference(self, msg):
         assert _outcome(encode, msg) == _outcome(ref_encode, msg)
 
     @settings(max_examples=300)
-    @given(frame=_mutated_frames(), as_bytearray=st.booleans())
+    @given(frame=_mutated_frames())
     # Canonical layouts with params and error replies.
-    @example(frame=_RPC.replace(b"{}", b'{"key":"k","value":""}'), as_bytearray=False)
-    @example(frame=_RPC.replace(b"{}", b'{"k":"a","j":"","k":"b"}'), as_bytearray=False)
-    @example(frame=_REPLY.replace(b"}\n", b',"params":{}}\n'), as_bytearray=False)
-    @example(frame=_REPLY.replace(b"}\n", b',"params":{"value":"x"}}\n'), as_bytearray=False)
-    @example(frame=_ERROR, as_bytearray=False)
-    @example(frame=_ERROR.replace(b"}\n", b',"error-detail":"too late"}\n'), as_bytearray=False)
+    @example(frame=_RPC.replace(b"{}", b'{"key":"k","value":""}'))
+    @example(frame=_RPC.replace(b"{}", b'{"k":"a","j":"","k":"b"}'))
+    @example(frame=_REPLY.replace(b"}\n", b',"params":{}}\n'))
+    @example(frame=_REPLY.replace(b"}\n", b',"params":{"value":"x"}}\n'))
+    @example(frame=_ERROR)
+    @example(frame=_ERROR.replace(b"}\n", b',"error-detail":"too late"}\n'))
     # Near misses of the canonical layouts, which only the JSON path reads.
-    @example(frame=_RPC.replace(b"{}", b'{"":"v"}'), as_bytearray=False)
-    @example(frame=_RPC.replace(b"{}", b'{"k":"a\\"b"}'), as_bytearray=False)
-    @example(frame=_RPC.replace(b"{}", '{"k":"\u00e9"}'.encode()), as_bytearray=False)
-    @example(frame=_RPC.replace(b"{}", b'{"k":1}'), as_bytearray=False)
-    @example(frame=_ERROR.replace(b"}\n", b',"execution-time":7}\n'), as_bytearray=False)
-    @example(frame=_ERROR.replace(b"}\n", b',"params":{}}\n'), as_bytearray=False)
-    @example(frame=_ERROR.replace(b',"error-code":"cancelled"', b""), as_bytearray=False)
-    @example(frame=_NOTIFY.replace(b'"m1"', b'"m\\u0031"'), as_bytearray=False)
-    @example(frame=_NOTIFY.replace(b'"m1"', '"m\u00e9"'.encode()), as_bytearray=False)
-    @example(frame=_RPC.replace(b"true", b"false"), as_bytearray=False)
-    @example(frame=_RPC.replace(b":5,", b":01,"), as_bytearray=False)
-    @example(frame=_REPLY.replace(b":7}", b":-0}"), as_bytearray=False)
-    @example(frame=_RPC.replace(b":5,", b":12345678901234567890,"), as_bytearray=False)
-    @example(frame=_REPLY.replace(b":7}", b":" + b"1" * 5000 + b"}"), as_bytearray=False)
-    @example(frame=_RPC.replace(b"{}", b"{ }"), as_bytearray=False)
-    @example(frame=_NOTIFY[:-1] + b" \n", as_bytearray=False)
-    @example(frame=_CANCEL.replace(b'"m1"', b'"' + b"m" * MAX_FRAME_BYTES + b'"'), as_bytearray=False)
-    @example(frame=_CANCEL, as_bytearray=True)
-    def test_decode_matches_reference(self, frame, as_bytearray):
-        data = bytearray(frame) if as_bytearray else frame
-        assert _outcome(decode, data) == _outcome(ref_decode, data)
+    @example(frame=_RPC.replace(b"{}", b'{"":"v"}'))
+    @example(frame=_RPC.replace(b"{}", b'{"k":"a\\"b"}'))
+    @example(frame=_RPC.replace(b"{}", '{"k":"\u00e9"}'.encode()))
+    @example(frame=_RPC.replace(b"{}", b'{"k":1}'))
+    @example(frame=_ERROR.replace(b"}\n", b',"execution-time":7}\n'))
+    @example(frame=_ERROR.replace(b"}\n", b',"params":{}}\n'))
+    @example(frame=_ERROR.replace(b',"error-code":"cancelled"', b""))
+    @example(frame=_NOTIFY.replace(b'"m1"', b'"m\\u0031"'))
+    @example(frame=_NOTIFY.replace(b'"m1"', '"m\u00e9"'.encode()))
+    @example(frame=_RPC.replace(b"true", b"false"))
+    @example(frame=_RPC.replace(b":5,", b":01,"))
+    @example(frame=_REPLY.replace(b":7}", b":-0}"))
+    @example(frame=_RPC.replace(b":5,", b":12345678901234567890,"))
+    @example(frame=_REPLY.replace(b":7}", b":" + b"1" * 5000 + b"}"))
+    @example(frame=_RPC.replace(b"{}", b"{ }"))
+    @example(frame=_NOTIFY[:-1] + b" \n")
+    @example(frame=_CANCEL.replace(b'"m1"', b'"' + b"m" * MAX_FRAME_BYTES + b'"'))
+    @example(frame=_CANCEL)
+    def test_decode_matches_reference(self, frame):
+        expected = _outcome(ref_decode, frame)
+        assert _outcome(decode, frame) == expected
+        assert _outcome(_decode_json, frame) == expected
 
     def test_decode_matches_reference_on_field_mutations(self):
         """Every field of every frame kind dropped or set wrong, alone and in pairs."""
@@ -518,27 +561,13 @@ class TestReferenceEquivalence:
             assert frame == ref_encode(msg)
             assert decode(frame) == ref_decode(frame) == msg
 
-    def test_subclasses_encode_as_their_base(self):
+    def test_non_message_rejected(self):
         class TimedRpc(RpcMessage):
             pass
 
-        class Reply(RpcReply):
-            pass
-
-        rpc = TimedRpc("m1", Operation("noop"), scheduled_time=5)
-        assert encode(rpc) == ref_encode(rpc)
-        reply = Reply("m1", "ok", execution_time=7)
-        assert encode(reply) == ref_encode(reply)
-
-        class MessageId(str):
-            pass
-
-        named = RpcMessage(MessageId("m1"), Operation("noop"), scheduled_time=5)
-        assert encode(named) == encode(RpcMessage("m1", Operation("noop"), scheduled_time=5))
-
-    def test_non_message_rejected(self):
-        with pytest.raises(ValueError, match="not a protocol message"):
-            encode({"type": "rpc"})  # type: ignore[arg-type]
+        for msg in ({"type": "rpc"}, TimedRpc("m1", Operation("noop"), 5)):
+            with pytest.raises(ValueError, match="not a protocol message"):
+                encode(msg)  # type: ignore[arg-type]
 
     def test_type_of_wrong_kind_is_unknown(self):
         for raw in (b'{"type":["rpc"]}\n', b'{"type":{"a":1}}\n', b'{"type":5}\n', b'{"type":null}\n'):

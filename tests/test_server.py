@@ -612,6 +612,9 @@ class TestExecutionModel:
             ExecutionModel(base=10**299, spike_mult=1e10)
         with pytest.raises(ValueError, match="infinite run"):
             ExecutionModel(base=10**400)
+        # a jitter draw scales a float by it
+        with pytest.raises(ValueError, match="jitter"):
+            ExecutionModel(jitter=int("9" * 400))
 
     def test_draw_order_matches_a_hand_run_stream(self):
         # Each op draws wake jitter, then run-time noise, then the spike coin,

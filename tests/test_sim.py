@@ -160,7 +160,9 @@ class TestLink:
     def test_negative_delay_or_jitter_is_refused(self):
         loop = EventLoop()
         # jitter with no rng would never be drawn: refused too
-        for bad in ({"delay": -1}, {"jitter": -1}, {"jitter": 1}):
+        # and a jitter that send() cannot scale a float by
+        huge = {"jitter": 10**400, "rng": named_rng(1, "j")}
+        for bad in ({"delay": -1}, {"jitter": -1}, {"jitter": 1}, huge):
             with pytest.raises(ValueError):
                 Link(loop, lambda f: None, **bad)
 
