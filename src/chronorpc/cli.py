@@ -125,13 +125,6 @@ def replay_rows(
     return header, rows
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _out_path(text: str) -> str:
     if not text:
         raise argparse.ArgumentTypeError("must not be empty")
@@ -165,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "or one server's samples.csv from run --out",
     )
     p_replay.add_argument("--algo", default="all", choices=("all",) + ALGORITHMS)
-    p_replay.add_argument("--window", type=_positive_int, default=DEFAULT_WINDOW)
+    p_replay.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     p_replay.add_argument("--out", type=_out_path, help="output csv path (default stdout)")
 
     p_demo = sub.add_parser("demo", help="run a coordination walkthrough")

@@ -12,15 +12,17 @@ Four algorithms are provided:
 * ft-average   - mean of the last N samples with one maximum and one minimum
                  occurrence removed (falls back to the plain mean when fewer
                  than 3 samples are held), insensitive to a lone outlier
-* kalman       - the last offset held, once two samples are in (the window
-                 average before that). As specified, the rule is a 1-D
+* kalman       - the last offset held. As specified, the rule is a 1-D
                  constant-state Kalman filter that estimates its
-                 measurement noise from its filtered residuals. Its first
-                 gain is 1, which makes every filtered residual exactly
-                 0.0, so the gain stays 1 and each estimate is the newest
-                 measurement. Below the 2**53 ns bound PredictorState
-                 states, e + 1.0 * (x - e) is exactly x, so the last offset
-                 is bit for bit what the filter would predict.
+                 measurement noise from its filtered residuals. It seeds
+                 its estimate with the first sample, and its first gain is
+                 1, which makes every filtered residual exactly 0.0, so the
+                 gain stays 1 and each estimate is the newest measurement.
+                 Below the 2**53 ns bound PredictorState states,
+                 e + 1.0 * (x - e) is exactly x, so the last offset is bit
+                 for bit what the filter would predict.
+
+With no samples every rule predicts 0, labelled baseline.
 
 Every rule is a pure function of one window, so one PredictorState serves
 all of them: evaluate_stream compares rules on exactly the same samples in
@@ -107,31 +109,29 @@ class EteSample:
 class Prediction:
     """A rounded offset prediction plus which algorithm actually produced it.
 
-    `algorithm` reports the rule that ran (after any cold-start fallback);
-    `fallback` is true when that differs from the configured choice.
+    `algorithm` names the rule asked for, or baseline when the window is
+    empty and the prediction is 0.
     """
 
     value: int
     raw: float
     algorithm: str
-    fallback: bool = False
 
 
 class PredictorState:
     """Per-(server, operation-type) predictor: one window of offsets that
     serves every rule in ALGORITHMS.
 
-    The window holds the last `window` offsets in push order (`offsets`),
-    their exact integer sum (`total`) and how many offsets were ever pushed
-    (`sample_count`); all are read-only by contract. The mean needs no pass
-    over the window: total / n is bit for bit the float mean
-    sum(map(float, offsets)) / n while the absolute offsets held add up to
-    less than 2**53 ns (104 days in all, 13 days per offset in a window of
-    8), since below that bound every float partial sum is an exact integer.
+    The state is its window and nothing else: the last `window` offsets in
+    push order (`offsets`) and their exact integer sum (`total`), both
+    read-only by contract, so two states that hold the same window predict
+    the same for every rule. The mean needs no pass over the window:
+    total / n is bit for bit the float mean sum(map(float, offsets)) / n
+    while the absolute offsets held add up to less than 2**53 ns (104 days
+    in all, 13 days per offset in a window of 8), since below that bound
+    every float partial sum is an exact integer.
 
-    Cold-start ladder: with no samples every rule predicts 0 (baseline); the
-    kalman rule falls back to the window average until two samples have
-    been pushed, then predicts the last offset held.
+    With no samples every rule predicts 0, labelled baseline.
     """
 
     def __init__(self, window: int = DEFAULT_WINDOW):
@@ -139,7 +139,6 @@ class PredictorState:
         self.window = window
         self.offsets: deque[int] = deque(maxlen=window)
         self.total = 0
-        self.sample_count = 0
 
     def push(self, ete: int) -> None:
         """Fold in one measured offset, T_e - T_s."""
@@ -148,19 +147,16 @@ class PredictorState:
             self.total -= offsets[0]
         offsets.append(ete)
         self.total += ete
-        self.sample_count += 1
 
     def predict(self, algorithm: str) -> Prediction:
         """The rule's prediction, rounded to whole nanoseconds (round() of a
         float is already an int)."""
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm: {algorithm!r}")
-        if algorithm == "baseline":
-            return Prediction(0, 0.0, "baseline")
         offsets = self.offsets
         n = len(offsets)
-        if not n:
-            return Prediction(0, 0.0, "baseline", True)
+        if not n or algorithm == "baseline":
+            return Prediction(0, 0.0, "baseline")
         if algorithm == "average":
             raw = self.total / n
             return Prediction(round(raw), raw, "average")
@@ -171,9 +167,6 @@ class PredictorState:
                 raw = (self.total - max(offsets) - min(offsets)) / (n - 2)
             return Prediction(round(raw), raw, "ft-average")
         # kalman
-        if self.sample_count < 2:
-            raw = self.total / n
-            return Prediction(round(raw), raw, "average", True)
         last = offsets[-1]
         return Prediction(last, float(last), "kalman")
 

@@ -12,7 +12,8 @@ Conventions mirrored from the package contract:
     variances computed over whatever entries exist (0 when fewer than 2),
     and defines gain := 1 when both variance terms are zero
   - cold-start ladder: no samples -> 0; kalman with fewer than 2 samples
-    -> plain window average
+    -> plain window average, which over one sample is that sample, the
+    package's last offset held
 
 The package computes kalman as the last offset held: the filter below,
 run as specified, has gain 1 on every step (each filtered residual is 0.0),

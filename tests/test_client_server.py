@@ -127,27 +127,27 @@ class TestFeedback:
         loop, client, server, _ = one_server(ExecutionModel(base=25 * MILLIS))
         client.schedule_raw("s1", Operation("noop"), client.now() + SECONDS)
         state = client.predictor("s1", "noop")
-        assert state.sample_count == 1
+        assert len(state.offsets) == 1
         assert list(state.offsets) == [25 * MILLIS]
 
     def test_immediate_ops_do_not_feed(self):
         loop, client, server, _ = one_server()
         client.schedule_raw("s1", Operation("noop"))
-        assert client.predictor("s1", "noop").sample_count == 0
+        assert len(client.predictor("s1", "noop").offsets) == 0
 
     def test_get_time_false_does_not_feed(self):
         loop, client, server, _ = one_server()
         client.schedule_raw(
             "s1", Operation("noop"), client.now() + SECONDS, get_time=False
         )
-        assert client.predictor("s1", "noop").sample_count == 0
+        assert len(client.predictor("s1", "noop").offsets) == 0
 
     def test_rpc_type_param_overrides_routing(self):
         loop, client, server, _ = one_server()
         op = Operation("noop", {"rpc-type": "edit-config"})
         client.schedule_raw("s1", op, client.now() + SECONDS)
-        assert client.predictor("s1", "edit-config").sample_count == 1
-        assert client.predictor("s1", "noop").sample_count == 0
+        assert len(client.predictor("s1", "edit-config").offsets) == 1
+        assert len(client.predictor("s1", "noop").offsets) == 0
 
     def test_first_use_builds_one_window_for_every_rule(self):
         loop, client, server, _ = one_server(
@@ -155,7 +155,7 @@ class TestFeedback:
         )
         client.schedule_at_completion("s1", Operation("noop"), client.now() + SECONDS)
         state = client.predictor("s1", "noop")
-        assert (state.sample_count, state.window) == (1, 3)
+        assert (len(state.offsets), state.window) == (1, 3)
         for algo in ALGORITHMS:
             assert state.predict(algo).value == (0 if algo == "baseline" else 25 * MILLIS)
 
@@ -167,7 +167,7 @@ class TestFeedback:
         client.reset_predictor("s1", "never-used")
         fresh = client.predictor("s1", "noop")
         assert fresh is not old
-        assert (fresh.sample_count, fresh.window) == (0, client.window)
+        assert (len(fresh.offsets), fresh.window) == (0, client.window)
         client.schedule_at_completion("s1", Operation("noop"), client.now() + SECONDS)
         assert client.predictor("s1", "noop") is fresh
         assert list(fresh.offsets) == list(old.offsets) == [25 * MILLIS]

@@ -969,23 +969,14 @@ class TestCli:
         assert err.startswith(f"error: {src}: line 3:")
         assert "Traceback" not in err
 
-    def test_replay_window_below_one_rejected(self, tmp_path):
+    @pytest.mark.parametrize("window", ["0", "99999999999999999999"])
+    def test_replay_window_beyond_a_deque_is_refused(self, tmp_path, capsys, window):
         src = tmp_path / "samples.csv"
         src.write_text(
             "sequence,scheduled_time_ns,execution_time_ns\n0,1000,31000\n",
             encoding="utf-8",
         )
-        with pytest.raises(SystemExit) as exc:
-            main(["replay", "--csv", str(src), "--window", "0"])
-        assert exc.value.code == 2
-
-    def test_replay_window_beyond_a_deque_is_refused(self, tmp_path, capsys):
-        src = tmp_path / "samples.csv"
-        src.write_text(
-            "sequence,scheduled_time_ns,execution_time_ns\n0,1000,31000\n",
-            encoding="utf-8",
-        )
-        assert main(["replay", "--csv", str(src), "--window", "99999999999999999999"]) == 1
+        assert main(["replay", "--csv", str(src), "--window", window]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {src}: window must be >= 1 and <= {sys.maxsize}\n"
 

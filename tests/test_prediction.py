@@ -66,8 +66,8 @@ def window_of(etes) -> PredictorState:
 
 
 def is_cold(p) -> bool:
-    """The baseline fallback a rule gives over an empty window."""
-    return (p.value, p.raw, p.algorithm, p.fallback) == (0, 0.0, "baseline", True)
+    """The prediction every rule gives over an empty window."""
+    return (p.value, p.raw, p.algorithm) == (0, 0.0, "baseline")
 
 
 class TestAverage:
@@ -183,14 +183,14 @@ class TestKalmanFilter:
     """The filter as specified, run by the from-scratch reference, and the
     package's kalman rule, which is the last offset held."""
 
-    def test_not_warm_until_two(self):
+    def test_warm_from_one_sample(self):
         state = PredictorState(8)
         ran = []
         for ete in [20 * MILLIS] * 2:
             ran.append(state.predict("kalman").algorithm)
             state.push(ete)
         p = state.predict("kalman")
-        assert ran + [p.algorithm] == ["baseline", "average", "kalman"]
+        assert ran + [p.algorithm] == ["baseline", "kalman", "kalman"]
         assert p.raw == 20.0 * MILLIS
 
     def test_constant_stream_fixed_point(self):
@@ -208,7 +208,7 @@ class TestKalmanFilter:
         )
         raws, variances = list_kalman_replay(trace, 8)
         for i in range(len(trace)):
-            if i >= 2:
+            if i >= 1:
                 assert rel_err(raws[i], ref_estimates[i - 1]) <= 1e-9, i
             assert rel_err(variances[i], ref_variances[i]) <= 1e-9, i
 
@@ -232,7 +232,6 @@ class TestSampleWindow:
             state.push(ete)
         assert list(state.offsets) == [2, 3, 4]
         assert state.total == 9
-        assert state.sample_count == 4
 
     def test_out_of_order(self):
         # evaluate_stream is where sequence order is checked
@@ -273,25 +272,21 @@ class TestPredictorState:
         for algo in ALGORITHMS:
             p = PredictorState(8).predict(algo)
             assert p.value == 0
-            if algo != "baseline":
-                assert p.fallback
-                assert p.algorithm == "baseline"
+            assert p.algorithm == "baseline"
 
-    def test_kalman_falls_back_to_average_with_one_sample(self):
+    def test_kalman_with_one_sample_is_that_sample(self):
         state = PredictorState(8)
         state.push(30 * MILLIS)
         p = state.predict("kalman")
-        assert p.algorithm == "average"
-        assert p.fallback
+        assert p.algorithm == "kalman"
         assert p.value == 30 * MILLIS
 
     def test_warm_flag(self):
         state = PredictorState(8)
-        assert state.predict("kalman").fallback
+        assert state.predict("kalman").algorithm == "baseline"
         for ete in [10, 20]:
             state.push(ete)
         assert state.predict("kalman").algorithm == "kalman"
-        assert not state.predict("kalman").fallback
 
     def test_baseline_always_zero(self):
         state = PredictorState(8)
@@ -301,7 +296,7 @@ class TestPredictorState:
 
     def test_rejects_unknown_algorithm(self):
         # An empty window refuses the name too, rather than answer with the
-        # baseline fallback.
+        # baseline.
         state = PredictorState(8)
         with pytest.raises(ValueError, match="unknown algorithm: 'median'"):
             state.predict("median")
@@ -412,6 +407,23 @@ class TestProperties:
         estimates, _ = ref_kalman_trajectory([float(v) for v in values], 8)
         assert min(values) <= estimates[-1] <= max(values)
 
+    @settings(max_examples=200)
+    @given(
+        window=st.integers(min_value=1, max_value=10),
+        values=st.lists(
+            st.integers(min_value=-(2**40), max_value=2**40), max_size=30
+        ),
+    )
+    def test_prediction_is_a_function_of_the_window(self, window, values):
+        state = PredictorState(window)
+        for ete in values:
+            state.push(ete)
+        fresh = PredictorState(window)
+        for ete in list(state.offsets):
+            fresh.push(ete)
+        for algo in ALGORITHMS:
+            assert state.predict(algo) == fresh.predict(algo), algo
+
     @settings(max_examples=50)
     @given(values=etes)
     def test_determinism(self, values):
@@ -440,7 +452,7 @@ def windowed_streams(draw):
 
 def list_kalman_replay(values, window):
     """Kalman raws replayed on plain lists through the list-based rules,
-    with the cold-start fallback PredictorState applies, and the filter's
+    0 before the first sample as PredictorState gives, and the filter's
     variance after each sample."""
     raws, variances = [], []
     measurements, estimates = [], []
@@ -451,11 +463,7 @@ def list_kalman_replay(values, window):
         return estimate_drift_variance(history) if len(history) >= 2 else 0.0
 
     for i, v in enumerate(values):
-        if i >= 2:
-            raws.append(estimate)
-        else:
-            held = [float(x) for x in values[max(0, i - window) : i]]
-            raws.append(average(held) if held else 0.0)
+        raws.append(estimate if i else 0.0)
         x = float(v)
         if i == 0:
             estimate, variance = x, 0.0

@@ -80,7 +80,7 @@ class TestRunProbePlan:
         # the gap keeps its slot
         assert [c.ete is not None for c in calls] == [True, False, True, True]
         # the other slots still ran and fed the predictor
-        assert client.predictor("s1", "noop").sample_count == 3
+        assert len(client.predictor("s1", "noop").offsets) == 3
 
     def test_lost_probe_times_out_and_a_late_reply_is_unmatched(self):
         dropped = []
@@ -102,7 +102,7 @@ class TestRunProbePlan:
         client.on_frame(dropped[0])
         assert client.unmatched_messages == unmatched + 1
         assert calls[1].reply is None
-        assert client.predictor("s1", "noop").sample_count == 3
+        assert len(client.predictor("s1", "noop").offsets) == 3
 
     def test_unsent_probe_leaves_a_gap(self):
         loop, client, server = make_pair()
@@ -113,7 +113,7 @@ class TestRunProbePlan:
         assert [c.ete is not None for c in calls] == [True, True, False, False]
         assert all(isinstance(c.error, TransportClosed) for c in calls[2:])
         assert client._pending == {}
-        assert client.predictor("s1", "noop").sample_count == 2
+        assert len(client.predictor("s1", "noop").offsets) == 2
 
     def test_custom_operation_routes_its_own_type(self):
         loop, client, server = make_pair()
@@ -121,8 +121,8 @@ class TestRunProbePlan:
             client, "s1", BurstProbe(3, 200 * MILLIS),
             operation=probe_operation("edit-config"),
         )
-        assert client.predictor("s1", "edit-config").sample_count == 3
-        assert client.predictor("s1", "noop").sample_count == 0
+        assert len(client.predictor("s1", "edit-config").offsets) == 3
+        assert len(client.predictor("s1", "noop").offsets) == 0
 
     def test_unconnected_server_raises_before_any_probe_is_timed(self):
         loop, client, server = make_pair()
