@@ -20,13 +20,14 @@ whose deadline came first; a wait ends every call it waits on. submit()
 raises only for an unconnected server or a message that cannot be encoded.
 
 The client is transport-agnostic. It talks to the world through a driver
-object providing now(), call_at(when, fn, *args),
-wait_until(predicate, deadline) and the `lock` that serializes the client
-with its driver's waits - the virtual-time event loop in simulation, a
-real-clock waiter for live TCP use - and through one frame-send callable
-per connected server. The client takes that lock itself at each entry
-point that touches its state, so incoming frames enter bare via
-on_frame() from any thread.
+object providing now(), wait_until(predicate, deadline) and the `lock`
+that serializes the client with its driver's waits - the virtual-time
+event loop in simulation, a real-clock waiter for live TCP use - and
+through one frame-send callable per connected server. Neither the client
+nor a probe plan sets a timer on the driver; the server core is the one
+that schedules. The client takes that lock itself at each entry point
+that touches its state, so incoming frames enter bare via on_frame() from
+any thread.
 """
 
 from __future__ import annotations
@@ -232,7 +233,7 @@ class Client:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm: {algorithm!r}")
         check_window(window)
-        self._driver = driver
+        self.driver = driver
         self.algorithm = algorithm
         self.window = window
         self.reply_timeout = reply_timeout
@@ -250,12 +251,8 @@ class Client:
 
     # -- wiring -----------------------------------------------------------
 
-    @property
-    def driver(self):
-        return self._driver
-
     def now(self) -> int:
-        return self._driver.now()
+        return self.driver.now()
 
     def connect(self, server_id: str, send: Callable[[bytes], None]) -> None:
         with self._lock:
@@ -304,7 +301,7 @@ class Client:
         except ProtocolError:
             msg = None
         with self._lock:
-            now = self._driver.now()
+            now = self.driver.now()
             if isinstance(msg, RpcReply):
                 call = self._pending.pop(msg.message_id, None)
                 if call is None:
@@ -358,7 +355,7 @@ class Client:
                 mid,
                 operation,
                 scheduled_time,
-                self._driver.now(),
+                self.driver.now(),
                 prediction,
                 desired_completion,
             )
@@ -416,7 +413,7 @@ class Client:
                 left.pop()
             return not left
 
-        self._driver.wait_until(done, deadline)
+        self.driver.wait_until(done, deadline)
         return left
 
     def _reply_deadline(self, call: PendingCall) -> int:
@@ -565,7 +562,7 @@ class Client:
         """
         server_ids = list(dict.fromkeys(server_ids))
         margin = max(2 * self.rtt_bound, MIN_COMMIT_MARGIN)
-        now = self._driver.now()
+        now = self.driver.now()
         if commit_time - now <= self.rtt_bound + margin:
             raise CommitWindowTooShort(
                 f"commit at {commit_time} leaves {commit_time - now} ns, "

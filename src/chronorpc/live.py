@@ -5,15 +5,16 @@ module supplies the real-world glue: sim.EventLoop's timer heap run against
 time.time_ns(), and newline-framed TCP plumbing on both sides.
 
 LiveDriver.wait_until is the one wall-clock loop. As in the simulator, due
-timers fire on the thread that waits: a client's inside its own waits, a
-server's on the one thread of its ThreadScheduler, which waits until closed.
-Each LiveServer runs that thread and a connection thread; each LiveClient
-runs one socket reader per connected server. Both cores see one scheduler
-interface, now/call_at/lock: timers fire under the driver's lock, and each
-core takes that lock itself at its entry points, so the readers here hand
-frames to a core bare. A connection is closed once, by the reader that saw
-it end, under that same lock, which every send on it holds too; close() on
-either side only shuts sockets down to wake their readers, and joins them.
+timers fire on the thread that waits: a server's on the one thread of its
+ThreadScheduler, which waits until closed. Each LiveServer runs that thread
+and a connection thread; each LiveClient runs one socket reader per
+connected server. The server core schedules through now/call_at/lock; the
+client core only waits, through now/wait_until/lock, as client.py states.
+Timers fire under the driver's lock, and each core takes that lock itself
+at its entry points, so the readers here hand frames to a core bare. A
+connection is closed once, by the reader that saw it end, under that same
+lock, which every send on it holds too; close() on either side only shuts
+sockets down to wake their readers, and joins them.
 
 Timing here is at the mercy of the host scheduler, so expect millisecond
 jitter; the virtual-time harness is the place for exact assertions.
@@ -37,6 +38,9 @@ __all__ = [
     "LiveServer",
     "LiveClient",
 ]
+
+# The longest Condition.wait in ns, whole seconds so that / 1e9 stays within it.
+_TIMEOUT_MAX_NS = int(threading.TIMEOUT_MAX) * 1_000_000_000
 
 
 class LiveDriver(EventLoop):
@@ -88,14 +92,16 @@ class LiveDriver(EventLoop):
 
                         logging.getLogger(__name__).exception("timer callback failed")
                     continue
-                left = None if end is None else end - time.monotonic_ns()
-                if left is not None and left <= 0:
+                left = _TIMEOUT_MAX_NS if end is None else end - time.monotonic_ns()
+                if left <= 0:
                     return False
                 if self._heap:
-                    head = self._heap[0][0] - now
-                    left = head if left is None else min(left, head)
-                # Condition.wait overflows past TIMEOUT_MAX; the loop re-checks
-                self._cond.wait(None if left is None else min(left / 1e9, threading.TIMEOUT_MAX))
+                    left = min(left, self._heap[0][0] - now)
+                # No deadline waits TIMEOUT_MAX at a time. The wait is clamped
+                # in ns before its one float conversion: a far heap head or
+                # deadline overflows a float, and Condition.wait overflows
+                # past TIMEOUT_MAX. The loop re-checks.
+                self._cond.wait(min(left, _TIMEOUT_MAX_NS) / 1e9)
 
     def wake(self) -> None:
         with self._cond:
@@ -250,8 +256,8 @@ class LiveClient:
     the server id connect again, and that connect joins the old reader,
     so a client holds one socket and one thread per server id however
     often it reconnects. Connecting one server never blocks the others.
-    There is no timer thread: a timer set on `driver`, such as a probe
-    plan's dispatch, fires inside a wait.
+    There is no timer thread: the client sets no timers, and a probe plan
+    sends each probe when its own wait ends.
     """
 
     def __init__(self, **client_kwargs):

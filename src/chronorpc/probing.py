@@ -62,34 +62,27 @@ def run_probe_plan(
 ) -> list[PendingCall]:
     """Execute a plan against one server; returns its calls in schedule order.
 
-    Probes dispatch the client's `dispatch_lead` ahead of their scheduled
-    times so transit delay never pushes them into the past. A call whose
+    Each probe is sent the client's `dispatch_lead` ahead of its scheduled
+    time, so transit delay never pushes it into the past: the plan waits
+    until then and submits, and sets no timer of its own. A call whose
     `ete` is set measured an offset; a probe that is refused, unsent or
     unanswered leaves a gap, and the remaining probes still run. The plan's
     one wait ends every call: a refused probe holds its error reply, an
     unsent one the transport's error and one unanswered at the deadline
-    ReplyTimeout, so a late reply feeds no predictor. A server the client
-    is not connected to raises ValueError before any probe is timed.
+    ReplyTimeout, so a late reply feeds no predictor. The first probe is
+    sent at once, so a server the client is not connected to raises
+    ValueError before any time passes.
     """
-    client._send_to(server_id)
-    count = plan.count
     op = operation if operation is not None else probe_operation()
     lead = client.dispatch_lead
-
     driver = client.driver
     start = driver.now() + lead
-    times = [start + k * plan.period for k in range(count)]
     calls: list[PendingCall] = []
-
-    def dispatch(scheduled_time: int) -> None:
-        calls.append(client.submit(server_id, op, scheduled_time, get_time=True))
-
-    for t in times:
-        driver.call_at(t - lead, dispatch, t)
-
-    deadline = times[-1] + client.reply_timeout
-    driver.wait_until(lambda: len(calls) == count, deadline)
-    client.wait(calls, deadline)
+    for k in range(plan.count):
+        t = start + k * plan.period
+        driver.wait_until(None, t - lead)
+        calls.append(client.submit(server_id, op, t, get_time=True))
+    client.wait(calls, t + client.reply_timeout)
     return calls
 
 

@@ -3,7 +3,9 @@
 Messages travel as newline-delimited JSON: one UTF-8 encoded JSON object per
 line, each frame at most 64 KiB including the terminating newline. Timestamps
 are integer nanoseconds since the Unix epoch (UTC); durations are signed
-integer nanoseconds.
+integer nanoseconds. Every integer on the wire has at most 19 digits
+(|x| < 10**19): encode() writes no other, and both decode paths refuse any
+other as malformed, so a peer's number always fits a core's arithmetic.
 
 Frame vocabulary::
 
@@ -38,8 +40,9 @@ tests/test_protocol.py holds them to a json.dumps reference.
 The codec's contract: decode() takes bytes (any other type raises
 TypeError) and, whatever the bytes, returns a message record or raises a
 ProtocolError; encode() takes a record of exactly one of the three message
-types and returns bytes or raises ValueError. A peer's frame can therefore
-cost a core only a counted decode error, never its reader thread.
+types and returns bytes or raises ValueError, and every frame it returns
+decodes. A peer's frame can therefore cost a core only a counted decode
+error, never its reader thread.
 
 decode() reads the frames the cores write straight off their bytes, one
 regex per frame type, when the strings are printable ASCII without '"' or
@@ -49,8 +52,8 @@ execution-time and params; an error reply with error-code and optional
 error-detail; a notification. Any other frame (an error
 reply carrying params, another writer's key order, whitespace or escapes)
 goes through _decode_json(), json.loads and the per-type decoders that check
-its fields, the one place errors are raised. Either path gives the same
-message for the same frame.
+its fields, the one place errors are raised; they hold an integer to the
+same 19 digits. Either path gives the same message for the same frame.
 
 The message records (Operation and the three message types) are built for
 every frame, so they are slotted but not frozen: a frozen __init__ sets
@@ -101,6 +104,8 @@ __all__ = [
 ]
 
 MAX_FRAME_BYTES = 64 * 1024
+# Every integer on the wire has at most 19 digits: |x| < _INT_LIMIT.
+_INT_LIMIT = 10**19
 
 # Duration helpers, all in nanoseconds.
 MICROS = 1_000
@@ -218,6 +223,13 @@ def _quoted(value: object, name: str) -> str:
     return _escape(value)
 
 
+def _wire_int(value: object, name: str) -> int:
+    value = int(value)
+    if -_INT_LIMIT < value < _INT_LIMIT:
+        return value
+    raise ValueError(f"{name} must have at most 19 digits")
+
+
 def _json_params(params: dict[str, str]) -> str:
     if not isinstance(params, dict):
         raise ValueError(f"params must be a dict of str -> str, got {params!r}")
@@ -242,7 +254,7 @@ def _encode_rpc(msg: RpcMessage) -> str:
         f',"params":{_json_params(op.params)}'
     )
     if msg.scheduled_time is not None:
-        frame += f',"scheduled-time":{int(msg.scheduled_time)}'
+        frame += f',"scheduled-time":{_wire_int(msg.scheduled_time, "scheduled-time")}'
     if msg.get_time:
         frame += ',"get-time":true'
     return frame + "}\n"
@@ -273,7 +285,7 @@ def _encode_reply(msg: RpcReply) -> str:
     if msg.error_detail:
         frame += f',"error-detail":{_escape(msg.error_detail)}'
     if msg.execution_time is not None:
-        frame += f',"execution-time":{int(msg.execution_time)}'
+        frame += f',"execution-time":{_wire_int(msg.execution_time, "execution-time")}'
     if msg.params is not None:
         frame += f',"params":{_json_params(msg.params)}'
     return frame + "}\n"
@@ -301,8 +313,9 @@ def encode(msg: Message) -> bytes:
     structurally invalid messages (empty id, params that are not a dict of
     strings, a reply whose error-detail is not a string, an error reply
     whose error-code is not a string or that carries execution-time, an ok
-    reply carrying an error-code or a non-empty error-detail), and its
-    subclass FrameTooLarge for a frame over 64 KiB.
+    reply carrying an error-code or a non-empty error-detail, a
+    scheduled-time or execution-time of more than 19 digits, which no
+    decoder takes), and its subclass FrameTooLarge for a frame over 64 KiB.
     """
     encoder = _ENCODERS.get(type(msg))
     if encoder is None:
@@ -329,9 +342,9 @@ def _str_field(obj: dict, key: str) -> str:
 
 def _int_field(obj: dict, key: str) -> int | None:
     value = obj.get(key)
-    if value is None or type(value) is int:
+    if value is None or type(value) is int and -_INT_LIMIT < value < _INT_LIMIT:
         return value
-    raise MalformedFrame("field must be an integer", key)
+    raise MalformedFrame("field must be an integer of at most 19 digits", key)
 
 
 def _bool_field(obj: dict, key: str) -> bool:

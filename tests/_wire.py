@@ -112,6 +112,13 @@ def _ref_check_params(params: dict[str, str], name: str) -> dict[str, str]:
     return params
 
 
+def _ref_check_int(value: object, name: str) -> int:
+    value = int(value)
+    if abs(value) >= 10**19:
+        raise ValueError(f"{name} must have at most 19 digits")
+    return value
+
+
 def ref_encode(msg: Message) -> bytes:
     obj: dict[str, object] = {}
     if isinstance(msg, RpcMessage):
@@ -120,7 +127,7 @@ def ref_encode(msg: Message) -> bytes:
         obj["op"] = _ref_check_str(msg.operation.name, "op")
         obj["params"] = _ref_check_params(msg.operation.params, "params")
         if msg.scheduled_time is not None:
-            obj["scheduled-time"] = int(msg.scheduled_time)
+            obj["scheduled-time"] = _ref_check_int(msg.scheduled_time, "scheduled-time")
         if msg.get_time:
             obj["get-time"] = True
     elif isinstance(msg, RpcReply):
@@ -146,7 +153,7 @@ def ref_encode(msg: Message) -> bytes:
         if msg.error_detail:
             obj["error-detail"] = msg.error_detail
         if msg.execution_time is not None:
-            obj["execution-time"] = int(msg.execution_time)
+            obj["execution-time"] = _ref_check_int(msg.execution_time, "execution-time")
         if msg.params is not None:
             obj["params"] = _ref_check_params(msg.params, "params")
     elif isinstance(msg, ScheduleNotification):
@@ -180,6 +187,8 @@ def _ref_int_opt(obj: dict, key: str) -> int | None:
         return None
     if isinstance(value, bool) or not isinstance(value, int):
         raise MalformedFrame("field must be an integer", key)
+    if abs(value) >= 10**19:
+        raise MalformedFrame("field must be an integer of at most 19 digits", key)
     return value
 
 

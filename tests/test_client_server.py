@@ -378,6 +378,20 @@ class TestNotifications:
         client.on_frame(b"{{{\n")
         assert client.decode_errors == 1
 
+    def test_a_reply_time_past_19_digits_is_a_decode_error(self):
+        # Pushed, its offset would overflow every later prediction of the pair.
+        client = Client(EventLoop())
+        client.connect("s1", lambda frame: None)
+        call = client.submit("s1", Operation("noop"), 5 * SECONDS, get_time=True)
+        client.on_frame(
+            b'{"type":"rpc-reply","message-id":"' + call.message_id.encode()
+            + b'","status":"ok","execution-time":' + b"9" * 400 + b"}\n"
+        )
+        assert client.decode_errors == 1
+        assert call.reply is None
+        later = client.submit_at_completion("s1", Operation("noop"), 10 * SECONDS)
+        assert later.scheduled_time == 10 * SECONDS - later.prediction.value
+
     def test_unencodable_rpc_leaves_no_pending_call(self):
         loop, client, server, (down, _) = one_server()
         for params in ({"k": 5}, None):

@@ -134,6 +134,22 @@ def test_a_hold_past_timeout_max_leaves_the_free_lane_running():
         assert out.ok
 
 
+def test_a_hold_past_float_range_leaves_every_wait_running():
+    # The toast's end timer lies past what a float holds. The server's timer
+    # thread must live on to run the noop, and a client wait whose deadline
+    # lies as far out must still end when its call resolves.
+    with LiveServer("live1", lanes=2) as server, LiveClient(reply_timeout=1 * SECONDS) as client:
+        client.connect("live1", server.address)
+        core = client.core
+        core.submit("live1", Operation("toast", {"duration-ns": "9" * 400}))
+        out = core.schedule_raw("live1", Operation("noop"), core.now() + 50 * MILLIS)
+        assert out.ok
+        assert server._sched._thread.is_alive()
+        later = core.submit("live1", Operation("noop"), core.now() + 50 * MILLIS, get_time=True)
+        assert core.wait([later], 10**400)
+        assert later.ok
+
+
 def test_probe_plan_to_an_unconnected_server_raises_at_once(caplog):
     with LiveClient(reply_timeout=1 * SECONDS) as client:
         core = client.core

@@ -1,6 +1,12 @@
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from chronorpc.client import Client, ReplyTimeout, probe_operation
+from chronorpc.harness import runner
+from chronorpc.harness.scenario import load_scenario
 from chronorpc.probing import (
     BurstProbe,
     InsufficientData,
@@ -57,6 +63,8 @@ class TestRunProbePlan:
         lead = client.dispatch_lead
         scheduled = [c.scheduled_time for c in calls]
         assert scheduled == [t0 + lead + k * 500 * MILLIS for k in range(4)]
+        # each probe went out the dispatch lead ahead of its slot
+        assert [c.sent_at for c in calls] == [t - lead for t in scheduled]
         assert [c.ete for c in calls] == [20 * MILLIS] * 4
         # the server really started each probe on its slot
         assert [e.t_start for e in server.log] == scheduled
@@ -131,6 +139,31 @@ class TestRunProbePlan:
         assert loop._heap == []
         assert loop.run_until() is False
         assert client._pending == {}
+
+
+class TestClientSetsNoTimers:
+    def test_only_the_loop_and_the_servers_schedule(self, monkeypatch):
+        # A probe plan waits and sends: every timer in a burst run comes
+        # from a link (sim.py) or a server core (server.py).
+        callers = set()
+        build = runner.build_world
+
+        def build_world(scenario, seed=None):
+            world = build(scenario, seed)
+            call_at = world.loop.call_at
+
+            def traced(when, callback, *args):
+                callers.add(Path(sys._getframe(1).f_code.co_filename).name)
+                call_at(when, callback, *args)
+
+            world.loop.call_at = traced
+            return world
+
+        monkeypatch.setattr(runner, "build_world", build_world)
+        scenario = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "burst.txt")
+        result = runner.run_scenario(replace(scenario, trials=3))
+        assert len(result.bursts["s1"]) == 3
+        assert callers == {"sim.py", "server.py"}
 
 
 class TestChoosers:

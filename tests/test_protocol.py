@@ -318,11 +318,12 @@ _TRICKY = st.sampled_from(
 )
 _text = st.text(alphabet=st.one_of(st.characters(codec=None), _TRICKY), max_size=12)
 _ident = st.text(alphabet=st.one_of(st.characters(codec=None), _TRICKY), min_size=1, max_size=8)
-_ints = st.one_of(
+# Integers the wire carries (at most 19 digits), and any integer at all.
+_wire_ints = st.one_of(
     st.integers(min_value=-(2**63), max_value=2**63),
-    st.sampled_from([0, -1, 2**62, -(2**62), 2**62 - 1]),
-    st.integers(),
+    st.sampled_from([0, -1, 2**62, -(2**62), 2**62 - 1, 10**19 - 1, -(10**19) + 1]),
 )
+_ints = st.one_of(_wire_ints, st.sampled_from([10**19, -(10**19)]), st.integers())
 _params = st.dictionaries(_text, _text, max_size=4)
 _any_params = st.one_of(
     _params,
@@ -356,11 +357,11 @@ _messages = st.one_of(
     st.builds(ScheduleNotification, st.one_of(_ident, st.just(""))),
 )
 _valid_messages = st.one_of(
-    st.builds(RpcMessage, _ident, st.builds(Operation, _ident, _params), st.one_of(st.none(), _ints), st.booleans()),
+    st.builds(RpcMessage, _ident, st.builds(Operation, _ident, _params), st.one_of(st.none(), _wire_ints), st.booleans()),
     st.builds(
         RpcReply.make_ok,
         _ident,
-        execution_time=st.one_of(st.none(), _ints),
+        execution_time=st.one_of(st.none(), _wire_ints),
         params=st.one_of(st.none(), _params),
     ),
     st.builds(RpcReply.make_error, _ident, _ident, _text),
@@ -485,6 +486,9 @@ class TestReferenceEquivalence:
     @example(msg=RpcReply("m1", "ok", None, "note", 5))
     # A str subclass is escaped as its str.
     @example(msg=RpcMessage(_MessageId("m1"), Operation("noop"), 5))
+    # A time of 20 digits, which no decoder takes, is refused.
+    @example(msg=RpcMessage("m1", Operation("noop"), 10**19))
+    @example(msg=RpcReply.make_ok("m1", execution_time=-(10**19)))
     def test_encode_matches_reference(self, msg):
         assert _outcome(encode, msg) == _outcome(ref_encode, msg)
 
