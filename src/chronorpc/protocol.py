@@ -33,9 +33,9 @@ the order listed above, optional ones only when present (error-detail only
 when non-empty), with compact separators ("," and ":", no spaces), strings
 escaped to ASCII as json.dumps escapes them by default, integers in plain
 decimal and booleans as true/false. That is byte for byte what
-json.dumps(obj, separators=(",", ":")) writes for the same dict. The
-per-type encoders below reproduce it without building the dict, and
-tests/test_protocol.py holds them to a json.dumps reference.
+json.dumps(obj, separators=(",", ":")) writes for the same dict. encode()
+writes it without building the dict, one branch per message type, and
+tests/test_protocol.py holds it to a json.dumps reference.
 
 The codec's contract: decode() takes bytes (any other type raises
 TypeError) and, whatever the bytes, returns a message record or raises a
@@ -49,11 +49,11 @@ regex per frame type, when the strings are printable ASCII without '"' or
 '\\' and the integers have at most 19 digits: an rpc, whose params object
 of string pairs becomes a dict with one findall; an ok reply with optional
 execution-time and params; an error reply with error-code and optional
-error-detail; a notification. Any other frame (an error
-reply carrying params, another writer's key order, whitespace or escapes)
-goes through _decode_json(), json.loads and the per-type decoders that check
-its fields, the one place errors are raised; they hold an integer to the
-same 19 digits. Either path gives the same message for the same frame.
+error-detail; a notification. Any other frame (an error reply carrying
+params, another writer's key order, whitespace or escapes) goes through
+_decode_json(), json.loads and one check per field, the one place errors
+are raised; it holds an integer to the same 19 digits. Either path gives
+the same message for the same frame.
 
 The message records (Operation and the three message types) are built for
 every frame, so they are slotted but not frozen: a frozen __init__ sets
@@ -210,10 +210,10 @@ class ScheduleNotification:
 Message = RpcMessage | RpcReply | ScheduleNotification
 
 
-# Per-type encoders: each writes its frame straight into one string, in the
-# canonical field order, and checks what the wire contract needs on the way.
-# An id that is a non-empty exact str is escaped directly; anything else goes
-# through _quoted, which escapes a str subclass and rejects the rest.
+# encode() writes each frame straight into one string, in the canonical
+# field order, and checks what the wire contract needs on the way. An id that
+# is a non-empty exact str is escaped directly; anything else goes through
+# _quoted, which escapes a str subclass and rejects the rest.
 _escape = encode_basestring_ascii
 
 
@@ -243,67 +243,6 @@ def _json_params(params: dict[str, str]) -> str:
     return "{" + ",".join(entries) + "}"
 
 
-def _encode_rpc(msg: RpcMessage) -> str:
-    op = msg.operation
-    mid = msg.message_id
-    mid = _escape(mid) if type(mid) is str and mid else _quoted(mid, "message-id")
-    name = op.name
-    name = _escape(name) if type(name) is str and name else _quoted(name, "op")
-    frame = (
-        f'{{"type":"rpc","message-id":{mid},"op":{name}'
-        f',"params":{_json_params(op.params)}'
-    )
-    if msg.scheduled_time is not None:
-        frame += f',"scheduled-time":{_wire_int(msg.scheduled_time, "scheduled-time")}'
-    if msg.get_time:
-        frame += ',"get-time":true'
-    return frame + "}\n"
-
-
-def _encode_reply(msg: RpcReply) -> str:
-    status = msg.status
-    if status not in ("ok", "error"):
-        raise ValueError(f"bad reply status: {status!r}")
-    if not isinstance(msg.error_detail, str):
-        raise ValueError(f"error-detail must be a string, got {msg.error_detail!r}")
-    if status == "error":
-        if not msg.error_code:
-            raise ValueError("error reply needs an error-code")
-        if not isinstance(msg.error_code, str):
-            raise ValueError(f"error-code must be a string, got {msg.error_code!r}")
-        if msg.execution_time is not None:
-            raise ValueError("error reply cannot carry execution-time")
-    elif msg.error_code is not None:
-        raise ValueError("ok reply cannot carry an error-code")
-    elif msg.error_detail:
-        raise ValueError("ok reply cannot carry an error-detail")
-    mid = msg.message_id
-    mid = _escape(mid) if type(mid) is str and mid else _quoted(mid, "message-id")
-    frame = f'{{"type":"rpc-reply","message-id":{mid},"status":{_escape(status)}'
-    if msg.error_code is not None:
-        frame += f',"error-code":{_escape(msg.error_code)}'
-    if msg.error_detail:
-        frame += f',"error-detail":{_escape(msg.error_detail)}'
-    if msg.execution_time is not None:
-        frame += f',"execution-time":{_wire_int(msg.execution_time, "execution-time")}'
-    if msg.params is not None:
-        frame += f',"params":{_json_params(msg.params)}'
-    return frame + "}\n"
-
-
-def _encode_notification(msg: ScheduleNotification) -> str:
-    mid = msg.message_id
-    mid = _escape(mid) if type(mid) is str and mid else _quoted(mid, "message-id")
-    return f'{{"type":"notification","message-id":{mid}}}\n'
-
-
-_ENCODERS = {
-    RpcMessage: _encode_rpc,
-    RpcReply: _encode_reply,
-    ScheduleNotification: _encode_notification,
-}
-
-
 def encode(msg: Message) -> bytes:
     """Serialize one message record to a newline-terminated frame.
 
@@ -317,20 +256,64 @@ def encode(msg: Message) -> bytes:
     scheduled-time or execution-time of more than 19 digits, which no
     decoder takes), and its subclass FrameTooLarge for a frame over 64 KiB.
     """
-    encoder = _ENCODERS.get(type(msg))
-    if encoder is None:
+    kind = type(msg)
+    if kind is RpcMessage:
+        op = msg.operation
+        mid = msg.message_id
+        mid = _escape(mid) if type(mid) is str and mid else _quoted(mid, "message-id")
+        name = op.name
+        name = _escape(name) if type(name) is str and name else _quoted(name, "op")
+        frame = f'{{"type":"rpc","message-id":{mid},"op":{name},"params":{_json_params(op.params)}'
+        if msg.scheduled_time is not None:
+            frame += f',"scheduled-time":{_wire_int(msg.scheduled_time, "scheduled-time")}'
+        if msg.get_time:
+            frame += ',"get-time":true'
+    elif kind is RpcReply:
+        # The status and error fields are checked before the message-id.
+        status = msg.status
+        if status not in ("ok", "error"):
+            raise ValueError(f"bad reply status: {status!r}")
+        if not isinstance(msg.error_detail, str):
+            raise ValueError(f"error-detail must be a string, got {msg.error_detail!r}")
+        if status == "error":
+            if not msg.error_code:
+                raise ValueError("error reply needs an error-code")
+            if not isinstance(msg.error_code, str):
+                raise ValueError(f"error-code must be a string, got {msg.error_code!r}")
+            if msg.execution_time is not None:
+                raise ValueError("error reply cannot carry execution-time")
+        elif msg.error_code is not None:
+            raise ValueError("ok reply cannot carry an error-code")
+        elif msg.error_detail:
+            raise ValueError("ok reply cannot carry an error-detail")
+        mid = msg.message_id
+        mid = _escape(mid) if type(mid) is str and mid else _quoted(mid, "message-id")
+        frame = f'{{"type":"rpc-reply","message-id":{mid},"status":{_escape(status)}'
+        if msg.error_code is not None:
+            frame += f',"error-code":{_escape(msg.error_code)}'
+        if msg.error_detail:
+            frame += f',"error-detail":{_escape(msg.error_detail)}'
+        if msg.execution_time is not None:
+            frame += f',"execution-time":{_wire_int(msg.execution_time, "execution-time")}'
+        if msg.params is not None:
+            frame += f',"params":{_json_params(msg.params)}'
+    elif kind is ScheduleNotification:
+        mid = msg.message_id
+        mid = _escape(mid) if type(mid) is str and mid else _quoted(mid, "message-id")
+        frame = f'{{"type":"notification","message-id":{mid}'
+    else:
         raise ValueError(f"not a protocol message: {msg!r}")
-    frame = encoder(msg).encode()
+    frame = (frame + "}\n").encode()
     if len(frame) > MAX_FRAME_BYTES:
         raise FrameTooLarge(f"frame exceeds {MAX_FRAME_BYTES} bytes")
     return frame
 
 
-# Per-type decoders over a frame JSON parsed: a frame from another writer, or
-# one outside the canonical layouts below. JSON gives exact types, so
-# `type(x) is int` also rejects booleans and `type(x) is str` needs no
-# subclass case. Each decoder checks its fields in the order they are listed,
-# one helper per kind of field.
+# Field checks for _decode_json, over a frame JSON parsed: a frame from
+# another writer, or one outside the canonical layouts below. JSON gives
+# exact types, so `type(x) is int` also rejects booleans and `type(x) is str`
+# needs no subclass case. Each type's fields are checked in the order they
+# are listed, one helper per kind of field.
 def _str_field(obj: dict, key: str) -> str:
     value = obj.get(key)
     if type(value) is str and value:
@@ -366,47 +349,6 @@ def _params_field(obj: dict) -> dict[str, str] | None:
     return params
 
 
-def _decode_rpc(obj: dict) -> RpcMessage:
-    message_id = _str_field(obj, "message-id")
-    name = _str_field(obj, "op")
-    params = _params_field(obj)
-    return RpcMessage(
-        message_id,
-        Operation(name, {} if params is None else params),
-        _int_field(obj, "scheduled-time"),
-        _bool_field(obj, "get-time"),
-    )
-
-
-def _decode_reply(obj: dict) -> RpcReply:
-    message_id = _str_field(obj, "message-id")
-    status = _str_field(obj, "status")
-    if status not in ("ok", "error"):
-        raise MalformedFrame("status must be 'ok' or 'error'", "status")
-    error_code = None
-    error_detail = ""
-    if status == "error":
-        error_code = _str_field(obj, "error-code")
-        error_detail = obj.get("error-detail", "")
-        if type(error_detail) is not str:
-            raise MalformedFrame("field must be a string", "error-detail")
-    execution_time = _int_field(obj, "execution-time")
-    if execution_time is not None and error_code is not None:
-        raise MalformedFrame("error reply cannot carry execution-time", "execution-time")
-    params = _params_field(obj)
-    return RpcReply(message_id, status, error_code, error_detail, execution_time, params)
-
-
-def _decode_notification(obj: dict) -> ScheduleNotification:
-    return ScheduleNotification(_str_field(obj, "message-id"))
-
-
-_DECODERS = {
-    "rpc": _decode_rpc,
-    "rpc-reply": _decode_reply,
-    "notification": _decode_notification,
-}
-
 # The canonical layouts encode() writes, read without JSON. A string admits
 # only printable ASCII without '"' or '\', which JSON reads as itself; it is
 # non-empty except for a params value. An integer has at most 19 digits, no
@@ -420,61 +362,25 @@ _PARAMS = rb"(\{(?:" + _PAIR + rb"(?:," + _PAIR + rb")*)?\})"
 # The (key, value) pairs of a matched params object, in order; dict() keeps
 # the last value of a repeated key, as json.loads does.
 _pairs = re.compile((rb'"(' + _CHAR + rb'+)":"(' + _CHAR + rb'*)"').decode()).findall
+_match_rpc = re.compile(
+    rb'\{"type":"rpc","message-id":' + _STR + rb',"op":' + _STR
+    + rb',"params":' + _PARAMS + rb'(?:,"scheduled-time":' + _INT + rb")?"
+    + rb'(,"get-time":true)?\}\n'
+).fullmatch
+_match_reply = re.compile(
+    rb'\{"type":"rpc-reply","message-id":' + _STR
+    + rb',"status":(?:"ok"(?:,"execution-time":' + _INT + rb")?"
+    + rb'(?:,"params":' + _PARAMS + rb")?"
+    + rb'|"error","error-code":' + _STR + rb'(?:,"error-detail":' + _STR + rb")?"
+    + rb")\}\n"
+).fullmatch
+_match_notification = re.compile(
+    rb'\{"type":"notification","message-id":' + _STR + rb"\}\n"
+).fullmatch
 
 
 def _canonical_params(text):
     return {} if text == b"{}" else dict(_pairs(text.decode()))
-
-
-def _canonical_rpc(message_id, op, params, scheduled_time, get_time):
-    return RpcMessage(
-        message_id.decode(),
-        Operation(op.decode(), _canonical_params(params)),
-        None if scheduled_time is None else int(scheduled_time),
-        get_time is not None,
-    )
-
-
-def _canonical_reply(message_id, execution_time, params, error_code, error_detail):
-    if error_code is not None:
-        error_detail = "" if error_detail is None else error_detail.decode()
-        return RpcReply(message_id.decode(), "error", error_code.decode(), error_detail)
-    execution_time = None if execution_time is None else int(execution_time)
-    params = None if params is None else _canonical_params(params)
-    return RpcReply(message_id.decode(), "ok", None, "", execution_time, params)
-
-
-def _canonical_notification(message_id):
-    return ScheduleNotification(message_id.decode())
-
-
-# Keyed by frame[9:13], the first four bytes of the type after '{"type":"'.
-_CANONICAL = {
-    b'rpc"': (
-        re.compile(
-            rb'\{"type":"rpc","message-id":' + _STR + rb',"op":' + _STR
-            + rb',"params":' + _PARAMS + rb'(?:,"scheduled-time":' + _INT + rb")?"
-            + rb'(,"get-time":true)?\}\n'
-        ).fullmatch,
-        _canonical_rpc,
-    ),
-    b"rpc-": (
-        re.compile(
-            rb'\{"type":"rpc-reply","message-id":' + _STR
-            + rb',"status":(?:"ok"(?:,"execution-time":' + _INT + rb")?"
-            + rb'(?:,"params":' + _PARAMS + rb")?"
-            + rb'|"error","error-code":' + _STR + rb'(?:,"error-detail":' + _STR + rb")?"
-            + rb")\}\n"
-        ).fullmatch,
-        _canonical_reply,
-    ),
-    b"noti": (
-        re.compile(
-            rb'\{"type":"notification","message-id":' + _STR + rb"\}\n"
-        ).fullmatch,
-        _canonical_notification,
-    ),
-}
 
 
 def decode(data: bytes) -> Message:
@@ -488,11 +394,28 @@ def decode(data: bytes) -> Message:
     if type(data) is not bytes:
         raise TypeError(f"decode takes bytes, not {type(data).__name__}")
     if len(data) <= MAX_FRAME_BYTES:
-        canonical = _CANONICAL.get(data[9:13])
-        if canonical is not None:
-            match = canonical[0](data)
+        kind = data[9:13]  # the first four bytes of the type after '{"type":"'
+        if kind == b'rpc"':
+            match = _match_rpc(data)
             if match is not None:
-                return canonical[1](*match.groups())
+                mid, name, params, scheduled_time, get_time = match.groups()
+                operation = Operation(name.decode(), _canonical_params(params))
+                scheduled_time = None if scheduled_time is None else int(scheduled_time)
+                return RpcMessage(mid.decode(), operation, scheduled_time, get_time is not None)
+        elif kind == b"rpc-":
+            match = _match_reply(data)
+            if match is not None:
+                mid, execution_time, params, error_code, error_detail = match.groups()
+                if error_code is not None:
+                    detail = "" if error_detail is None else error_detail.decode()
+                    return RpcReply(mid.decode(), "error", error_code.decode(), detail)
+                execution_time = None if execution_time is None else int(execution_time)
+                params = None if params is None else _canonical_params(params)
+                return RpcReply(mid.decode(), "ok", None, "", execution_time, params)
+        elif kind == b"noti":
+            match = _match_notification(data)
+            if match is not None:
+                return ScheduleNotification(match[1].decode())
     return _decode_json(data)
 
 
@@ -515,14 +438,36 @@ def _decode_json(data: bytes) -> Message:
         raise MalformedFrame(f"bad frame syntax ({exc})") from exc
     if type(obj) is not dict:
         raise MalformedFrame("frame is not a JSON object")
-    type_value = obj.get("type")
-    try:
-        decoder = _DECODERS[type_value]
-    except (KeyError, TypeError):  # TypeError: a list or object is unhashable
-        if "type" not in obj:
-            raise MissingField("type") from None
-        raise UnknownType(type_value) from None
-    return decoder(obj)
+    kind = obj.get("type")
+    if kind == "rpc":
+        message_id = _str_field(obj, "message-id")
+        name = _str_field(obj, "op")
+        params = _params_field(obj)
+        operation = Operation(name, {} if params is None else params)
+        scheduled_time = _int_field(obj, "scheduled-time")
+        return RpcMessage(message_id, operation, scheduled_time, _bool_field(obj, "get-time"))
+    if kind == "rpc-reply":
+        message_id = _str_field(obj, "message-id")
+        status = _str_field(obj, "status")
+        if status not in ("ok", "error"):
+            raise MalformedFrame("status must be 'ok' or 'error'", "status")
+        error_code = None
+        error_detail = ""
+        if status == "error":
+            error_code = _str_field(obj, "error-code")
+            error_detail = obj.get("error-detail", "")
+            if type(error_detail) is not str:
+                raise MalformedFrame("field must be a string", "error-detail")
+        execution_time = _int_field(obj, "execution-time")
+        if execution_time is not None and error_code is not None:
+            raise MalformedFrame("error reply cannot carry execution-time", "execution-time")
+        params = _params_field(obj)
+        return RpcReply(message_id, status, error_code, error_detail, execution_time, params)
+    if kind == "notification":
+        return ScheduleNotification(_str_field(obj, "message-id"))
+    if "type" not in obj:
+        raise MissingField("type")
+    raise UnknownType(kind)
 
 
 class FrameSplitter:

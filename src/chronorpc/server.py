@@ -37,9 +37,10 @@ exactly from (seed, scenario). The server is sans-IO: it talks to the world
 through a scheduler (now/call_at/lock), each session's frame-send callable,
 and on_frame(). The scheduler's timers fire under its lock, and the server
 takes that lock itself in on_frame() and open_session(), so a transport
-calls both bare from any thread. A reply or notification too big to frame,
-such as an error that echoes a huge op name, is dropped and counted in
-`oversize_replies`; the server goes on serving.
+calls both bare from any thread. A reply or notification the wire refuses,
+such as an error that echoes a huge op name or an ok reply whose
+execution-time has more than 19 digits, is dropped and counted in
+`unencodable_replies`; the server goes on serving.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from .protocol import (
     ERR_UNKNOWN_MESSAGE_ID,
     ERR_UNKNOWN_OPERATION,
     MILLIS,
-    FrameTooLarge,
     Message,
     Operation,
     ProtocolError,
@@ -212,7 +212,7 @@ class Server:
     one. Frames reach the latest session. Each session has its own
     message-id namespace, op table (`ops`), `rejected_ids` and reply sink;
     the store, the executor lanes, the rng, `log`, `decode_errors` and
-    `oversize_replies` are the device's and are shared by every session.
+    `unencodable_replies` are the device's and are shared by every session.
     An op whose session has ended is not withdrawn: it runs when due and
     replies on its own session's sink, never on a later session's.
     """
@@ -242,7 +242,7 @@ class Server:
         # each session's `ops`
         self.log: list[PendingOp] = []
         self.decode_errors = 0
-        self.oversize_replies = 0
+        self.unencodable_replies = 0
         self._ready: deque[PendingOp] = deque()
         self._active = 0
         self._last_start: int | None = None
@@ -282,8 +282,8 @@ class Server:
         # Every frame the server sends goes through here.
         try:
             frame = encode(msg)
-        except FrameTooLarge:
-            self.oversize_replies += 1
+        except ValueError:  # FrameTooLarge, or an integer past 19 digits
+            self.unencodable_replies += 1
             return
         send(frame)
 

@@ -3,7 +3,8 @@
 The generator is shared by the codec unit tests and the acceptance
 round-trip check. It takes a random.Random so every caller controls its own
 seed. ref_encode and ref_decode are the codec's earlier, plainly written
-form, kept as the oracle for the package's per-type encoders and decoders.
+form, kept as the oracle for the package's encode() and both decode paths,
+the canonical regexes and _decode_json.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from chronorpc.harness.experiments import (
     experiment_stress,
     spike_window_split,
 )
+from chronorpc.harness import runner
 from chronorpc.harness.runner import error_score
 from chronorpc import protocol
 from chronorpc.prediction import EteSample, PredictorState, evaluate_stream
@@ -323,6 +324,20 @@ class TestRunScenario:
         with pytest.raises(CheckFailed, match=message):
             run_scenario(small_scenario(samples=3, **kw))
 
+    def test_unsendable_target_call_fails_the_run(self, monkeypatch):
+        # The client's link to s1 is gone before the first sample, so the
+        # call fails with the transport's error instead of a reply.
+        build_world = runner.build_world
+
+        def disconnected(scenario, seed=None):
+            world = build_world(scenario, seed)
+            world.client.disconnect("s1")
+            return world
+
+        monkeypatch.setattr(runner, "build_world", disconnected)
+        with pytest.raises(CheckFailed, match="s1: sample 0 failed: link to 's1' is closed"):
+            run_scenario(small_scenario(samples=3))
+
     def test_spike_indices_come_from_server_truth(self):
         spec = ServerSpec(
             model=ExecutionModel(
@@ -499,15 +514,15 @@ def _coordinated_rounds() -> None:
 def test_shipped_scenarios_decode_without_the_json_scanner(monkeypatch):
     # Every frame the cores send in the shipped scenarios, the demos and
     # coordinated rounds is in a canonical layout, so decode() reads each one
-    # without JSON and no frame reaches the per-type JSON decoders.
+    # without JSON and no frame reaches _decode_json.
     decoded = []
-    for type_value, decoder in protocol._DECODERS.items():
+    decode_json = protocol._decode_json
 
-        def recording(obj, decoder=decoder):
-            decoded.append(obj)
-            return decoder(obj)
+    def recording(data):
+        decoded.append(data)
+        return decode_json(data)
 
-        monkeypatch.setitem(protocol._DECODERS, type_value, recording)
+    monkeypatch.setattr(protocol, "_decode_json", recording)
     for path in sorted(SCENARIO_DIR.glob("*.txt")):
         scenario = load_scenario(path)
         result = run_scenario(replace(scenario, samples=scenario.window, trials=2))

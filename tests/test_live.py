@@ -10,6 +10,7 @@ import logging
 import os
 import random
 import socket
+import struct
 import sys
 import threading
 import time
@@ -346,6 +347,29 @@ def test_dropped_connection_fails_calls_at_once():
         later = core.submit("live1", Operation("noop"))
         assert isinstance(later.error, TransportClosed)
         assert core._pending == {}
+
+
+def test_a_reset_link_fails_its_calls_at_once():
+    # The peer resets the connection, so the reader's recv raises instead of
+    # reading the end of the stream; the link still ends as a closed one
+    # does: its call fails at once and its socket is closed.
+    fds = _open_fds()
+    with socket.create_server(("127.0.0.1", 0)) as listener, LiveClient(
+        reply_timeout=5 * SECONDS
+    ) as client:
+        client.connect("s", listener.getsockname())
+        conn, _ = listener.accept()
+        core = client.core
+        call = core.submit("s", Operation("noop"))
+        with conn:
+            assert conn.recv(65536)
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        start = time.monotonic()
+        assert core.wait([call], core.now() + 2 * SECONDS)
+        assert time.monotonic() - start < 1.0
+        assert isinstance(call.error, TransportClosed)
+        assert core._pending == {}
+    assert _open_fds() == fds
 
 
 def _open_fds() -> int:

@@ -489,6 +489,9 @@ class TestReferenceEquivalence:
     # A time of 20 digits, which no decoder takes, is refused.
     @example(msg=RpcMessage("m1", Operation("noop"), 10**19))
     @example(msg=RpcReply.make_ok("m1", execution_time=-(10**19)))
+    # A reply's status and error-code are checked before its message-id.
+    @example(msg=RpcReply("", "maybe"))
+    @example(msg=RpcReply("m1", "error"))
     def test_encode_matches_reference(self, msg):
         assert _outcome(encode, msg) == _outcome(ref_encode, msg)
 

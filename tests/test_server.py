@@ -239,7 +239,7 @@ class TestAdmissionErrors:
         assert len(frame) == MAX_FRAME_BYTES
         loop, server, wire = make_server()
         server.on_frame(frame)
-        assert server.oversize_replies == 1 and wire.events == []
+        assert server.unencodable_replies == 1 and wire.events == []
         rpc(server, "m2")
         loop.run_until(deadline=1 * SECONDS)
         assert wire.reply("m2").ok
@@ -451,9 +451,22 @@ class TestBuiltins:
         rpc(server, "m3", op="get-value", params={"key": "k"}, get_time=True)
         rpc(server, "m4")
         loop.run_until(deadline=1 * SECONDS)
-        assert server.oversize_replies == 1
+        assert server.unencodable_replies == 1
         assert [r.message_id for r in wire.replies()] == ["m1", "m2", "m4"]
         assert [op.message_id for op in server.log] == ["m1", "m2", "m3", "m4"]
+
+    def test_time_past_19_digits_is_dropped_and_frees_its_lane(self):
+        # The toast ends past 10**19 ns, so its reply's execution-time is
+        # one the wire refuses. It is dropped and counted, and the noop on
+        # the other lane is answered.
+        loop, server, wire = make_server(lanes=2)
+        rpc(server, "m1", op="toast", params={"duration-ns": "9" * 19}, get_time=True)
+        rpc(server, "m2")
+        loop.run_until()
+        assert [r.message_id for r in wire.replies()] == ["m2"] and wire.reply("m2").ok
+        assert server.unencodable_replies == 1
+        assert [op.message_id for op in server.log] == ["m2", "m1"]
+        assert server._active == 0
 
     def test_raising_sink_frees_its_lane(self):
         # m1's session has a sink that raises; m2 waits for the one lane.
